@@ -58,7 +58,7 @@ class BernoulliClocks(AsyncClockModel):
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
-        if np.any(r <= 0) or np.any(r > 1):
+        if not np.all((r > 0) & (r <= 1)):
             raise InvalidDistribution("Bernoulli rates must lie in (0, 1]")
         r.flags.writeable = False
         object.__setattr__(self, "rates", r)
@@ -78,10 +78,11 @@ class PoissonClocks(AsyncClockModel):
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
-        if np.any(r <= 0):
-            raise InvalidDistribution("Poisson intensities must be positive")
-        if self.delta <= 0:
-            raise InvalidDistribution("tick width must be positive")
+        if not np.all(np.isfinite(r) & (r > 0)):
+            raise InvalidDistribution(
+                "Poisson intensities must be positive and finite")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise InvalidDistribution("tick width must be positive and finite")
         r.flags.writeable = False
         object.__setattr__(self, "rates", r)
 
@@ -194,6 +195,9 @@ def simulate_async(W, clocks: AsyncClockModel, x0, steps: int, trial: int = 0,
     probs = clocks.activation_probabilities()
     if probs.shape != (n,):
         raise InvalidDistribution("one activation probability per agent")
+    if not np.any(probs > 0):
+        raise InvalidDistribution(
+            "no agent can fire: every activation probability is 0")
     rng = np.random.default_rng(trial_seed(clocks.seed, trial))
     x = np.asarray(x0, dtype=float).copy()
     spreads = [matrices.spread(x)]

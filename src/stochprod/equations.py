@@ -25,7 +25,6 @@ from . import graphs as graphlib
 from . import sequences
 from .errors import (
     DimensionMismatch,
-    EnumerationTooLarge,
     InconsistentBlock,
     InconsistentSystem,
     InvalidDistribution,
@@ -289,40 +288,13 @@ def window_connectivity_probability(gmodel: GraphSequenceModel,
                                     window: int | None = None) -> float:
     """Exact minimum over window starts of the probability that the window's
     graph composition is strongly connected."""
-    h = int(window or gmodel.window)
-    model = gmodel.model
-    m = model.num_symbols
-    if m**h > sequences.ENUMERATION_LIMIT:
-        raise EnumerationTooLarge(f"{m}^{h} words exceed enumeration budget")
-    adjs = [graphlib.adjacency(g).astype(np.int32) for g in gmodel.graph_set]
-
-    def window_probability(start: int) -> float:
-        if isinstance(model, sequences.ScriptedModel):
-            word = model.scripted_word(start, h)
-            comp = adjs[word[0]]
-            for i in word[1:]:
-                comp = ((comp @ adjs[i]) > 0).astype(np.int32)
-            count, _ = graphlib.strongly_connected_components(comp > 0)
-            return 1.0 if count == 1 else 0.0
-        total = 0.0
-        stack = [(p, s, adjs[s], 1)
-                 for s, p in enumerate(model.start_distribution(start)) if p > 0]
-        while stack:
-            prob, prev, comp, depth = stack.pop()
-            if depth == h:
-                count, _ = graphlib.strongly_connected_components(comp > 0)
-                if count == 1:
-                    total += prob
-                continue
-            for s, p in enumerate(model.step_distribution(prev)):
-                if p > 0:
-                    stack.append(
-                        (prob * p, s, ((comp @ adjs[s]) > 0).astype(np.int32),
-                         depth + 1))
-        return total
-
-    return float(min(window_probability(s)
-                     for s in sequences.window_starts(model)))
+    adjs = [graphlib.adjacency(g).T for g in gmodel.graph_set]
+    # the engine multiplies later factors on the left, so it builds the
+    # transpose of the composition; strong connectivity ignores transposes
+    probs = sequences.window_probability(
+        gmodel.model, adjs, int(window or gmodel.window),
+        lambda adj: graphlib.strongly_connected_components(adj)[0] == 1)
+    return float(probs.min())
 
 
 @dataclass(frozen=True)

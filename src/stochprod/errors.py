@@ -17,6 +17,14 @@ class NegativeEntry(StochprodError):
         super().__init__(f"entry ({row}, {col}) = {value} is negative")
 
 
+class NonFiniteEntry(StochprodError):
+    """A matrix entry is NaN or infinite."""
+
+    def __init__(self, row: int, col: int, value: float):
+        self.row, self.col, self.value = row, col, value
+        super().__init__(f"entry ({row}, {col}) = {value} is not finite")
+
+
 class RowSumViolation(StochprodError):
     """A row of a stochastic matrix does not sum to one."""
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from . import sequences
-from .errors import DimensionMismatch, EnumerationTooLarge, InvalidDistribution, NoCertificate
+from . import matrices, sequences
+from .errors import DimensionMismatch, InvalidDistribution, NoCertificate
 from .sequences import SequenceModel
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "monte_carlo_decay",
 ]
 
-ENUMERATION_LIMIT = 10**6
 V_FLOOR = 1e-300
 
 
@@ -54,6 +53,7 @@ class SwitchedSystem:
         for a in mats:
             if a.ndim != 2 or a.shape != (n, n):
                 raise DimensionMismatch("modes must be square and share dimensions")
+            matrices._check_finite(a)
             a.flags.writeable = False
         if self.signal.num_symbols > len(mats):
             raise DimensionMismatch(
@@ -169,26 +169,14 @@ def _continuation_operators(system: SwitchedSystem, mode: int, horizon: int):
 
     Returns (probs, operators) where operators[w] is the matrix applied to
     the state over continuation w (later modes multiplied on the left), and
-    probs[w] the continuation's probability given the current mode.
+    probs[w] the continuation's probability given the current mode;
+    continuations ending in the same mode with bit-identical operators are
+    merged into one entry.
     """
-    signal = system.signal
-    m = signal.num_symbols
-    if m**horizon > ENUMERATION_LIMIT:
-        raise EnumerationTooLarge(
-            f"{m}^{horizon} continuations exceed {ENUMERATION_LIMIT}")
-    probs, ops = [], []
-    stack = [(1.0, int(mode), np.eye(system.dimension), 0)]
-    while stack:
-        prob, prev, op, depth = stack.pop()
-        if depth == horizon:
-            probs.append(prob)
-            ops.append(op)
-            continue
-        dist = signal.step_distribution(prev)
-        for sym, p in enumerate(dist):
-            if p > 0:
-                stack.append((prob * p, sym, system.modes[sym] @ op, depth + 1))
-    return np.asarray(probs), np.asarray(ops)
+    _, ops, probs = sequences.advance(
+        system.signal, system.modes, np.array([int(mode)]),
+        np.eye(system.dimension)[None], np.ones((1, 1)), horizon)
+    return probs[:, 0], ops
 
 
 def expected_lyapunov(system: SwitchedSystem, V: LyapunovFunction, x,
@@ -221,6 +209,10 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
                         ) -> FiniteStepCertificate:
     """Search the smallest horizon at which V contracts in expectation.
 
+    A horizon contracts when the worst ratio is below 1 - 1e-12: a ratio
+    that is exactly 1 can come out an ulp short of it, because continuation
+    probabilities that sum to 1 need not do so in floating point.
+
     Requires a positively homogeneous V (so the worst case over all states
     equals the worst case over the unit sphere) and an i.i.d. or
     Markov-modulated signal.  Raises ``NoCertificate`` when no horizon up to
@@ -241,7 +233,7 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
         beta = _worst_ratio(system, V, pts, horizon)
         if horizon == 1:
             supermartingale_ok = beta <= 1.0 + 1e-12
-        if beta < 1.0:
+        if beta < 1.0 - 1e-12:
             return FiniteStepCertificate(
                 horizon=horizon,
                 alpha=1.0 - beta,

@@ -23,7 +23,13 @@ from functools import reduce
 import numpy as np
 
 from . import graphs
-from .errors import DimensionMismatch, EmptySequence, NegativeEntry, RowSumViolation
+from .errors import (
+    DimensionMismatch,
+    EmptySequence,
+    NegativeEntry,
+    NonFiniteEntry,
+    RowSumViolation,
+)
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -52,11 +58,19 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 
 
+def _check_finite(a: np.ndarray):
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        i, j = map(int, bad[0])
+        raise NonFiniteEntry(i, j, float(a[i, j]))
+
+
 class StochasticMatrix:
     """A validated row-stochastic matrix.
 
-    Entries are nonnegative and every row sums to 1 within ``ROW_SUM_TOL``.
-    Instances are immutable; the entry array is stored read-only.
+    Entries are finite and nonnegative and every row sums to 1 within
+    ``ROW_SUM_TOL``.  Instances are immutable; the entry array is stored
+    read-only.
     """
 
     __slots__ = ("entries",)
@@ -65,6 +79,7 @@ class StochasticMatrix:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
+        _check_finite(a)
         neg = np.argwhere(a < 0)
         if len(neg):
             i, j = map(int, neg[0])
@@ -103,7 +118,8 @@ class StochasticMatrix:
 def validate(entries) -> StochasticMatrix:
     """Validate a square array as a stochastic matrix.
 
-    Raises ``NegativeEntry`` or ``RowSumViolation`` with the offending index.
+    Raises ``NonFiniteEntry``, ``NegativeEntry`` or ``RowSumViolation`` with
+    the offending index.
     """
     return StochasticMatrix(entries)
 

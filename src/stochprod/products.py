@@ -153,9 +153,8 @@ def window_rate_bound(model: SequenceModel, h: int) -> RateReport:
     p = 0, i.e. no length-h window ever scrambles.
     """
     fset = model._require_set()
-    p = min(
-        sequences.window_class_probability(model, s, h, "scrambling")
-        for s in sequences.window_starts(model))
+    p = float(sequences.window_probability(
+        model, fset.patterns(), h, matrices.pattern_is_scrambling).min())
     if p <= 0.0:
         raise NoScramblingWindow(f"no scrambling window of length {h}")
     alpha = sequences.min_positive_entry(fset)

@@ -10,7 +10,8 @@ A model produces the index process behind a random matrix sequence
 Sampling is deterministic given ``(model, seed)``; independent Monte Carlo
 trials perturb the stream with ``seed ^ trial``.  Besides sampling, the
 models answer *exact* probability queries for classification events of
-length-h window products, by enumerating positive-probability words.
+length-h window products; ``advance`` merges words that end in the same
+index with the same pattern, which form a finite semigroup.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
     "ScriptedModel",
     "SampledSequence",
     "sample",
+    "advance",
+    "window_probability",
     "window_class_probability",
     "window_starts",
     "stationary_distribution",
@@ -43,7 +46,8 @@ __all__ = [
     "trial_seed",
 ]
 
-ENUMERATION_LIMIT = 10**7
+STATE_LIMIT = 10**6  # states one layer of ``advance`` may expand
+START_HORIZON = 128  # marginal steps ``window_starts`` tracks before giving up
 DIST_TOL = 1e-12
 
 _PATTERN_TESTS = {
@@ -98,6 +102,8 @@ def _check_distribution(vec, what: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise InvalidDistribution(f"{what} must be a nonempty vector")
+    if not np.isfinite(v).all():
+        raise InvalidDistribution(f"{what} has a non-finite entry")
     if np.any(v < 0):
         raise InvalidDistribution(f"{what} has a negative entry")
     if abs(v.sum() - 1.0) > DIST_TOL:
@@ -310,62 +316,89 @@ def sample(model: SequenceModel, length: int, trial: int = 0) -> SampledSequence
     return SampledSequence(indices=idx, model=model, seed=trial_seed(model.seed, trial))
 
 
+def advance(model: SequenceModel, factors, last, prods, weights, steps: int):
+    """Extend states (last index, backward product, weight row) by ``steps``
+    indices: each layer follows every positive step probability, multiplies
+    the new index's factor on the left and scales the weight row, then
+    merges states with equal last index and bit-identical product by adding
+    their weight rows.  Returns ``(last, prods, weights)``; raises
+    ``EnumerationTooLarge`` when a layer expands over ``STATE_LIMIT`` states.
+    """
+    factors = np.asarray(factors)
+    steps_law = np.array([model.step_distribution(s)
+                          for s in range(model.num_symbols)])
+    for _ in range(int(steps)):
+        src, nxt = np.nonzero(steps_law[last] > 0)
+        if src.size > STATE_LIMIT:
+            raise EnumerationTooLarge(
+                f"{src.size} states in one layer exceed {STATE_LIMIT}")
+        prods = factors[nxt] @ prods[src]
+        weights = weights[src] * steps_law[last[src], nxt][:, None]
+        keys = np.concatenate([nxt[:, None].view(np.uint8),
+                               prods.reshape(src.size, -1).view(np.uint8)], axis=1)
+        # one opaque key per row: np.unique(axis=0) is an order slower
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        merged = np.zeros((first.size, weights.shape[1]))
+        np.add.at(merged, inverse.ravel(), weights)
+        last, prods, weights = nxt[first], prods[first], merged
+    return last, prods, weights
+
+
+def window_probability(model: SequenceModel, patterns, h: int, test,
+                       starts=None) -> np.ndarray:
+    """Exact probability, at each window start, that the boolean backward
+    product of the patterns along the h window positions passes ``test``.
+
+    One run of ``advance`` with weight rows indexed by the window's first
+    index gives q[s], the probability of passing given first index s; start
+    k then costs one dot product with the law of its first index.  Starts
+    default to ``window_starts(model)``.
+    """
+    if h < 1:
+        raise InvalidDistribution("window length must be at least 1")
+    starts = window_starts(model) if starts is None else starts
+    m = model.num_symbols
+    pats = np.asarray(patterns, dtype=bool)[:m]
+    if isinstance(model, ScriptedModel):
+        hits = []
+        for start in starts:
+            word = model.scripted_word(start, h)
+            prod = pats[word[0]]
+            for idx in word[1:]:
+                prod = pats[idx] @ prod
+            hits.append(1.0 if test(prod) else 0.0)
+        return np.array(hits)
+    _, prods, weights = advance(model, pats, np.arange(m), pats, np.eye(m), h - 1)
+    q = weights[np.array([bool(test(p)) for p in prods])].sum(axis=0)
+    return np.array([model.start_distribution(start) @ q for start in starts])
+
+
 def window_class_probability(model: SequenceModel, start: int, h: int,
                              klass: str) -> float:
     """Exact probability that the window product is in a matrix class.
 
     The event is about the backward product of the h matrices at positions
     start+1 .. start+h; membership in {scrambling, sia, markov} depends only
-    on the boolean pattern, so the enumeration walks positive-probability
-    words accumulating boolean pattern products.
+    on the boolean pattern, so ``window_probability`` decides it.
     """
     if klass not in _PATTERN_TESTS:
         raise InvalidDistribution(f"unknown class {klass!r}")
-    if h < 1:
-        raise InvalidDistribution("window length must be at least 1")
     fset = model._require_set()
-    m = model.num_symbols
-    if m**h > ENUMERATION_LIMIT:
-        raise EnumerationTooLarge(f"{m}^{h} words exceed {ENUMERATION_LIMIT}")
-    test = _PATTERN_TESTS[klass]
-    pats = [p.astype(np.int32) for p in fset.patterns()]
-
-    if isinstance(model, ScriptedModel):
-        word = model.scripted_word(start, h)
-        mask = pats[word[0]]
-        for idx in word[1:]:
-            mask = ((pats[idx] @ mask) > 0).astype(np.int32)
-        return 1.0 if test(mask > 0) else 0.0
-
-    first = model.start_distribution(start)
-    total = 0.0
-    # depth-first over words, pruning zero-probability branches; the running
-    # value is the boolean pattern of the backward product so far
-    stack = [(prob, sym, pats[sym], 1)
-             for sym, prob in enumerate(first) if prob > 0]
-    while stack:
-        prob, prev, mask, depth = stack.pop()
-        if depth == h:
-            if test(mask > 0):
-                total += prob
-            continue
-        nxt = model.step_distribution(prev)
-        for sym, p in enumerate(nxt):
-            if p > 0:
-                stack.append(
-                    (prob * p, sym, ((pats[sym] @ mask) > 0).astype(np.int32),
-                     depth + 1))
-    return float(total)
+    return float(window_probability(model, fset.patterns(), h,
+                                    _PATTERN_TESTS[klass], [start])[0])
 
 
-def window_starts(model: SequenceModel, horizon: int = 128) -> list:
+def window_starts(model: SequenceModel) -> list:
     """Window starts covering one period of the model's marginal law.
 
     Scripted models cycle with their script length; i.i.d. and stationary
     Markov-modulated models are homogeneous, so one start suffices.  A
     non-stationary Markov-modulated model gets its marginals tracked until
     they repeat or settle within 1e-13, which covers periodic and converging
-    modulating chains alike.
+    modulating chains alike; raises ``EnumerationTooLarge`` when neither
+    happens within ``START_HORIZON`` steps.
     """
     if isinstance(model, ScriptedModel):
         return list(range(model.period))
@@ -373,13 +406,14 @@ def window_starts(model: SequenceModel, horizon: int = 128) -> list:
         seen = [model.initial]
         starts = [0]
         v = model.initial
-        for k in range(1, int(horizon) + 1):
+        for k in range(1, START_HORIZON + 1):
             v = v @ model.transition
             if any(np.abs(v - u).max() < 1e-13 for u in seen):
-                break
+                return starts
             seen.append(v)
             starts.append(k)
-        return starts
+        raise EnumerationTooLarge(
+            f"the marginals neither repeat nor settle within {START_HORIZON} steps")
     return [0]
 
 

@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from stochprod.matrices import StochasticMatrix, entries_of, tau
@@ -102,3 +104,27 @@ def uniform_weights(graph):
         w[j, i] = 1.0
     w /= w.sum(axis=1, keepdims=True)
     return StochasticMatrix(w)
+
+
+def positive_words(first, step, h):
+    """Brute-force word law: every length-h index word of positive
+    probability, with that probability, found by trying all m**h words.
+    ``first`` is the law of the first index and ``step(a)`` the law of the
+    index that follows a."""
+    first = np.asarray(first, dtype=float)
+    for word in itertools.product(range(first.size), repeat=h):
+        p = first[word[0]]
+        for a, b in zip(word, word[1:]):
+            p *= step(a)[b]
+        if p > 0:
+            yield word, p
+
+
+def window_words(model, start, h):
+    """Brute-force law of the h indices at positions start+1 .. start+h."""
+    from stochprod.sequences import ScriptedModel
+
+    if isinstance(model, ScriptedModel):
+        return [(model.scripted_word(start, h), 1.0)]
+    return list(positive_words(model.start_distribution(start),
+                               model.step_distribution, h))

@@ -169,6 +169,15 @@ class TestClocks:
             sp.BernoulliClocks(rates=np.array([0.0, 0.5]))
         with pytest.raises(InvalidDistribution):
             sp.BernoulliClocks(rates=np.array([1.2]))
+        with pytest.raises(InvalidDistribution):
+            sp.BernoulliClocks(rates=np.array([np.nan, 0.5]))
+
+    def test_poisson_rejects_non_finite(self):
+        for rates in ([np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(InvalidDistribution):
+                sp.PoissonClocks(rates=np.array(rates))
+        with pytest.raises(InvalidDistribution):
+            sp.PoissonClocks(rates=np.array([1.0]), delta=np.nan)
 
     def test_poisson_thinning(self):
         clocks = sp.PoissonClocks(rates=np.array([1.0, 2.0]), delta=0.5)
@@ -217,6 +226,13 @@ class TestSimulateAsync:
         assert len(trace.events) == 25
         assert all(e.activated for e in trace.events)
         assert len(trace.spreads) == 26
+
+    def test_clocks_that_never_fire_rejected(self):
+        # 1 - exp(-1e-20) rounds to 0: no tick could ever hold an event
+        w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+        clocks = sp.PoissonClocks(rates=np.full(2, 1e-20))
+        with pytest.raises(InvalidDistribution):
+            sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
 
     def test_reproducible(self):
         w = uniform_weights(figure_network())

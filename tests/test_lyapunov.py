@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod.errors import EnumerationTooLarge, InvalidDistribution, NoCertificate
+from stochprod import sequences
+from stochprod.errors import (
+    EnumerationTooLarge,
+    InvalidDistribution,
+    NoCertificate,
+    NonFiniteEntry,
+)
 
 # three diagonal modes driven by a two-phase modulating chain: mode 0 damps
 # the first coordinate, modes 1 and 2 damp the second by 0.8 / 0.6
@@ -50,12 +56,28 @@ class TestExpectedLyapunov:
             scaled = sp.expected_lyapunov(damped_system, v, c * x, 1, 2)
             assert scaled == pytest.approx(c * base, rel=1e-12)
 
-    def test_enumeration_guard(self):
+    def test_enumeration_guard(self, monkeypatch):
+        # generic modes: every continuation keeps a distinct operator
+        rng = np.random.default_rng(1)
+        signal = sp.IIDModel(weights=np.full(10, 0.1), seed=1)
+        system = sp.SwitchedSystem(
+            modes=tuple(rng.uniform(-0.5, 0.5, (2, 2)) for _ in range(10)),
+            signal=signal)
+        monkeypatch.setattr(sequences, "STATE_LIMIT", 1000)
+        with pytest.raises(EnumerationTooLarge):
+            sp.expected_lyapunov(system, sp.inf_norm(), [1, 0], 0, 7)
+
+    def test_identical_continuations_merge(self):
+        # 10^7 continuations, all the identity: one state per last mode
         signal = sp.IIDModel(weights=np.full(10, 0.1), seed=1)
         system = sp.SwitchedSystem(modes=tuple(np.eye(2) for _ in range(10)),
                                    signal=signal)
-        with pytest.raises(EnumerationTooLarge):
-            sp.expected_lyapunov(system, sp.inf_norm(), [1, 0], 0, 7)
+        got = sp.expected_lyapunov(system, sp.inf_norm(), [1, 0], 0, 7)
+        assert got == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_mode_rejected(self):
+        with pytest.raises(NonFiniteEntry):
+            single_mode_system([[0.5, np.nan], [0.0, 0.5]])
 
 
 class TestCertify:
@@ -72,6 +94,23 @@ class TestCertify:
         assert cert.alpha >= 0.3 - 1e-9
         assert cert.supermartingale_ok
         assert cert.rate == pytest.approx((1 - cert.alpha) ** 0.5)
+
+    @pytest.mark.parametrize("seed", [1, 3, 7, 11, 36])
+    def test_ratio_an_ulp_below_one_is_no_certificate(self, seed):
+        # below T = 5 the true worst ratio is exactly 1 (a unit vector that
+        # is never damped in time); with these non-dyadic chain rows the
+        # computed ratio can fall an ulp short of 1
+        n = 5
+        shift = np.roll(np.eye(n), 1, axis=0)
+        modes = (shift @ np.diag([0.5] + [1.0] * (n - 1)), shift, np.eye(n))
+        rows = np.random.default_rng(seed).uniform(0.2, 1.0, (3, 3))
+        signal = sp.MarkovModulatedModel(
+            initial=[1, 0, 0], transition=rows / rows.sum(axis=1, keepdims=True))
+        cert = sp.certify_contraction(sp.SwitchedSystem(modes, signal),
+                                      sp.inf_norm(), horizon_max=6,
+                                      grid=sp.SphereGrid(seed=1))
+        assert cert.horizon == n
+        assert cert.alpha > 1e-6
 
     def test_identity_mode_never_certifies(self):
         system = single_mode_system(np.eye(2))

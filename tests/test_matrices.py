@@ -8,6 +8,7 @@ from stochprod.errors import (
     DimensionMismatch,
     EmptySequence,
     NegativeEntry,
+    NonFiniteEntry,
     RowSumViolation,
 )
 
@@ -33,6 +34,12 @@ class TestValidation:
         with pytest.raises(NegativeEntry) as exc:
             sp.validate([[1.5, -0.5], [0.5, 0.5]])
         assert (exc.value.row, exc.value.col) == (0, 1)
+
+    def test_non_finite_entry(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteEntry) as exc:
+                sp.validate([[0.5, 0.5], [bad, 1.0]])
+            assert (exc.value.row, exc.value.col) == (1, 0)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stochprod as sp
+from stochprod import sequences
 from stochprod.errors import (
     EnumerationTooLarge,
     InvalidDistribution,
@@ -26,6 +27,8 @@ class TestModels:
             sp.IIDModel(weights=[0.5, 0.6])
         with pytest.raises(InvalidDistribution):
             sp.IIDModel(weights=[-0.5, 1.5])
+        with pytest.raises(InvalidDistribution):
+            sp.IIDModel(weights=[np.nan, 1.0])
 
     def test_transition_rows_checked(self):
         with pytest.raises(InvalidDistribution):
@@ -163,10 +166,32 @@ class TestWindowProbability:
         assert sp.window_class_probability(model, 1, 1, "scrambling") == \
             pytest.approx(0.4, abs=1e-12)
 
-    def test_enumeration_guard(self, two_set):
-        model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=two_set)
+    def test_enumeration_guard(self, monkeypatch):
+        # a 5-cycle and a transposition generate all 120 permutations, so
+        # the merged states keep multiplying with the window length
+        cycle = np.roll(np.eye(5), 1, axis=1)
+        swap = np.eye(5)[[1, 0, 2, 3, 4]]
+        fset = sp.FiniteMatrixSet((sp.StochasticMatrix(cycle),
+                                   sp.StochasticMatrix(swap)))
+        model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
+        monkeypatch.setattr(sequences, "STATE_LIMIT", 50)
         with pytest.raises(EnumerationTooLarge):
             sp.window_class_probability(model, 0, 40, "scrambling")
+
+    def test_merged_patterns_make_long_windows_exact(self, two_set):
+        # 2^40 words, but only the patterns {I, positive} per last index:
+        # the window scrambles unless every factor is the identity
+        model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=two_set)
+        assert sp.window_class_probability(model, 0, 40, "scrambling") == \
+            1.0 - 0.5**40
+
+    def test_unsettled_marginals_rejected(self):
+        # this chain needs thousands of steps to settle; a truncated start
+        # list would understate the minimum over starts
+        model = sp.MarkovModulatedModel(initial=[1, 0],
+                                        transition=[[0.999, 0.001], [0.001, 0.999]])
+        with pytest.raises(EnumerationTooLarge):
+            sequences.window_starts(model)
 
 
 class TestStationary:
