@@ -40,7 +40,6 @@ from .equations import (
 from .graphs import (
     DirectedGraph,
     compose,
-    graph_of,
     is_rooted,
     is_strongly_connected,
     roots,
@@ -58,10 +57,10 @@ from .lyapunov import (
 )
 from .matrices import (
     MatrixClass,
-    MatrixPattern,
     StochasticMatrix,
     backward_product,
     classify,
+    graph_of,
     is_markov,
     is_scrambling,
     is_sia,
@@ -87,7 +86,6 @@ from .sequences import (
     FiniteMatrixSet,
     IIDModel,
     MarkovModulatedModel,
-    SampledSequence,
     ScriptedModel,
     min_positive_entry,
     sample,

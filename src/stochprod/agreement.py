@@ -18,13 +18,17 @@ import numpy as np
 
 from . import graphs as graphlib
 from . import matrices
-from .errors import EmptyActivation, InvalidDistribution, NotReachable
+from .errors import (
+    DimensionMismatch,
+    EmptyActivation,
+    InvalidDistribution,
+    NotReachable,
+)
 from .graphs import DirectedGraph
 from .matrices import StochasticMatrix
 from .sequences import trial_seed
 
 __all__ = [
-    "AsyncClockModel",
     "BernoulliClocks",
     "PoissonClocks",
     "UpdateEvent",
@@ -39,18 +43,8 @@ __all__ = [
 ]
 
 
-class AsyncClockModel:
-    """Per-agent activation clocks, mutually independent streams."""
-
-    seed: int
-
-    def activation_probabilities(self) -> np.ndarray:
-        """Probability that each agent fires on a given tick."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class BernoulliClocks(AsyncClockModel):
+class BernoulliClocks:
     """Each tick, agent i fires independently with probability rates[i]."""
 
     rates: np.ndarray
@@ -68,7 +62,7 @@ class BernoulliClocks(AsyncClockModel):
 
 
 @dataclass(frozen=True)
-class PoissonClocks(AsyncClockModel):
+class PoissonClocks:
     """Poisson clocks thinned onto a tick grid of width ``delta``: the
     per-tick firing probability is 1 - exp(-rate * delta)."""
 
@@ -181,8 +175,8 @@ def hierarchical_word_count(partition: HierarchicalPartition) -> int:
     return count
 
 
-def simulate_async(W, clocks: AsyncClockModel, x0, steps: int, trial: int = 0,
-                   record_events: bool = True) -> AgreementTrace:
+def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
+                   trial: int = 0, record_events: bool = True) -> AgreementTrace:
     """Run ``steps`` asynchronous update events.
 
     Each tick samples the set of firing agents from the clocks; ticks where
@@ -198,8 +192,11 @@ def simulate_async(W, clocks: AsyncClockModel, x0, steps: int, trial: int = 0,
     if not np.any(probs > 0):
         raise InvalidDistribution(
             "no agent can fire: every activation probability is 0")
+    x = np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise DimensionMismatch("x0 needs one entry per agent")
+    matrices._check_finite(x[:, None])
     rng = np.random.default_rng(trial_seed(clocks.seed, trial))
-    x = np.asarray(x0, dtype=float).copy()
     spreads = [matrices.spread(x)]
     events = []
     done = 0

@@ -2,7 +2,8 @@
 
 ``stochprod run <kind> --config cfg.json [--seed N] [--out DIR] [--trials N]
 [--steps N] [--tol X]`` loads a JSON experiment description, applies the flag
-overrides, dispatches to the library, and writes ``summary.json`` plus
+overrides (a flag the kind does not read is a config error, see
+``KIND_FLAGS``), dispatches to the library, and writes ``summary.json`` plus
 ``trace.csv`` into the output directory.  Outputs embed the seed, a hash of
 the effective configuration, and the package version; identical (config,
 seed) pairs produce byte-identical files.
@@ -25,12 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, jsonio
-from . import agreement, equations, lyapunov, matrices, products
+from . import agreement, equations, graphs, lyapunov, matrices, products
 from .errors import ConfigParse, StochprodError
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
-KINDS = ("certify", "product", "async", "lineq", "classify")
+# the override flags each kind reads besides --seed and --out (lineq reads
+# ``max_iters``, not ``steps``)
+KIND_FLAGS = {"certify": ("trials", "steps", "tol"), "product": ("steps", "tol"),
+              "async": ("steps", "tol"), "lineq": ("tol",), "classify": ()}
+KINDS = tuple(KIND_FLAGS)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -56,6 +61,9 @@ class ExperimentConfig:
 def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigParse(f"unknown experiment kind {kind!r}; choose from {KINDS}")
+    for key, value in overrides.items():
+        if value is not None and key not in ("seed", "out") + KIND_FLAGS[kind]:
+            raise ConfigParse(f"{kind} does not read --{key}")
     try:
         with open(path) as fh:
             params = json.load(fh)
@@ -196,7 +204,7 @@ def _run_async(config: ExperimentConfig):
         w = jsonio.matrix_from_json(p["matrix"])
     elif "graph" in p:
         g = jsonio.graph_from_json(p["graph"])
-        w = matrices.StochasticMatrix(_uniform_weights_from_graph(g))
+        w = matrices.StochasticMatrix(graphs.averaging_weights(g))
     else:
         raise ConfigParse("async config needs a 'matrix' or a 'graph'")
     n = w.n
@@ -222,15 +230,6 @@ def _run_async(config: ExperimentConfig):
         "steps": steps, "tol": tol,
     }
     return summary, ["k", "spread"], rows, EXIT_OK
-
-
-def _uniform_weights_from_graph(g) -> np.ndarray:
-    from .graphs import adjacency
-    incoming = adjacency(g).T.astype(float)
-    degrees = incoming.sum(axis=1)
-    if np.any(degrees == 0):
-        raise ConfigParse("every vertex needs at least one incoming edge")
-    return incoming / degrees[:, None]
 
 
 def _run_lineq(config: ExperimentConfig):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs as graphlib
-from . import sequences
+from . import matrices, sequences
 from .errors import (
     DimensionMismatch,
     InconsistentBlock,
@@ -32,6 +32,7 @@ from .errors import (
     NoConnectedWindow,
 )
 from .graphs import DirectedGraph
+from .products import _log_linear_rate
 from .sequences import SequenceModel
 
 __all__ = [
@@ -71,6 +72,8 @@ class PartitionedLinearSystem:
             b = np.array(b, dtype=float).reshape(-1)
             if a.ndim != 2 or a.shape[0] != b.size:
                 raise DimensionMismatch("block shapes must match their right sides")
+            matrices._check_finite(a)
+            matrices._check_finite(b[:, None])
             if m is None:
                 m = a.shape[1]
             elif a.shape[1] != m:
@@ -183,27 +186,24 @@ class SolverState:
         object.__setattr__(self, "estimates", e)
 
 
-def _neighbor_structure(graph: DirectedGraph):
-    """In-neighbor adjacency as floats plus in-degrees; requires self-arcs."""
+def _check_self_arcs(graph: DirectedGraph):
     if not graphlib.has_all_self_loops(graph):
         raise MissingSelfArc("solver graphs must contain every self-arc")
-    adj = graphlib.adjacency(graph)
-    incoming = adj.T.astype(float)  # incoming[i, j] = 1 when j feeds i
-    degrees = incoming.sum(axis=1)
-    return incoming, degrees
 
 
 def averaging_matrix(graph: DirectedGraph) -> np.ndarray:
-    """Row-stochastic neighbor-averaging matrix: row i spreads weight 1/d_i
-    over i's in-neighbors (self included)."""
-    incoming, degrees = _neighbor_structure(graph)
-    return incoming / degrees[:, None]
+    """Row-stochastic neighbor-averaging matrix of a solver graph: row i
+    spreads weight 1/d_i over i's in-neighbors (self included)."""
+    _check_self_arcs(graph)
+    return graphlib.averaging_weights(graph)
 
 
 def step(state: SolverState, graph: DirectedGraph,
          projections: ProjectionSet) -> SolverState:
     """One synchronous round of the projected-averaging update."""
-    incoming, degrees = _neighbor_structure(graph)
+    _check_self_arcs(graph)
+    incoming = graphlib.adjacency(graph).T.astype(float)
+    degrees = incoming.sum(axis=1)
     x = state.estimates
     sums = incoming @ x
     corrections = degrees[:, None] * x - sums
@@ -220,13 +220,25 @@ def mixed_matrix_norm(q: np.ndarray, block_size: int) -> float:
     if q.shape[0] != q.shape[1] or q.shape[0] % block_size:
         raise DimensionMismatch("block matrix shape incompatible with block size")
     n = q.shape[0] // block_size
-    norms = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            block = q[i * block_size:(i + 1) * block_size,
-                      j * block_size:(j + 1) * block_size]
-            norms[i, j] = np.linalg.norm(block, 2)
-    return float(norms.sum(axis=1).max())
+    blocks = q.reshape(n, block_size, n, block_size).swapaxes(1, 2)
+    return float(np.linalg.norm(blocks, 2, axis=(-2, -1)).sum(axis=1).max())
+
+
+def _error_products(graph_seq, projections: ProjectionSet):
+    """Yield the running error-transition product after each graph.
+
+    The product is kept as its n block rows of shape (m, n*m), so that the
+    block-diagonal projection acts on each block row, and ``W kron I``
+    mixes the block rows.
+    """
+    ps = np.stack(projections.projections)
+    n, m = ps.shape[:2]
+    phi = np.eye(n * m).reshape(n, m, n * m)
+    for g in graph_seq:
+        phi = ps @ phi
+        phi = (averaging_matrix(g) @ phi.reshape(n, -1)).reshape(n, m, -1)
+        phi = ps @ phi
+        yield phi.reshape(n * m, n * m)
 
 
 def error_transition(graph_list, projections: ProjectionSet):
@@ -237,16 +249,12 @@ def error_transition(graph_list, projections: ProjectionSet):
     matrix; factors multiply chronologically with later graphs on the left.
     Returns (operator, its mixed norm); the norm never exceeds 1.
     """
-    graph_list = list(graph_list)
-    if not graph_list:
+    phi = None
+    for phi in _error_products(graph_list, projections):
+        pass
+    if phi is None:
         raise DimensionMismatch("error transition over an empty window")
-    m = projections.projections[0].shape[0]
-    p = projections.block_diagonal()
-    phi = np.eye(p.shape[0])
-    for g in graph_list:
-        w = averaging_matrix(g)
-        phi = (p @ np.kron(w, np.eye(m)) @ p) @ phi
-    return phi, mixed_matrix_norm(phi, m)
+    return phi, mixed_matrix_norm(phi, projections.projections[0].shape[0])
 
 
 @dataclass(frozen=True)
@@ -366,13 +374,8 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
             _, norm = error_transition(chunk, projections)
             window_norms.append(norm)
 
-    fitted = None
-    ks = np.asarray([h[0] for h in history], dtype=float)
-    ds = np.asarray([h[1] for h in history], dtype=float)
-    keep = ds > 1e-300
-    if keep.sum() >= 3:
-        slope = np.polyfit(ks[keep], np.log(ds[keep]), 1)[0]
-        fitted = float(np.exp(slope))
+    fitted = _log_linear_rate([h[0] for h in history], [h[1] for h in history],
+                              min_points=3)
 
     exponential_consistent = None
     if window_norms and fitted is not None:
@@ -405,10 +408,7 @@ def smallest_contracting_window(gmodel: GraphSequenceModel,
     """
     graph_seq = gmodel.sample_graphs(max_len, trial=trial)
     m = projections.projections[0].shape[0]
-    p = projections.block_diagonal()
-    phi = np.eye(p.shape[0])
-    for length, g in enumerate(graph_seq, start=1):
-        phi = (p @ np.kron(averaging_matrix(g), np.eye(m)) @ p) @ phi
+    for length, phi in enumerate(_error_products(graph_seq, projections), start=1):
         norm = mixed_matrix_norm(phi, m)
         if norm < 1.0 - 1e-12:
             return length, norm

@@ -87,6 +87,10 @@ class NotReachable(StochprodError):
         super().__init__(f"vertex {vertex} is not reachable from the root")
 
 
+class NoInNeighbor(StochprodError):
+    """A vertex has no in-neighbor, so it has nothing to average."""
+
+
 class EmptyActivation(StochprodError):
     """An asynchronous update needs at least one activated agent."""
 

@@ -1,4 +1,4 @@
-"""Directed graphs on vertices 0..n-1 and the graph view of a stochastic matrix.
+"""Directed graphs on vertices 0..n-1 and their neighbor-averaging weights.
 
 The edge convention throughout the package: ``(i, j)`` is an edge when agent j
 draws weight from agent i, i.e. for a weight matrix W the graph has edge
@@ -15,12 +15,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NoInNeighbor
 
 __all__ = [
     "DirectedGraph",
-    "graph_of",
     "adjacency",
+    "averaging_weights",
     "compose",
     "is_strongly_connected",
     "is_rooted",
@@ -54,24 +54,8 @@ class DirectedGraph:
         ii, jj = np.nonzero(adj)
         return cls(adj.shape[0], frozenset(zip(ii.tolist(), jj.tolist())))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
-    def out_neighbors(self, i: int) -> list:
-        return sorted(j for (a, j) in self.edges if a == i)
-
     def in_neighbors(self, j: int) -> list:
         return sorted(i for (i, b) in self.edges if b == j)
-
-
-def _matrix_entries(matrix) -> np.ndarray:
-    return np.asarray(getattr(matrix, "entries", matrix), dtype=float)
-
-
-def graph_of(matrix) -> DirectedGraph:
-    """Graph of a weight matrix: edge (i, j) present when W[j, i] > 0."""
-    w = _matrix_entries(matrix)
-    return DirectedGraph.from_adjacency(w.T > 0)
 
 
 def adjacency(graph: DirectedGraph) -> np.ndarray:
@@ -80,6 +64,17 @@ def adjacency(graph: DirectedGraph) -> np.ndarray:
     for (i, j) in graph.edges:
         adj[i, j] = True
     return adj
+
+
+def averaging_weights(graph: DirectedGraph) -> np.ndarray:
+    """Row-stochastic neighbor-averaging matrix: row i spreads weight 1/d_i
+    over i's d_i in-neighbors.  Raises ``NoInNeighbor`` when some vertex has
+    none."""
+    incoming = adjacency(graph).T.astype(float)  # incoming[i, j]: j feeds i
+    degrees = incoming.sum(axis=1)
+    if not degrees.all():  # argmin is then the first vertex without one
+        raise NoInNeighbor(f"vertex {degrees.argmin()} has no in-neighbor")
+    return incoming / degrees[:, None]
 
 
 def compose(g2: DirectedGraph, g1: DirectedGraph) -> DirectedGraph:

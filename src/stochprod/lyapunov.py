@@ -21,6 +21,7 @@ from scipy.stats import qmc
 
 from . import matrices, sequences
 from .errors import DimensionMismatch, InvalidDistribution, NoCertificate
+from .products import _log_linear_rate
 from .sequences import SequenceModel
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "certify_contraction",
     "monte_carlo_decay",
 ]
-
-V_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class SwitchedSystem:
@@ -164,19 +162,11 @@ class FiniteStepCertificate:
         return (1.0 - self.alpha) ** (1.0 / self.horizon)
 
 
-def _continuation_operators(system: SwitchedSystem, mode: int, horizon: int):
-    """All positive-probability mode continuations of the given length.
-
-    Returns (probs, operators) where operators[w] is the matrix applied to
-    the state over continuation w (later modes multiplied on the left), and
-    probs[w] the continuation's probability given the current mode;
-    continuations ending in the same mode with bit-identical operators are
-    merged into one entry.
-    """
-    _, ops, probs = sequences.advance(
-        system.signal, system.modes, np.array([int(mode)]),
-        np.eye(system.dimension)[None], np.ones((1, 1)), horizon)
-    return probs[:, 0], ops
+def _start_state(system: SwitchedSystem, mode: int):
+    """``sequences.advance`` state of the empty continuation from the current
+    mode; advancing it h steps gives every length-h continuation's operator
+    (later modes on the left) and its probability given the mode."""
+    return np.array([int(mode)]), np.eye(system.dimension)[None], np.ones((1, 1))
 
 
 def expected_lyapunov(system: SwitchedSystem, V: LyapunovFunction, x,
@@ -184,24 +174,10 @@ def expected_lyapunov(system: SwitchedSystem, V: LyapunovFunction, x,
     """Exact ``E[V(x_{k+horizon}) | x_k = x, y_k = mode]`` by enumerating
     positive-probability mode continuations."""
     x = np.asarray(x, dtype=float)
-    probs, ops = _continuation_operators(system, mode, horizon)
+    _, ops, probs = sequences.advance(system.signal, system.modes,
+                                      *_start_state(system, mode), horizon)
     values = np.asarray(V(ops @ x), dtype=float)
-    return float(probs @ values)
-
-
-def _worst_ratio(system: SwitchedSystem, V: LyapunovFunction,
-                 grid_points: np.ndarray, horizon: int) -> float:
-    """Max over modes and grid points of E[V after horizon] / V(x)."""
-    vx = np.asarray(V(grid_points), dtype=float)
-    keep = vx > 0
-    pts, vx = grid_points[keep], vx[keep]
-    worst = -np.inf
-    for mode in range(system.num_modes):
-        probs, ops = _continuation_operators(system, mode, horizon)
-        images = np.einsum("wij,gj->wgi", ops, pts)
-        exp_v = probs @ np.asarray(V(images), dtype=float)
-        worst = max(worst, float((exp_v / vx).max()))
-    return worst
+    return float(probs[:, 0] @ values)
 
 
 def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
@@ -228,9 +204,22 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
     grid = grid or SphereGrid()
     pts = grid.points(system.dimension)
     _check_function(V, system.dimension, pts)
+    vx = np.asarray(V(pts), dtype=float)
+    keep = vx > 0
+    pts, vx = pts[keep], vx[keep]
+    # per current mode, the continuations of the horizon reached so far
+    states = [_start_state(system, mode) for mode in range(system.num_modes)]
     supermartingale_ok = None
     for horizon in range(1, int(horizon_max) + 1):
-        beta = _worst_ratio(system, V, pts, horizon)
+        # worst ratio E[V after horizon] / V(x) over current modes and grid
+        beta = -np.inf
+        for mode in range(system.num_modes):
+            states[mode] = sequences.advance(system.signal, system.modes,
+                                             *states[mode], 1)
+            _, ops, probs = states[mode]
+            images = np.einsum("wij,gj->wgi", ops, pts)
+            exp_v = probs[:, 0] @ np.asarray(V(images), dtype=float)
+            beta = max(beta, float((exp_v / vx).max()))
         if horizon == 1:
             supermartingale_ok = beta <= 1.0 + 1e-12
         if beta < 1.0 - 1e-12:
@@ -261,15 +250,6 @@ class DecayReport:
     trials: int
 
 
-def _trial_rate(vs: np.ndarray) -> float:
-    ks = np.arange(vs.size, dtype=float)
-    keep = vs > V_FLOOR
-    if keep.sum() < 2:
-        return 0.0
-    slope = np.polyfit(ks[keep], np.log(vs[keep]), 1)[0]
-    return float(np.exp(slope))
-
-
 def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
                       steps: int, trials: int, tol: float = 1e-8,
                       keep_history: bool = False):
@@ -281,6 +261,9 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
     returned alongside the report.
     """
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dimension,):
+        raise DimensionMismatch("x0 needs one entry per state coordinate")
+    matrices._check_finite(x0[:, None])
     rates, tails = [], []
     history = np.empty((int(trials), int(steps) + 1)) if keep_history else None
     for t in range(int(trials)):
@@ -291,7 +274,7 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
         for k in range(int(steps)):
             x = system.modes[idx[k]] @ x
             vs[k + 1] = float(V(x))
-        rates.append(_trial_rate(vs))
+        rates.append(_log_linear_rate(np.arange(vs.size), vs, min_points=2) or 0.0)
         tails.append(float(vs[-1]))
         if keep_history:
             history[t] = vs

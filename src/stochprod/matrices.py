@@ -34,10 +34,10 @@ from .errors import (
 __all__ = [
     "ROW_SUM_TOL",
     "StochasticMatrix",
-    "MatrixPattern",
     "MatrixClass",
     "validate",
     "entries_of",
+    "graph_of",
     "pattern_of",
     "tau",
     "spread",
@@ -129,31 +129,14 @@ def entries_of(matrix) -> np.ndarray:
     return np.asarray(getattr(matrix, "entries", matrix), dtype=float)
 
 
+def graph_of(matrix) -> graphs.DirectedGraph:
+    """Graph of a weight matrix: edge (i, j) present when W[j, i] > 0."""
+    return graphs.DirectedGraph.from_adjacency(entries_of(matrix).T > 0)
+
+
 def pattern_of(matrix) -> np.ndarray:
     """Strict positivity mask of a matrix or array-like."""
     return entries_of(matrix) > 0
-
-
-@dataclass(frozen=True)
-class MatrixPattern:
-    """The zero/positive pattern of a matrix."""
-
-    n: int
-    mask: np.ndarray
-
-    @classmethod
-    def of(cls, matrix) -> "MatrixPattern":
-        mask = pattern_of(matrix)
-        mask.flags.writeable = False
-        return cls(mask.shape[0], mask)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixPattern):
-            return NotImplemented
-        return self.n == other.n and bool(np.all(self.mask == other.mask))
-
-    def __hash__(self):
-        return hash((self.n, self.mask.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -221,28 +204,35 @@ def pattern_is_sia(mask: np.ndarray) -> bool:
     return graphs.component_period(adj, members) == 1
 
 
-def pattern_cycle_length(mask: np.ndarray, return_preperiod: bool = False):
+def _pattern_powers(mask):
+    """Walk the boolean powers A, A^2, ... of a pattern.
+
+    Yields ``(k, A^k, j)`` with j the least exponent of a power equal to
+    A^k; the powers live in a finite set, so the walk ends at the first
+    repeat, the first k with j < k.
+    """
+    base = np.asarray(mask, dtype=bool).astype(np.int32)
+    seen = {}
+    power, k = base > 0, 1
+    while True:
+        first = seen.setdefault(power.tobytes(), k)
+        yield k, power, first
+        if first < k:
+            return
+        power = (power.astype(np.int32) @ base) > 0
+        k += 1
+
+
+def pattern_cycle_length(mask: np.ndarray) -> int:
     """Cycle length of the sequence of boolean pattern powers.
 
     The pattern of A^k is the k-th boolean power of A's pattern; the sequence
     lives in a finite set so it is eventually periodic.  Returns the exact
     cycle length (1 means the powers' pattern eventually stops changing).
     """
-    m = np.asarray(mask, dtype=bool).astype(np.int32)
-    step = m
-    seen = {}
-    k = 1
-    current = m
-    while True:
-        key = (current > 0).tobytes()
-        if key in seen:
-            cycle = k - seen[key]
-            if return_preperiod:
-                return cycle, seen[key]
-            return cycle
-        seen[key] = k
-        current = ((current @ step) > 0).astype(np.int32)
-        k += 1
+    for k, _, first in _pattern_powers(mask):
+        if first < k:
+            return k - first
 
 
 def is_scrambling(matrix) -> bool:
@@ -262,28 +252,18 @@ def pattern_period(matrix) -> int:
     return pattern_cycle_length(pattern_of(matrix))
 
 
-def scrambling_index(matrix, max_power: int | None = None):
+def scrambling_index(matrix):
     """Smallest m with the m-th pattern power scrambling, or None.
 
     Any product of m stochastic matrices of this matrix's type is scrambling
     exactly when the m-th boolean pattern power is.  The search walks pattern
     powers until a repeat proves no power is ever scrambling.
     """
-    base = pattern_of(matrix).astype(np.int32)
-    current = base
-    seen = set()
-    m = 1
-    while True:
-        if pattern_is_scrambling(current > 0):
-            return m
-        key = (current > 0).tobytes()
-        if key in seen:
+    for k, power, first in _pattern_powers(pattern_of(matrix)):
+        if first < k:
             return None
-        seen.add(key)
-        if max_power is not None and m >= max_power:
-            return None
-        current = ((current @ base) > 0).astype(np.int32)
-        m += 1
+        if pattern_is_scrambling(power):
+            return k
 
 
 def same_type(a, b) -> bool:

@@ -121,7 +121,7 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     if checkpoints is None:
         checkpoints = default_checkpoints(steps)
     checkpoints = sorted(set(int(c) for c in checkpoints if 1 <= c <= steps))
-    idx = sequences.sample(model, steps, trial=trial).indices
+    idx = sequences.sample(model, steps, trial=trial)
     prod = np.eye(fset.dimension)
     recorded_k, taus, spreads = [], [], []
     next_cp = 0
@@ -192,7 +192,7 @@ def block_decay_estimate(model: SequenceModel, window_len: int, blocks: int,
             "block averages need an i.i.d. or stationary Markov-modulated model")
     fset = model._require_set()
     arrays = fset.entry_arrays()
-    idx = sequences.sample(model, int(window_len) * int(blocks), trial=trial).indices
+    idx = sequences.sample(model, int(window_len) * int(blocks), trial=trial)
     logs = []
     zeros = 0
     for b in range(int(blocks)):
@@ -217,14 +217,22 @@ def block_decay_estimate(model: SequenceModel, window_len: int, blocks: int,
     )
 
 
+def _log_linear_rate(steps, values, min_points: int) -> float | None:
+    """exp of the least-squares slope of log value against step, over the
+    values above ``TAU_FLOOR``; None when fewer than ``min_points`` remain."""
+    ks = np.asarray(steps, dtype=float)
+    vs = np.asarray(values, dtype=float)
+    keep = vs > TAU_FLOOR
+    if keep.sum() < min_points:
+        return None
+    slope = np.polyfit(ks[keep], np.log(vs[keep]), 1)[0]
+    return float(np.exp(slope))
+
+
 def fit_empirical_rate(trace: ProductTrace) -> float:
     """Per-step geometric decay of tau from a least-squares fit of log tau
     against the step index, over checkpoints with tau above ``TAU_FLOOR``."""
-    ks = np.asarray(trace.checkpoints, dtype=float)
-    ts = np.asarray(trace.taus, dtype=float)
-    keep = ts > TAU_FLOOR
-    ks, ts = ks[keep], ts[keep]
-    if ks.size < 3:
+    rate = _log_linear_rate(trace.checkpoints, trace.taus, min_points=3)
+    if rate is None:
         raise InsufficientData("need at least 3 checkpoints with positive tau")
-    slope = np.polyfit(ks, np.log(ts), 1)[0]
-    return float(np.exp(slope))
+    return rate

@@ -35,7 +35,6 @@ __all__ = [
     "IIDModel",
     "MarkovModulatedModel",
     "ScriptedModel",
-    "SampledSequence",
     "sample",
     "advance",
     "window_probability",
@@ -236,15 +235,6 @@ class MarkovModulatedModel(SequenceModel):
     def is_stationary(self, tol: float = 1e-9) -> bool:
         return bool(np.abs(self.initial @ self.transition - self.initial).max() <= tol)
 
-    def stationary_start(self) -> "MarkovModulatedModel":
-        """Same chain restarted from its stationary distribution."""
-        return MarkovModulatedModel(
-            initial=stationary_distribution(self.transition),
-            transition=self.transition,
-            seed=self.seed,
-            matrix_set=self.matrix_set,
-        )
-
 
 @dataclass(frozen=True)
 class ScriptedModel(SequenceModel):
@@ -291,29 +281,15 @@ class ScriptedModel(SequenceModel):
         return len(set(self.indices)) == 1
 
 
-@dataclass(frozen=True)
-class SampledSequence:
-    """A realized index sequence, reproducible from (model, seed, trial)."""
-
-    indices: np.ndarray
-    model: SequenceModel
-    seed: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self):
-        return self.indices.size
-
-
-def sample(model: SequenceModel, length: int, trial: int = 0) -> SampledSequence:
-    """Draw a length-``length`` index sequence; same (model, trial) => same draw."""
+def sample(model: SequenceModel, length: int, trial: int = 0) -> np.ndarray:
+    """Draw a length-``length`` index sequence as a read-only array; the same
+    (model, trial) gives the same draw, on seed ``trial_seed(model.seed,
+    trial)``."""
     if length < 1:
         raise InvalidDistribution("length must be at least 1")
-    idx = model.sample_indices(length, trial=trial)
-    return SampledSequence(indices=idx, model=model, seed=trial_seed(model.seed, trial))
+    idx = np.asarray(model.sample_indices(length, trial=trial), dtype=np.int64)
+    idx.flags.writeable = False
+    return idx
 
 
 def advance(model: SequenceModel, factors, last, prods, weights, steps: int):

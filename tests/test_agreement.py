@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod.errors import EmptyActivation, InvalidDistribution, NotReachable
+from stochprod.errors import (
+    DimensionMismatch,
+    EmptyActivation,
+    InvalidDistribution,
+    NonFiniteEntry,
+    NotReachable,
+)
 
 from helpers import (
     figure_network,
@@ -233,6 +239,15 @@ class TestSimulateAsync:
         clocks = sp.PoissonClocks(rates=np.full(2, 1e-20))
         with pytest.raises(InvalidDistribution):
             sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
+
+    def test_bad_start_vector_rejected(self):
+        w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+        clocks = sp.BernoulliClocks(rates=np.full(2, 0.5))
+        for x0 in ([np.nan, 1.0], [0.0, np.inf]):
+            with pytest.raises(NonFiniteEntry):
+                sp.simulate_async(w, clocks, np.array(x0), steps=3)
+        with pytest.raises(DimensionMismatch):
+            sp.simulate_async(w, clocks, np.zeros(3), steps=3)
 
     def test_reproducible(self):
         w = uniform_weights(figure_network())

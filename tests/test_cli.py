@@ -200,3 +200,68 @@ class TestJsonRoundTrips:
         from stochprod import jsonio
         g = sp.DirectedGraph(3, frozenset({(0, 1), (1, 2), (2, 0), (1, 1)}))
         assert jsonio.graph_from_json(jsonio.graph_to_json(g)) == g
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("name,kind", [("readme_product", "product"),
+                                       ("async_periodic_graph", "async")])
+def test_golden_outputs(tmp_path, name, kind):
+    # recorded before the averaging-matrix builder moved to graphs; the
+    # async config is a zero-diagonal (periodic) graph
+    case = os.path.join(DATA, name)
+    assert run_cli(kind, os.path.join(case, "config.json"), tmp_path) == 0
+    for fname in ("summary.json", "trace.csv"):
+        with open(os.path.join(case, fname), "rb") as fh:
+            assert (tmp_path / fname).read_bytes() == fh.read()
+
+
+def test_graph_vertex_without_in_neighbor_is_validation_error(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", {
+        "graph": {"n": 3, "edges": [[0, 1], [1, 0], [2, 0]]}, "seed": 1})
+    assert run_cli("async", cfg, tmp_path / "o") == 2
+    assert "vertex 2 has no in-neighbor" in capsys.readouterr().err
+
+
+TINY_CONFIGS = {
+    "classify": {"matrices": [{"n": 2, "rows": SCRAM}]},
+    "certify": {"modes": [[[0.5, 0], [0, 0.5]]],
+                "signal": {"variant": "iid", "weights": [1.0]},
+                "horizon_max": 2, "grid_resolution": 5, "steps": 5, "trials": 2},
+    "product": {"model": {"variant": "iid", "weights": [1.0],
+                          "set": [{"n": 2, "rows": SCRAM}]}, "steps": 8},
+    "async": {"matrix": {"n": 2, "rows": SCRAM}, "steps": 8},
+    "lineq": {"system": {"blocks": [{"A": [[1.0, 0.0]], "b": [1.0]},
+                                    {"A": [[0.0, 1.0]], "b": [1.0]}]},
+              "graphs": [{"n": 2, "edges": [[0, 0], [1, 1], [0, 1], [1, 0]]}],
+              "graph_model": {"variant": "iid", "weights": [1.0]},
+              "max_iters": 50},
+}
+FLAG_VALUES = {"--trials": "3", "--steps": "4", "--tol": "1e-6"}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_CONFIGS))
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_override_flags_follow_the_kind_table(tmp_path, capsys, kind, flag):
+    cfg = write(tmp_path / "c.json", TINY_CONFIGS[kind])
+    code = run_cli(kind, cfg, tmp_path / "o", flag, FLAG_VALUES[flag])
+    err = capsys.readouterr().err
+    if flag[2:] in cli.KIND_FLAGS[kind]:
+        assert code in (0, 3)
+    else:
+        assert code == 2
+        assert f"does not read {flag}" in err
+        assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_system_is_validation_error(tmp_path, capfd):
+    cfg = write(tmp_path / "c.json", {
+        "system": {"blocks": [{"A": [[1.0, float("nan")]], "b": [1.0]},
+                              {"A": [[0.0, 1.0]], "b": [1.0]}]},
+        "graphs": [{"n": 2, "edges": [[0, 0], [1, 1], [0, 1], [1, 0]]}],
+        "graph_model": {"variant": "iid", "weights": [1.0]}, "max_iters": 5})
+    assert run_cli("lineq", cfg, tmp_path / "o") == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: entry (0, 1) = nan is not finite")
+    assert "Traceback" not in err and "DLASCL" not in err

@@ -3,10 +3,12 @@ import pytest
 
 import stochprod as sp
 from stochprod.errors import (
+    DimensionMismatch,
     InconsistentBlock,
     InconsistentSystem,
     MissingSelfArc,
     NoConnectedWindow,
+    NonFiniteEntry,
 )
 
 
@@ -98,6 +100,23 @@ class TestInitialEstimates:
                 (np.array([[1.0, 0.0]]), np.array([1.0])),
             ))
 
+    @pytest.mark.parametrize("a,b,where", [
+        ([[1.0, np.nan]], [1.0], (0, 1)),
+        ([[1.0, 0.0], [0.0, np.inf]], [1.0, 1.0], (1, 1)),
+        ([[1.0, 0.0]], [np.nan], (0, 0)),
+    ])
+    def test_non_finite_block_rejected(self, a, b, where):
+        with pytest.raises(NonFiniteEntry) as exc:
+            sp.PartitionedLinearSystem(blocks=((np.array(a), np.array(b)),))
+        assert (exc.value.row, exc.value.col) == where
+
+
+def kron_factor(graph, projs):
+    """Dense reference factor P (W kron I) P of the error system."""
+    p = projs.block_diagonal()
+    m = projs.projections[0].shape[0]
+    return p @ np.kron(sp.averaging_matrix(graph), np.eye(m)) @ p
+
 
 class TestStep:
     def test_consensus_on_solution_is_fixed(self):
@@ -151,6 +170,15 @@ class TestMixedNorm:
     def test_single_diagonal_block(self):
         assert sp.mixed_matrix_norm(np.diag([3.0, 4.0]), 2) == pytest.approx(4.0)
 
+    def test_matches_per_block_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            q = rng.normal(size=(n * m, n * m))
+            norms = [[np.linalg.norm(q[i * m:(i + 1) * m, j * m:(j + 1) * m], 2)
+                      for j in range(n)] for i in range(n)]
+            assert sp.mixed_matrix_norm(q, m) == np.sum(norms, axis=1).max()
+
     def test_norm_axioms_and_submultiplicativity(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -182,6 +210,25 @@ class TestErrorTransition:
             window = gmodel.sample_graphs(6, trial=trial)
             _, norm = sp.error_transition(window, projs)
             assert norm <= 1.0 + 1e-10
+
+    def test_matches_kron_reference(self):
+        rng = np.random.default_rng(17)
+        for trial in range(6):
+            system, _ = random_partitioned_system(rng, 4, 5, 2)
+            projs = sp.kernel_projections(system)
+            gmodel = random_connected_gmodel(rng, 4, seed=trial)
+            window = gmodel.sample_graphs(int(rng.integers(1, 8)), trial=trial)
+            ref = np.eye(system.n * system.m)
+            for g in window:
+                ref = kron_factor(g, projs) @ ref
+            phi, norm = sp.error_transition(window, projs)
+            np.testing.assert_allclose(phi, ref, rtol=0, atol=1e-12)
+            assert norm == pytest.approx(sp.mixed_matrix_norm(ref, system.m),
+                                         rel=0, abs=1e-12)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            sp.error_transition([], sp.kernel_projections(HAND_SYSTEM))
 
     def test_full_route_contracts(self):
         # unique-solution system: repeated strongly connected graphs shrink
@@ -294,3 +341,28 @@ class TestRunSolver:
         length, norm = found
         assert norm < 1.0
         assert 1 <= length <= (system.n - 1) ** 2 * gmodel.window + 10
+
+    def test_smallest_contracting_window_matches_kron_search(self):
+        rng = np.random.default_rng(23)
+        for trial in range(4):
+            system, _ = random_partitioned_system(rng, 3, 6, 3)
+            projs = sp.kernel_projections(system)
+            gmodel = random_connected_gmodel(rng, 3, seed=40 + trial)
+            phi, expected = np.eye(system.n * system.m), None
+            for length, g in enumerate(gmodel.sample_graphs(30, trial=trial), 1):
+                phi = kron_factor(g, projs) @ phi
+                norm = sp.mixed_matrix_norm(phi, system.m)
+                if norm < 1.0 - 1e-12:
+                    expected = (length, norm)
+                    break
+            found = sp.smallest_contracting_window(gmodel, projs, 30, trial=trial)
+            assert found[0] == expected[0]
+            assert found[1] == pytest.approx(expected[1], rel=0, abs=1e-12)
+
+    def test_fitted_decay_needs_three_points(self):
+        gmodel = sp.GraphSequenceModel(
+            graph_set=(complete_graph(2),), model=sp.IIDModel(weights=[1.0]),
+            window=1)
+        assert sp.run_solver(HAND_SYSTEM, gmodel, max_iters=1).fitted_decay is None
+        report = sp.run_solver(HAND_SYSTEM, gmodel, max_iters=2)
+        assert report.fitted_decay == pytest.approx(0.5)

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod.errors import DimensionMismatch
-from stochprod.graphs import adjacency, bfs_levels, closed_components, component_period
+from stochprod.errors import DimensionMismatch, NoInNeighbor
+from stochprod.graphs import (
+    adjacency,
+    averaging_weights,
+    bfs_levels,
+    closed_components,
+    component_period,
+)
 
-from helpers import figure_network, random_rooted_graph
+from helpers import figure_network, random_rooted_graph, uniform_weights
 
 
 def complete_graph(n):
@@ -28,6 +34,28 @@ class TestConstruction:
         assert g.edges == frozenset({(0, 1), (1, 0)})
         w2 = sp.StochasticMatrix([[1, 0], [1, 0]])
         assert sp.graph_of(w2).edges == frozenset({(0, 0), (0, 1)})
+
+
+class TestAveragingWeights:
+    def test_matches_edge_loop_on_rooted_graphs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            g = random_rooted_graph(rng, int(rng.integers(2, 9)))
+            assert sp.StochasticMatrix(averaging_weights(g)) == uniform_weights(g)
+
+    def test_zero_diagonal_allowed(self):
+        w = averaging_weights(cycle_graph(4))
+        assert np.all(np.diag(w) == 0)
+        assert sp.pattern_period(w) == 4
+
+    def test_solver_matrix_adds_only_the_self_arc_check(self):
+        g = complete_graph(3)
+        np.testing.assert_array_equal(sp.averaging_matrix(g), averaging_weights(g))
+
+    def test_vertex_without_in_neighbor_rejected(self):
+        g = sp.DirectedGraph(3, frozenset({(0, 1), (1, 0), (2, 0)}))
+        with pytest.raises(NoInNeighbor, match="vertex 2"):
+            averaging_weights(g)
 
 
 class TestRootedness:

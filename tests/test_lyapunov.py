@@ -4,6 +4,7 @@ import pytest
 import stochprod as sp
 from stochprod import sequences
 from stochprod.errors import (
+    DimensionMismatch,
     EnumerationTooLarge,
     InvalidDistribution,
     NoCertificate,
@@ -133,6 +134,29 @@ class TestCertify:
         cert = sp.certify_contraction(damped_system, sp.inf_norm(), horizon_max=2)
         assert 1 - cert.alpha == pytest.approx(0.68, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_matches_per_horizon_enumeration(self, seed):
+        # each horizon's worst ratio, recomputed from scratch by exact
+        # expectations at every grid point and current mode; every mode
+        # damps one axis only, so these seeds certify at T = 2, not 1
+        rng = np.random.default_rng(seed)
+        modes = tuple(np.diag(np.roll([rng.uniform(0.2, 0.9), 1.0], k))
+                      for k in range(3))
+        pi = rng.dirichlet(np.ones(3), size=3) * (rng.random((3, 3)) < 0.7)
+        pi[:, 0] += 1.0 - pi.sum(axis=1)
+        system = sp.SwitchedSystem(modes, sp.MarkovModulatedModel(
+            initial=[1, 0, 0], transition=pi))
+        v, grid = sp.inf_norm(), sp.SphereGrid(resolution=11)
+        pts = grid.points(2)
+        cert = sp.certify_contraction(system, v, horizon_max=6, grid=grid)
+        assert cert.horizon == 2
+        for h in range(1, cert.horizon + 1):
+            worst = max(sp.expected_lyapunov(system, v, x, mode, h) / v(x)
+                        for mode in range(3) for x in pts)
+            if h < cert.horizon:
+                assert worst >= 1.0 - 1e-12 - 1e-13
+        assert cert.alpha == pytest.approx(1.0 - worst, rel=0, abs=1e-13)
+
     def test_scripted_signal_rejected(self):
         system = sp.SwitchedSystem(
             modes=(0.5 * np.eye(2), np.eye(2)),
@@ -160,6 +184,14 @@ class TestMonteCarlo:
         report = sp.monte_carlo_decay(system, sp.inf_norm(), [1.0, 1.0],
                                       steps=100, trials=3)
         assert report.fitted_rate == pytest.approx(0.5, abs=1e-9)
+
+    def test_bad_start_vector_rejected(self):
+        system = single_mode_system(0.5 * np.eye(2))
+        for x0 in ([np.nan, 1.0], [1.0, np.inf]):
+            with pytest.raises(NonFiniteEntry):
+                sp.monte_carlo_decay(system, sp.inf_norm(), x0, steps=3, trials=1)
+        with pytest.raises(DimensionMismatch):
+            sp.monte_carlo_decay(system, sp.inf_norm(), [1.0], steps=3, trials=1)
 
     def test_zero_initial_state(self):
         system = single_mode_system(0.5 * np.eye(2))

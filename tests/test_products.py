@@ -25,7 +25,7 @@ def constant_model(matrix, seed=0):
 def product_of_run(model, steps, trial=0):
     """Test-side reconstruction of the running product from the same seed."""
     arrays = model.matrix_set.entry_arrays()
-    idx = sp.sample(model, steps, trial=trial).indices
+    idx = sp.sample(model, steps, trial=trial)
     prod = np.eye(arrays[0].shape[0])
     for i in idx:
         prod = arrays[i] @ prod

@@ -36,25 +36,25 @@ class TestModels:
 
     def test_scripted_replays_verbatim(self, two_set):
         m = sp.ScriptedModel(indices=(1, 0, 1), matrix_set=two_set)
-        assert sp.sample(m, 3).indices.tolist() == [1, 0, 1]
+        assert sp.sample(m, 3).tolist() == [1, 0, 1]
         # longer samples repeat the script cyclically
-        assert sp.sample(m, 7).indices.tolist() == [1, 0, 1, 1, 0, 1, 1]
+        assert sp.sample(m, 7).tolist() == [1, 0, 1, 1, 0, 1, 1]
 
     def test_degenerate_iid(self, two_set):
         m = sp.IIDModel(weights=[1.0, 0.0], seed=5, matrix_set=two_set)
-        assert sp.sample(m, 50).indices.tolist() == [0] * 50
+        assert sp.sample(m, 50).tolist() == [0] * 50
 
     def test_sampling_deterministic(self, two_set):
         m = sp.IIDModel(weights=[0.3, 0.7], seed=123, matrix_set=two_set)
-        a = sp.sample(m, 1000).indices
-        b = sp.sample(m, 1000).indices
+        a = sp.sample(m, 1000)
+        b = sp.sample(m, 1000)
         assert np.array_equal(a, b)
-        c = sp.sample(m, 1000, trial=1).indices
+        c = sp.sample(m, 1000, trial=1)
         assert not np.array_equal(a, c)
 
     def test_markov_supports_only_transition_rows(self):
         m = sp.MarkovModulatedModel(initial=[1, 0, 0], transition=CHAIN3, seed=9)
-        idx = sp.sample(m, 5000).indices
+        idx = sp.sample(m, 5000)
         # from state 0 only 1 or 2 can follow; from 1 and 2 only 0 follows
         after0 = idx[1:][idx[:-1] == 0]
         assert set(after0.tolist()) <= {1, 2}
@@ -62,7 +62,7 @@ class TestModels:
 
     def test_markov_sampling_matches_transitions(self):
         m = sp.MarkovModulatedModel(initial=[1, 0, 0], transition=CHAIN3, seed=2)
-        idx = sp.sample(m, 200000).indices
+        idx = sp.sample(m, 200000)
         after0 = idx[1:][idx[:-1] == 0]
         freq1 = (after0 == 1).mean()
         se = np.sqrt(0.4 * 0.6 / after0.size)
@@ -139,7 +139,7 @@ class TestWindowProbability:
         model = sp.IIDModel(weights=[0.6, 0.4], seed=10, matrix_set=two_set)
         h = 2
         exact = sp.window_class_probability(model, 0, h, "scrambling")
-        idx = sp.sample(model, 2 * 10**5).indices
+        idx = sp.sample(model, 2 * 10**5)
         pats = [m.pattern().astype(np.int32) for m in two_set.matrices]
         wins = 0
         count = idx.size // h
@@ -223,7 +223,7 @@ class TestStationary:
         model = sp.MarkovModulatedModel(initial=v, transition=pi, seed=6,
                                         matrix_set=mats)
         assert model.is_stationary()
-        idx = sp.sample(model, 10**5).indices
+        idx = sp.sample(model, 10**5)
         # the joint law of adjacent pairs, estimated on two shifted halves
         def pair_freq(series):
             joint = np.zeros((3, 3))
