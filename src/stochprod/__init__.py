@@ -24,7 +24,6 @@ from .equations import (
     PartitionedLinearSystem,
     ProjectionSet,
     SolverReport,
-    SolverState,
     averaging_matrix,
     error_transition,
     initial_estimate,

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,18 @@ KINDS = tuple(KIND_FLAGS)
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
+
+_array = partial(np.asarray, dtype=float)
+
+
+def _field(params: dict, key: str, convert, default=None):
+    """``convert(params[key])``, ``default`` standing in for an absent key
+    unless None; a value ``convert`` rejects raises ``ConfigParse``."""
+    value = params[key] if default is None else params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigParse(f"config field {key!r}: bad value {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,7 @@ def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             params[key] = value
-    seed = int(params.get("seed", 0))
+    seed = _field(params, "seed", int, 0)
     params["seed"] = seed
     out_dir = params.pop("out", "out")
     return ExperimentConfig(kind=kind, params=params, seed=seed, out_dir=out_dir)
@@ -133,22 +146,21 @@ def _run_classify(config: ExperimentConfig):
 def _run_certify(config: ExperimentConfig):
     p = config.params
     try:
-        modes = [np.asarray(m, dtype=float) for m in p["modes"]]
+        modes = _field(p, "modes", lambda ms: [_array(m) for m in ms])
         signal = jsonio.model_from_json(p["signal"])
     except KeyError as exc:
         raise ConfigParse(f"certify config missing field {exc}") from exc
     system = lyapunov.SwitchedSystem(modes=tuple(modes), signal=signal)
     v = lyapunov.inf_norm()
-    grid = lyapunov.SphereGrid(resolution=int(p.get("grid_resolution", 101)),
+    grid = lyapunov.SphereGrid(resolution=_field(p, "grid_resolution", int, 101),
                                seed=config.seed)
     cert = lyapunov.certify_contraction(
-        system, v, horizon_max=int(p.get("horizon_max", 8)), grid=grid)
-    steps = int(p.get("steps", 50))
-    trials = int(p.get("trials", 100))
-    x0 = np.asarray(p.get("x0", np.ones(system.dimension)), dtype=float)
+        system, v, horizon_max=_field(p, "horizon_max", int, 8), grid=grid)
+    x0 = _field(p, "x0", _array, np.ones(system.dimension))
     report, history = lyapunov.monte_carlo_decay(
-        system, v, x0, steps=steps, trials=trials,
-        tol=float(p.get("tol", 1e-8)), keep_history=True)
+        system, v, x0, steps=_field(p, "steps", int, 50),
+        trials=_field(p, "trials", int, 100), tol=_field(p, "tol", float, 1e-8),
+        keep_history=True)
     qs = np.quantile(history, [0.1, 0.5, 0.9], axis=0)
     means = history.mean(axis=0)
     rows = [[k, repr(float(means[k])), repr(float(qs[0, k])),
@@ -172,12 +184,13 @@ def _run_product(config: ExperimentConfig):
         model = jsonio.model_from_json(p["model"])
     except KeyError as exc:
         raise ConfigParse(f"product config missing field {exc}") from exc
-    steps = int(p.get("steps", 10000))
-    tol = float(p.get("tol", 1e-8))
+    steps = _field(p, "steps", int, 10000)
+    tol = _field(p, "tol", float, 1e-8)
     if "window" in p:
-        report = products.window_rate_bound(model, int(p["window"]))
+        report = products.window_rate_bound(model, _field(p, "window", int))
     else:
-        report = products.find_scrambling_window(model, int(p.get("window_max", 8)))
+        report = products.find_scrambling_window(
+            model, _field(p, "window_max", int, 8))
     trace = products.simulate_product(model, steps=steps)
     try:
         report = report.with_empirical(products.fit_empirical_rate(trace))
@@ -208,19 +221,19 @@ def _run_async(config: ExperimentConfig):
     else:
         raise ConfigParse("async config needs a 'matrix' or a 'graph'")
     n = w.n
-    rates = p.get("rates", 0.5)
-    rates = np.full(n, float(rates)) if np.isscalar(rates) else np.asarray(rates, float)
+    rates = _field(p, "rates", lambda r: np.full(n, float(r)) if np.isscalar(r)
+                   else _array(r), 0.5)
     clock_kind = p.get("clock", "bernoulli")
     if clock_kind == "bernoulli":
         clocks = agreement.BernoulliClocks(rates=rates, seed=config.seed)
     elif clock_kind == "poisson":
         clocks = agreement.PoissonClocks(rates=rates, seed=config.seed,
-                                         delta=float(p.get("delta", 1.0)))
+                                         delta=_field(p, "delta", float, 1.0))
     else:
         raise ConfigParse(f"unknown clock kind {clock_kind!r}")
-    x0 = np.asarray(p.get("x0", np.arange(n) / max(n - 1, 1)), dtype=float)
-    steps = int(p.get("steps", 5000))
-    tol = float(p.get("tol", 1e-8))
+    x0 = _field(p, "x0", _array, np.arange(n) / max(n - 1, 1))
+    steps = _field(p, "steps", int, 5000)
+    tol = _field(p, "tol", float, 1e-8)
     trace = agreement.simulate_async(w, clocks, x0, steps=steps,
                                      record_events=False)
     rows = [[k, repr(s)] for k, s in enumerate(trace.spreads)]
@@ -242,14 +255,14 @@ def _run_lineq(config: ExperimentConfig):
         raise ConfigParse(f"lineq config missing field {exc}") from exc
     system = equations.PartitionedLinearSystem(blocks=tuple(blocks))
     gmodel = equations.GraphSequenceModel(
-        graph_set=graph_set, model=graph_model, window=int(p.get("window", 1)))
+        graph_set=graph_set, model=graph_model, window=_field(p, "window", int, 1))
     report = equations.run_solver(
         system, gmodel,
-        max_iters=int(p.get("max_iters", 100000)),
-        tol=float(p.get("tol", 1e-8)),
-        check_connectivity=bool(p.get("check_connectivity", True)),
-        record_every=int(p.get("record_every", 1)),
-        norm_windows=int(p.get("norm_windows", 0)))
+        max_iters=_field(p, "max_iters", int, 100000),
+        tol=_field(p, "tol", float, 1e-8),
+        check_connectivity=_field(p, "check_connectivity", bool, True),
+        record_every=_field(p, "record_every", int, 1),
+        norm_windows=_field(p, "norm_windows", int, 0))
     rows = [[k, repr(d), repr(r)] for k, d, r in report.history]
     summary = {
         "converged": report.converged, "iterations": report.iterations,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import graphs as graphlib
 from . import matrices, sequences
@@ -39,7 +40,6 @@ __all__ = [
     "PartitionedLinearSystem",
     "ProjectionSet",
     "GraphSequenceModel",
-    "SolverState",
     "SolverReport",
     "kernel_projection",
     "kernel_projections",
@@ -122,32 +122,27 @@ def kernel_projection(block) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectionSet:
-    """Validated kernel projections, one per agent."""
+    """Validated kernel projections, one per agent, kept as one read-only
+    (n, m, m) stack."""
 
-    projections: tuple
+    projections: np.ndarray
 
     def __post_init__(self):
-        ps = []
-        for p in self.projections:
-            p = np.array(p, dtype=float)
-            if np.abs(p - p.T).max() > 1e-10:
-                raise InvalidDistribution("projection is not symmetric")
-            if np.abs(p @ p - p).max() > 1e-10:
-                raise InvalidDistribution("projection is not idempotent")
-            p.flags.writeable = False
-            ps.append(p)
-        object.__setattr__(self, "projections", tuple(ps))
-
-    def __len__(self):
-        return len(self.projections)
+        try:
+            ps = np.stack(self.projections).astype(float)
+        except ValueError as exc:
+            raise DimensionMismatch(f"projections do not stack: {exc}") from exc
+        if ps.ndim != 3 or ps.shape[1] != ps.shape[2]:
+            raise DimensionMismatch("projections must be square and share a shape")
+        if not np.abs(ps - ps.swapaxes(1, 2)).max() <= 1e-10:
+            raise InvalidDistribution("projection is not symmetric")
+        if not np.abs(ps @ ps - ps).max() <= 1e-10:
+            raise InvalidDistribution("projection is not idempotent")
+        ps.flags.writeable = False
+        object.__setattr__(self, "projections", ps)
 
     def block_diagonal(self) -> np.ndarray:
-        m = self.projections[0].shape[0]
-        n = len(self.projections)
-        out = np.zeros((n * m, n * m))
-        for i, p in enumerate(self.projections):
-            out[i * m:(i + 1) * m, i * m:(i + 1) * m] = p
-        return out
+        return block_diag(*self.projections)
 
 
 def kernel_projections(system: PartitionedLinearSystem) -> ProjectionSet:
@@ -168,22 +163,9 @@ def initial_estimate(block, rhs) -> np.ndarray:
     return x
 
 
-def initial_state(system: PartitionedLinearSystem) -> "SolverState":
-    ests = np.stack([initial_estimate(a, b) for a, b in system.blocks])
-    return SolverState(estimates=ests, iteration=0)
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """Stacked agent estimates (row i is agent i's current x_i)."""
-
-    estimates: np.ndarray
-    iteration: int
-
-    def __post_init__(self):
-        e = np.array(self.estimates, dtype=float)
-        e.flags.writeable = False
-        object.__setattr__(self, "estimates", e)
+def initial_state(system: PartitionedLinearSystem) -> np.ndarray:
+    """The (n, m) starting estimates, row i solving agent i's own block."""
+    return np.stack([initial_estimate(a, b) for a, b in system.blocks])
 
 
 def _check_self_arcs(graph: DirectedGraph):
@@ -198,19 +180,17 @@ def averaging_matrix(graph: DirectedGraph) -> np.ndarray:
     return graphlib.averaging_weights(graph)
 
 
-def step(state: SolverState, graph: DirectedGraph,
-         projections: ProjectionSet) -> SolverState:
-    """One synchronous round of the projected-averaging update."""
+def step(x: np.ndarray, graph: DirectedGraph,
+         projections: ProjectionSet) -> np.ndarray:
+    """One synchronous round of the projected-averaging update: maps the
+    (n, m) estimates ``x`` (row i is agent i's x_i) to the next ones."""
     _check_self_arcs(graph)
     incoming = graphlib.adjacency(graph).T.astype(float)
     degrees = incoming.sum(axis=1)
-    x = state.estimates
     sums = incoming @ x
     corrections = degrees[:, None] * x - sums
-    projected = np.einsum("ijk,ik->ij", np.stack(projections.projections),
-                          corrections)
-    return SolverState(estimates=x - projected / degrees[:, None],
-                       iteration=state.iteration + 1)
+    projected = np.einsum("ijk,ik->ij", projections.projections, corrections)
+    return x - projected / degrees[:, None]
 
 
 def mixed_matrix_norm(q: np.ndarray, block_size: int) -> float:
@@ -231,7 +211,7 @@ def _error_products(graph_seq, projections: ProjectionSet):
     block-diagonal projection acts on each block row, and ``W kron I``
     mixes the block rows.
     """
-    ps = np.stack(projections.projections)
+    ps = projections.projections
     n, m = ps.shape[:2]
     phi = np.eye(n * m).reshape(n, m, n * m)
     for g in graph_seq:
@@ -254,7 +234,7 @@ def error_transition(graph_list, projections: ProjectionSet):
         pass
     if phi is None:
         raise DimensionMismatch("error transition over an empty window")
-    return phi, mixed_matrix_norm(phi, projections.projections[0].shape[0])
+    return phi, mixed_matrix_norm(phi, projections.projections.shape[1])
 
 
 @dataclass(frozen=True)
@@ -275,8 +255,7 @@ class GraphSequenceModel:
         for g in gs:
             if g.n != n:
                 raise DimensionMismatch("candidate graphs must share vertex count")
-            if not graphlib.has_all_self_loops(g):
-                raise MissingSelfArc("every candidate graph needs all self-arcs")
+            _check_self_arcs(g)
         if self.model.num_symbols > len(gs):
             raise DimensionMismatch("model indexes more graphs than provided")
         if self.window < 1:
@@ -288,8 +267,8 @@ class GraphSequenceModel:
         return self.graph_set[0].n
 
     def sample_graphs(self, length: int, trial: int = 0):
-        idx = self.model.sample_indices(length, trial=trial)
-        return [self.graph_set[i] for i in idx]
+        return [self.graph_set[i]
+                for i in sequences.sample(self.model, length, trial=trial)]
 
 
 def window_connectivity_probability(gmodel: GraphSequenceModel,
@@ -331,55 +310,59 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     """Iterate the projected-averaging update along a sampled graph sequence.
 
     Stops once both the largest pairwise estimate gap and the stacked
-    residual at the averaged estimate fall below ``tol``.  With
+    residual at the averaged estimate fall below ``tol``; the residual is
+    computed only for recorded rows (every ``record_every``-th iteration,
+    and every one whose gap is below ``tol``) and for the report.  With
     ``norm_windows`` > 0 the first windows of the sampled sequence also get
     their error-transition mixed norms computed, giving a contraction
     estimate the fitted decay can be compared against.
     """
     if gmodel.n != system.n:
         raise DimensionMismatch("one graph vertex per agent")
-    if check_connectivity:
-        if window_connectivity_probability(gmodel) <= 0.0:
-            raise NoConnectedWindow(
-                f"no strongly connected window of length {gmodel.window}")
+    if record_every < 1 or max_iters < 0:
+        raise InvalidDistribution("need record_every >= 1 and max_iters >= 0")
+    if check_connectivity and window_connectivity_probability(gmodel) <= 0.0:
+        raise NoConnectedWindow(
+            f"no strongly connected window of length {gmodel.window}")
     projections = kernel_projections(system)
     a_full, b_full = system.stacked()
-    state = initial_state(system)
-    graph_seq = gmodel.sample_graphs(max_iters, trial=trial)
+    x = initial_state(system)
+    indices = (sequences.sample(gmodel.model, max_iters, trial=trial)
+               if max_iters else np.zeros(0, dtype=np.int64))
 
-    def measure(st):
-        mean = st.estimates.mean(axis=0)
-        return (_disagreement(st.estimates),
-                float(np.abs(a_full @ mean - b_full).max()))
+    def residual(x):
+        return float(np.abs(a_full @ x.mean(axis=0) - b_full).max())
 
-    dis, res = measure(state)
+    dis, res = _disagreement(x), residual(x)
     history = [(0, dis, res)]
     converged = dis < tol and res < tol
     k = 0
     while not converged and k < max_iters:
-        state = step(state, graph_seq[k], projections)
+        x = step(x, gmodel.graph_set[indices[k]], projections)
         k += 1
-        dis, res = measure(state)
+        dis = _disagreement(x)
         if k % record_every == 0 or dis < tol:
+            res = residual(x)
             history.append((k, dis, res))
-        converged = dis < tol and res < tol
+            converged = dis < tol and res < tol
+    if history[-1][0] != k:
+        res = residual(x)
 
     window_norms = []
-    if norm_windows > 0:
-        width = gmodel.window * max(1, min(gmodel.n - 1, 8))
-        for w in range(norm_windows):
-            chunk = graph_seq[w * width:(w + 1) * width]
-            if len(chunk) < width:
-                break
-            _, norm = error_transition(chunk, projections)
-            window_norms.append(norm)
+    width = gmodel.window * max(1, min(gmodel.n - 1, 8))
+    for w in range(norm_windows):
+        chunk = indices[w * width:(w + 1) * width]
+        if len(chunk) < width:
+            break
+        _, norm = error_transition([gmodel.graph_set[i] for i in chunk],
+                                   projections)
+        window_norms.append(norm)
 
     fitted = _log_linear_rate([h[0] for h in history], [h[1] for h in history],
                               min_points=3)
 
     exponential_consistent = None
     if window_norms and fitted is not None:
-        width = gmodel.window * max(1, min(gmodel.n - 1, 8))
         per_step = float(np.mean(window_norms)) ** (1.0 / width)
         exponential_consistent = fitted <= per_step + 1e-9
 
@@ -388,7 +371,7 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
         iterations=k,
         disagreement=dis,
         residual=res,
-        solution=state.estimates.mean(axis=0),
+        solution=x.mean(axis=0),
         history=tuple(history),
         fitted_decay=fitted,
         window_norms=tuple(window_norms),
@@ -407,9 +390,8 @@ def smallest_contracting_window(gmodel: GraphSequenceModel,
     sooner.
     """
     graph_seq = gmodel.sample_graphs(max_len, trial=trial)
-    m = projections.projections[0].shape[0]
     for length, phi in enumerate(_error_products(graph_seq, projections), start=1):
-        norm = mixed_matrix_norm(phi, m)
+        norm = mixed_matrix_norm(phi, projections.projections.shape[1])
         if norm < 1.0 - 1e-12:
             return length, norm
     return None

@@ -36,17 +36,24 @@ __all__ = [
 @dataclass(frozen=True)
 class DirectedGraph:
     """A directed graph with vertex set {0, ..., n-1} and an edge set of
-    ordered pairs."""
+    ordered pairs; ``adj`` is its read-only boolean adjacency matrix."""
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
+    adj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+        if self.n < 0:
+            raise DimensionMismatch("vertex count must be nonnegative")
+        adj = np.zeros((self.n, self.n), dtype=bool)
         for (i, j) in self.edges:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise DimensionMismatch(
                     f"edge ({i}, {j}) outside vertex range 0..{self.n - 1}")
+            adj[i, j] = True
+        adj.flags.writeable = False
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_adjacency(cls, adj) -> "DirectedGraph":
@@ -55,15 +62,13 @@ class DirectedGraph:
         return cls(adj.shape[0], frozenset(zip(ii.tolist(), jj.tolist())))
 
     def in_neighbors(self, j: int) -> list:
-        return sorted(i for (i, b) in self.edges if b == j)
+        return np.nonzero(self.adj[:, j])[0].tolist()
 
 
 def adjacency(graph: DirectedGraph) -> np.ndarray:
-    """Boolean adjacency matrix, adj[i, j] true when (i, j) is an edge."""
-    adj = np.zeros((graph.n, graph.n), dtype=bool)
-    for (i, j) in graph.edges:
-        adj[i, j] = True
-    return adj
+    """Read-only boolean adjacency matrix, adj[i, j] true when (i, j) is an
+    edge."""
+    return graph.adj
 
 
 def averaging_weights(graph: DirectedGraph) -> np.ndarray:
@@ -165,17 +170,10 @@ def roots(graph: DirectedGraph) -> list:
     """Vertices from which every other vertex can be reached.
 
     Nonempty exactly when the condensation of the graph has a single source
-    component; the roots are that component's vertices.
+    component, i.e. a single closed component of the reversed graph; the
+    roots are that component's vertices.
     """
-    adj = adjacency(graph)
-    count, labels = strongly_connected_components(adj)
-    if count == 0:
-        return []
-    entered = np.zeros(count, dtype=bool)
-    ii, jj = np.nonzero(adj)
-    crossing = labels[ii] != labels[jj]
-    np.logical_or.at(entered, labels[jj[crossing]], True)
-    sources = np.nonzero(~entered)[0]
+    sources, labels = closed_components(adjacency(graph).T)
     if len(sources) != 1:
         return []
     return [v for v in range(graph.n) if labels[v] == sources[0]]
@@ -187,4 +185,4 @@ def is_rooted(graph: DirectedGraph) -> bool:
 
 
 def has_all_self_loops(graph: DirectedGraph) -> bool:
-    return all((v, v) in graph.edges for v in range(graph.n))
+    return bool(graph.adj.diagonal().all())

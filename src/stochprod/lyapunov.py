@@ -113,6 +113,10 @@ class SphereGrid:
     points_per_face: int = 256
     seed: int = 0
 
+    def __post_init__(self):
+        if self.resolution < 1 or self.points_per_face < 1:
+            raise InvalidDistribution("grid sizes must be at least 1")
+
     def points(self, n: int) -> np.ndarray:
         if n < 1:
             raise DimensionMismatch("dimension must be positive")
@@ -260,18 +264,21 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
     With ``keep_history`` the (trials, steps + 1) array of V values is
     returned alongside the report.
     """
+    steps, trials = int(steps), int(trials)
+    if steps < 1 or trials < 1:
+        raise InvalidDistribution("steps and trials must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dimension,):
         raise DimensionMismatch("x0 needs one entry per state coordinate")
     matrices._check_finite(x0[:, None])
     rates, tails = [], []
-    history = np.empty((int(trials), int(steps) + 1)) if keep_history else None
-    for t in range(int(trials)):
-        idx = system.signal.sample_indices(steps, trial=t)
+    history = np.empty((trials, steps + 1)) if keep_history else None
+    for t in range(trials):
+        idx = sequences.sample(system.signal, steps, trial=t)
         x = x0.copy()
-        vs = np.empty(int(steps) + 1)
+        vs = np.empty(steps + 1)
         vs[0] = float(V(x))
-        for k in range(int(steps)):
+        for k in range(steps):
             x = system.modes[idx[k]] @ x
             vs[k + 1] = float(V(x))
         rates.append(_log_linear_rate(np.arange(vs.size), vs, min_points=2) or 0.0)
@@ -287,8 +294,8 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
         per_trial_tail=tuple(tails_arr.tolist()),
         tail_fraction=float((tails_arr < tol).mean()),
         tolerance=float(tol),
-        steps=int(steps),
-        trials=int(trials),
+        steps=steps,
+        trials=trials,
     )
     if keep_history:
         return report, history

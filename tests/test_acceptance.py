@@ -281,15 +281,14 @@ def test_criterion_7_distributed_solver():
         assert sp.window_connectivity_probability(gmodel) > 0
         projections = sp.kernel_projections(system)
         a_full, b_full = system.stacked()
-        state = sp.initial_state(system)
+        est = sp.initial_state(system)
         graphs = gmodel.sample_graphs(max_iters)
         converged = False
         for k in range(max_iters):
-            state = sp.step(state, graphs[k], projections)
-            for (a, b), x in zip(system.blocks, state.estimates):
+            est = sp.step(est, graphs[k], projections)
+            for (a, b), x in zip(system.blocks, est):
                 if np.abs(a @ x - b).max() >= 1e-8:
                     feasibility_ok = False
-            est = state.estimates
             disagreement = (est.max(axis=0) - est.min(axis=0)).max()
             if disagreement < tol:
                 residual = np.abs(a_full @ est.mean(axis=0) - b_full).max()
@@ -328,13 +327,13 @@ def test_criterion_8_error_system_equivalence():
             graph_set=tuple(graphs),
             model=sp.IIDModel(weights=[0.5, 0.5], seed=8000 + trial), window=2)
         word = gmodel.sample_graphs(100, trial=trial)
-        state = sp.initial_state(system)
-        err = (state.estimates - x_star[None, :]).reshape(-1)
+        est = sp.initial_state(system)
+        err = (est - x_star[None, :]).reshape(-1)
         p = projections.block_diagonal()
         for g in word:
-            state = sp.step(state, g, projections)
+            est = sp.step(est, g, projections)
             err = p @ np.kron(sp.averaging_matrix(g), np.eye(m)) @ p @ err
-            direct = (state.estimates - x_star[None, :]).reshape(-1)
+            direct = (est - x_star[None, :]).reshape(-1)
             worst = max(worst, float(np.abs(direct - err).max()))
     ok = worst < 1e-9
     report(8, ok, f"20 instances, 100 steps: max discrepancy {worst:.2e}")

@@ -206,12 +206,18 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.mark.parametrize("name,kind", [("readme_product", "product"),
-                                       ("async_periodic_graph", "async")])
+                                       ("async_periodic_graph", "async"),
+                                       ("lineq_converged", "lineq"),
+                                       ("lineq_exhausted", "lineq")])
 def test_golden_outputs(tmp_path, name, kind):
-    # recorded before the averaging-matrix builder moved to graphs; the
-    # async config is a zero-diagonal (periodic) graph
+    # each case was recorded before the change it guards: product and async
+    # (a zero-diagonal, periodic graph) before the averaging builder moved to
+    # graphs; lineq before the solver moved to plain arrays, one run
+    # converging with record_every 7 and two norm windows, one stopping at
+    # max_iters 23, off its record_every 5 grid
     case = os.path.join(DATA, name)
-    assert run_cli(kind, os.path.join(case, "config.json"), tmp_path) == 0
+    code = run_cli(kind, os.path.join(case, "config.json"), tmp_path)
+    assert code == (3 if name == "lineq_exhausted" else 0)
     for fname in ("summary.json", "trace.csv"):
         with open(os.path.join(case, fname), "rb") as fh:
             assert (tmp_path / fname).read_bytes() == fh.read()
@@ -253,6 +259,41 @@ def test_override_flags_follow_the_kind_table(tmp_path, capsys, kind, flag):
         assert code == 2
         assert f"does not read {flag}" in err
         assert not (tmp_path / "o").exists()
+
+
+MARKOV_SIGNAL = {"variant": "markov", "initial": [1.0], "transition": [[1.0]]}
+
+
+# id -> (kind, fields merged into the kind's tiny config, error text)
+BAD_FIELDS = {
+    "lineq-record_every-0": ("lineq", {"record_every": 0},
+                             "need record_every >= 1"),
+    "lineq-max_iters-negative": ("lineq", {"max_iters": -1},
+                                 "max_iters >= 0"),
+    "lineq-norm_windows-text": ("lineq", {"norm_windows": "x"},
+                                "'norm_windows': bad value 'x'"),
+    "certify-grid_resolution-negative": ("certify", {"grid_resolution": -1},
+                                         "grid sizes must be at least 1"),
+    "certify-steps-0-markov": ("certify", {"steps": 0, "signal": MARKOV_SIGNAL},
+                               "steps and trials"),
+    "certify-trials-0": ("certify", {"trials": 0}, "steps and trials"),
+    "certify-steps-text": ("certify", {"steps": "abc"},
+                           "'steps': bad value 'abc'"),
+    "certify-x0-text": ("certify", {"x0": "abc"}, "'x0': bad value 'abc'"),
+    "async-delta-text": ("async", {"clock": "poisson", "delta": "x"},
+                         "'delta': bad value 'x'"),
+}
+
+
+@pytest.mark.parametrize("kind,fields,message", list(BAD_FIELDS.values()),
+                         ids=list(BAD_FIELDS))
+def test_bad_field_values_are_validation_errors(tmp_path, capfd, kind, fields,
+                                                message):
+    cfg = write(tmp_path / "c.json", {**TINY_CONFIGS[kind], **fields})
+    assert run_cli(kind, cfg, tmp_path / "o") == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 def test_non_finite_system_is_validation_error(tmp_path, capfd):

@@ -6,6 +6,7 @@ from stochprod.errors import (
     DimensionMismatch,
     InconsistentBlock,
     InconsistentSystem,
+    InvalidDistribution,
     MissingSelfArc,
     NoConnectedWindow,
     NonFiniteEntry,
@@ -74,6 +75,20 @@ class TestProjections:
         projs = sp.kernel_projections(HAND_SYSTEM)
         np.testing.assert_allclose(projs.projections[0], np.diag([0.0, 1.0]))
         np.testing.assert_allclose(projs.projections[1], np.diag([1.0, 0.0]))
+        assert projs.projections.shape == (2, 2, 2)
+        assert not projs.projections.flags.writeable
+
+    @pytest.mark.parametrize("projections", [
+        (), (np.eye(2), np.eye(3)), (np.ones((2, 3)),), (np.ones(2),)])
+    def test_projection_shapes_must_match(self, projections):
+        with pytest.raises(DimensionMismatch):
+            sp.ProjectionSet(projections)
+
+    @pytest.mark.parametrize("p", [
+        [[0.0, 1.0], [0.0, 0.0]], 2 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_not_a_projection_rejected(self, p):
+        with pytest.raises(InvalidDistribution):
+            sp.ProjectionSet((np.eye(2), p))
 
 
 class TestInitialEstimates:
@@ -122,42 +137,42 @@ class TestStep:
     def test_consensus_on_solution_is_fixed(self):
         projs = sp.kernel_projections(HAND_SYSTEM)
         x_star = np.array([1.0, 1.0])
-        state = sp.SolverState(estimates=np.stack([x_star, x_star]), iteration=0)
-        nxt = sp.step(state, complete_graph(2), projs)
-        np.testing.assert_allclose(nxt.estimates, state.estimates, atol=1e-14)
+        x = np.stack([x_star, x_star])
+        nxt = sp.step(x, complete_graph(2), projs)
+        np.testing.assert_allclose(nxt, x, atol=1e-14)
 
     def test_single_agent_self_loop_unchanged(self):
         system = sp.PartitionedLinearSystem(blocks=(
             (np.array([[1.0, 0.0]]), np.array([2.0])),))
         projs = sp.kernel_projections(system)
-        state = sp.initial_state(system)
-        nxt = sp.step(state, self_loops_only(1), projs)
-        np.testing.assert_allclose(nxt.estimates, state.estimates)
+        x = sp.initial_state(system)
+        nxt = sp.step(x, self_loops_only(1), projs)
+        np.testing.assert_allclose(nxt, x)
 
     def test_hand_update(self):
         projs = sp.kernel_projections(HAND_SYSTEM)
-        state = sp.initial_state(HAND_SYSTEM)
-        np.testing.assert_allclose(state.estimates, [[1, 0], [0, 1]])
-        nxt = sp.step(state, complete_graph(2), projs)
-        np.testing.assert_allclose(nxt.estimates, [[1.0, 0.5], [0.5, 1.0]])
+        x = sp.initial_state(HAND_SYSTEM)
+        np.testing.assert_allclose(x, [[1, 0], [0, 1]])
+        nxt = sp.step(x, complete_graph(2), projs)
+        np.testing.assert_allclose(nxt, [[1.0, 0.5], [0.5, 1.0]])
 
     def test_missing_self_arc_rejected(self):
         projs = sp.kernel_projections(HAND_SYSTEM)
-        state = sp.initial_state(HAND_SYSTEM)
+        x = sp.initial_state(HAND_SYSTEM)
         bare = sp.DirectedGraph(2, frozenset({(0, 1), (1, 0)}))
         with pytest.raises(MissingSelfArc):
-            sp.step(state, bare, projs)
+            sp.step(x, bare, projs)
 
     def test_feasibility_preserved(self):
         rng = np.random.default_rng(42)
         system, _ = random_partitioned_system(rng, 4, 8, 2)
         projs = sp.kernel_projections(system)
         gmodel = random_connected_gmodel(rng, 4, seed=5)
-        state = sp.initial_state(system)
+        x = sp.initial_state(system)
         for g in gmodel.sample_graphs(100):
-            state = sp.step(state, g, projs)
-            for (a, b), x in zip(system.blocks, state.estimates):
-                assert np.abs(a @ x - b).max() < 1e-8
+            x = sp.step(x, g, projs)
+            for (a, b), xi in zip(system.blocks, x):
+                assert np.abs(a @ xi - b).max() < 1e-8
 
 
 class TestMixedNorm:
@@ -247,15 +262,15 @@ class TestErrorTransition:
             projs = sp.kernel_projections(system)
             gmodel = random_connected_gmodel(rng, 3, seed=60 + trial)
             graphs = gmodel.sample_graphs(100, trial=trial)
-            state = sp.initial_state(system)
+            x = sp.initial_state(system)
             m = system.m
-            err = (state.estimates - x_star[None, :]).reshape(-1)
+            err = (x - x_star[None, :]).reshape(-1)
             p = projs.block_diagonal()
             for g in graphs:
-                state = sp.step(state, g, projs)
+                x = sp.step(x, g, projs)
                 w = sp.averaging_matrix(g)
                 err = p @ np.kron(w, np.eye(m)) @ p @ err
-                direct = (state.estimates - x_star[None, :]).reshape(-1)
+                direct = (x - x_star[None, :]).reshape(-1)
                 assert np.abs(direct - err).max() < 1e-9
 
 
@@ -358,6 +373,24 @@ class TestRunSolver:
             found = sp.smallest_contracting_window(gmodel, projs, 30, trial=trial)
             assert found[0] == expected[0]
             assert found[1] == pytest.approx(expected[1], rel=0, abs=1e-12)
+
+    def test_sample_graphs_checks_length(self):
+        gmodel = sp.GraphSequenceModel(
+            graph_set=(complete_graph(2),), model=sp.IIDModel(weights=[1.0]),
+            window=1)
+        with pytest.raises(InvalidDistribution):
+            gmodel.sample_graphs(0)
+
+    def test_zero_iterations_report_the_initial_state(self):
+        markov = sp.MarkovModulatedModel(initial=[1.0], transition=[[1.0]])
+        gmodel = sp.GraphSequenceModel(
+            graph_set=(complete_graph(2),), model=markov, window=1)
+        report = sp.run_solver(HAND_SYSTEM, gmodel, max_iters=0, norm_windows=2)
+        assert not report.converged and report.iterations == 0
+        assert report.history == ((0, 1.0, 0.5),)
+        assert (report.disagreement, report.residual) == (1.0, 0.5)
+        assert report.window_norms == ()
+        np.testing.assert_array_equal(report.solution, [0.5, 0.5])
 
     def test_fitted_decay_needs_three_points(self):
         gmodel = sp.GraphSequenceModel(

@@ -27,6 +27,26 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             sp.DirectedGraph(2, frozenset({(0, 2)}))
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(DimensionMismatch):
+            sp.DirectedGraph(-1)
+
+    def test_adjacency_built_once_read_only(self):
+        g = sp.DirectedGraph(3, frozenset({(0, 1), (2, 1), (1, 1)}))
+        adj = adjacency(g)
+        assert adj is adjacency(g) and not adj.flags.writeable
+        assert adj.tolist() == [[False, True, False], [False, True, False],
+                                [False, True, False]]
+        assert g.in_neighbors(1) == [0, 1, 2] and g.in_neighbors(0) == []
+        assert not sp.graphs.has_all_self_loops(g)
+        assert sp.graphs.has_all_self_loops(complete_graph(3))
+
+    def test_adjacency_outside_eq_hash_repr(self):
+        g = sp.DirectedGraph(2, frozenset({(0, 1)}))
+        same = sp.DirectedGraph(2, [(0, 1)])
+        assert g == same and hash(g) == hash(same)
+        assert repr(g) == "DirectedGraph(n=2, edges=frozenset({(0, 1)}))"
+
     def test_graph_of_uses_column_convention(self):
         # edge (i, j) present when W[j, i] > 0: j listens to i
         w = sp.StochasticMatrix([[0, 1], [1, 0]])
@@ -76,6 +96,16 @@ class TestRootedness:
         g = sp.DirectedGraph(4, frozenset({(0, 1), (1, 0), (2, 3), (3, 2)}))
         assert not sp.is_rooted(g)
         assert sp.roots(g) == []
+
+    def test_roots_reach_every_vertex(self):
+        # oracle: v is a root exactly when BFS from v reaches every vertex
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(0, 8))
+            g = sp.DirectedGraph.from_adjacency(rng.random((n, n)) < rng.random())
+            expected = [v for v in range(n)
+                        if (bfs_levels(adjacency(g), v) >= 0).all()]
+            assert sp.roots(g) == expected
 
     def test_random_rooted_generator(self):
         rng = np.random.default_rng(3)

@@ -170,6 +170,12 @@ class TestCertify:
         with pytest.raises(InvalidDistribution):
             sp.certify_contraction(system, v, horizon_max=2)
 
+    @pytest.mark.parametrize("kw", [{"resolution": 0}, {"resolution": -1},
+                                    {"points_per_face": 0}])
+    def test_grid_sizes_validated(self, kw):
+        with pytest.raises(InvalidDistribution):
+            sp.SphereGrid(**kw)
+
     def test_higher_dimension_grid(self):
         system = single_mode_system(0.25 * np.eye(4))
         cert = sp.certify_contraction(system, sp.inf_norm(), horizon_max=2,
@@ -192,6 +198,13 @@ class TestMonteCarlo:
                 sp.monte_carlo_decay(system, sp.inf_norm(), x0, steps=3, trials=1)
         with pytest.raises(DimensionMismatch):
             sp.monte_carlo_decay(system, sp.inf_norm(), [1.0], steps=3, trials=1)
+
+    def test_counts_validated(self, damped_system):
+        for kw in ({"steps": 0}, {"trials": 0}, {"steps": -1}):
+            with pytest.raises(InvalidDistribution):
+                sp.monte_carlo_decay(damped_system, sp.inf_norm(), [1.0, 1.0],
+                                     **{"steps": 3, "trials": 2, **kw},
+                                     keep_history=True)
 
     def test_zero_initial_state(self):
         system = single_mode_system(0.5 * np.eye(2))
