@@ -23,6 +23,7 @@ from .errors import (
     EmptyActivation,
     InvalidDistribution,
     NotReachable,
+    TickBudgetExceeded,
 )
 from .graphs import DirectedGraph
 from .matrices import StochasticMatrix
@@ -41,6 +42,9 @@ __all__ = [
     "hierarchical_word_count",
     "simulate_async",
 ]
+
+TICK_BLOCK = 1024  # clock ticks drawn at once by ``simulate_async``
+TICK_LIMIT = 10**7  # expected clock ticks ``simulate_async`` may spend
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,9 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     Each tick samples the set of firing agents from the clocks; ticks where
     nobody fires are skipped (no event happens, no time passes in the
     event-indexed system).  All agents firing at once apply their rows
-    simultaneously.
+    simultaneously.  Raises ``InvalidDistribution`` for negative ``steps``
+    and ``TickBudgetExceeded`` when the expected number of ticks is over
+    ``TICK_LIMIT``.
     """
     w = matrices.entries_of(W)
     n = w.shape[0]
@@ -192,23 +198,35 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     if not np.any(probs > 0):
         raise InvalidDistribution(
             "no agent can fire: every activation probability is 0")
+    steps = int(steps)
+    if steps < 0:
+        raise InvalidDistribution("steps must be at least 0")
+    # a tick carries an event with probability p_any, so the run takes
+    # steps / p_any ticks on average
+    with np.errstate(divide="ignore"):
+        p_any = -float(np.expm1(np.log1p(-probs).sum()))
+    if steps > TICK_LIMIT * p_any:
+        raise TickBudgetExceeded(
+            f"{steps} events need about {steps / p_any:.3g} clock ticks, "
+            f"over the budget of {TICK_LIMIT}")
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise DimensionMismatch("x0 needs one entry per agent")
     matrices._check_finite(x[:, None])
     rng = np.random.default_rng(trial_seed(clocks.seed, trial))
-    spreads = [matrices.spread(x)]
+    spreads = [float(x.max() - x.min())]
     events = []
     done = 0
     while done < steps:
-        fired = np.nonzero(rng.random(n) < probs)[0]
-        if fired.size == 0:
-            continue
-        x[fired] = w[fired] @ x
-        done += 1
-        spreads.append(matrices.spread(x))
-        if record_events:
-            events.append(UpdateEvent(k=done, activated=frozenset(int(i) for i in fired)))
+        # TICK_BLOCK ticks per draw: the same stream as one rng.random(n) each
+        block = rng.random((TICK_BLOCK, n)) < probs
+        for row in block[block.any(axis=1)][:steps - done]:
+            fired = np.nonzero(row)[0]
+            x[fired] = w[fired] @ x
+            done += 1
+            spreads.append(float(x.max() - x.min()))
+            if record_events:
+                events.append(UpdateEvent(k=done, activated=frozenset(fired.tolist())))
     return AgreementTrace(
         spreads=tuple(spreads),
         final_x=x,

@@ -55,6 +55,12 @@ def _field(params: dict, key: str, convert, default=None):
         raise ConfigParse(f"config field {key!r}: bad value {value!r}") from exc
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Effective experiment description after flag overrides."""
@@ -126,8 +132,8 @@ def _run_classify(config: ExperimentConfig):
     if not mats:
         raise ConfigParse("classify needs a nonempty 'matrices' list")
     labels = p.get("labels") or [f"M{i}" for i in range(len(mats))]
-    if len(labels) != len(mats):
-        raise ConfigParse("one label per matrix")
+    if not isinstance(labels, list) or len(labels) != len(mats):
+        raise ConfigParse("'labels' must be a list with one label per matrix")
     per_matrix = []
     rows = []
     for label, m in zip(labels, mats):
@@ -260,7 +266,7 @@ def _run_lineq(config: ExperimentConfig):
         system, gmodel,
         max_iters=_field(p, "max_iters", int, 100000),
         tol=_field(p, "tol", float, 1e-8),
-        check_connectivity=_field(p, "check_connectivity", bool, True),
+        check_connectivity=_field(p, "check_connectivity", _json_bool, True),
         record_every=_field(p, "record_every", int, 1),
         norm_windows=_field(p, "norm_windows", int, 0))
     rows = [[k, repr(d), repr(r)] for k, d, r in report.history]

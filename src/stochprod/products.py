@@ -114,7 +114,8 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     """Accumulate the backward product of a sampled run, recording tau and
     the worst column spread at each checkpoint.
 
-    Only the running n-by-n product is kept, never the factor history.
+    Only the running n-by-n product is kept, never the factor history, and
+    no factor past the last checkpoint is multiplied.
     """
     fset = model._require_set()
     arrays = fset.entry_arrays()
@@ -124,17 +125,17 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     idx = sequences.sample(model, steps, trial=trial)
     prod = np.eye(fset.dimension)
     recorded_k, taus, spreads = [], [], []
-    next_cp = 0
-    for k in range(1, steps + 1):
-        prod = arrays[idx[k - 1]] @ prod
-        if next_cp < len(checkpoints) and k == checkpoints[next_cp]:
-            next_cp += 1
-            t = matrices.tau(prod)
-            if t < TAU_FLOOR:
-                break
-            recorded_k.append(k)
-            taus.append(t)
-            spreads.append(_max_column_spread(prod))
+    done = 0
+    for k in checkpoints:
+        for i in idx[done:k].tolist():
+            prod = arrays[i] @ prod
+        done = k
+        t = matrices.tau(prod)
+        if t < TAU_FLOOR:
+            break
+        recorded_k.append(k)
+        taus.append(t)
+        spreads.append(_max_column_spread(prod))
     return ProductTrace(
         checkpoints=tuple(recorded_k),
         taus=tuple(taus),

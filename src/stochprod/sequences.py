@@ -206,18 +206,20 @@ class MarkovModulatedModel(SequenceModel):
 
     def sample_indices(self, length, trial=0):
         rng = np.random.default_rng(trial_seed(self.seed, trial))
-        length = int(length)
-        cum_rows = np.cumsum(self.transition, axis=1)
+        length, last = int(length), self.num_symbols - 1
         u = rng.random(length)
-        out = np.empty(length, dtype=np.int64)
-        state = int(np.searchsorted(np.cumsum(self.initial), u[0], side="right"))
-        state = min(state, self.num_symbols - 1)
-        out[0] = state
+        # step k moves from state s to nxt[s * length + k]: every row's
+        # inverse-CDF lookup of every draw at once, then a plain-int walk
+        nxt = np.minimum([np.searchsorted(row, u, side="right")
+                          for row in np.cumsum(self.transition, axis=1)],
+                         last).ravel().tolist()
+        state = min(int(np.searchsorted(np.cumsum(self.initial), u[0],
+                                        side="right")), last)
+        out = [state]
         for k in range(1, length):
-            state = int(np.searchsorted(cum_rows[state], u[k], side="right"))
-            state = min(state, self.num_symbols - 1)
-            out[k] = state
-        return out
+            state = nxt[state * length + k]
+            out.append(state)
+        return np.array(out, dtype=np.int64)
 
     def marginal(self, k: int) -> np.ndarray:
         """Law of the index at position k+1 (k steps after the initial)."""

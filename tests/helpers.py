@@ -128,3 +128,123 @@ def window_words(model, start, h):
         return [(model.scripted_word(start, h), 1.0)]
     return list(positive_words(model.start_distribution(start),
                                model.step_distribution, h))
+
+
+# Step-at-a-time reference loops.  Each is the library's former per-step
+# implementation, kept as an oracle for the batched one: the outputs must
+# agree bit for bit.
+
+def markov_indices_stepwise(model, length, trial=0):
+    """Markov-modulated sample with one ``searchsorted`` per step."""
+    from stochprod.sequences import trial_seed
+
+    rng = np.random.default_rng(trial_seed(model.seed, trial))
+    cum_rows = np.cumsum(model.transition, axis=1)
+    u = rng.random(length)
+    out = np.empty(length, dtype=np.int64)
+    state = int(np.searchsorted(np.cumsum(model.initial), u[0], side="right"))
+    state = min(state, model.num_symbols - 1)
+    out[0] = state
+    for k in range(1, length):
+        state = int(np.searchsorted(cum_rows[state], u[k], side="right"))
+        state = min(state, model.num_symbols - 1)
+        out[k] = state
+    return out
+
+
+def monte_carlo_decay_per_trial(system, V, x0, steps, trials, tol=1e-8):
+    """``monte_carlo_decay`` one trial and one step at a time; returns the
+    report and the (trials, steps + 1) history of V."""
+    from stochprod import sequences
+    from stochprod.lyapunov import DecayReport
+    from stochprod.products import _log_linear_rate
+
+    x0 = np.asarray(x0, dtype=float)
+    rates, tails = [], []
+    history = np.empty((trials, steps + 1))
+    for t in range(trials):
+        idx = sequences.sample(system.signal, steps, trial=t)
+        x = x0.copy()
+        vs = np.empty(steps + 1)
+        vs[0] = float(V(x))
+        for k in range(steps):
+            x = system.modes[idx[k]] @ x
+            vs[k + 1] = float(V(x))
+        rates.append(_log_linear_rate(np.arange(vs.size), vs, min_points=2) or 0.0)
+        tails.append(float(vs[-1]))
+        history[t] = vs
+    rates = np.asarray(rates)
+    fitted = 0.0 if np.any(rates == 0.0) else float(np.exp(np.mean(np.log(rates))))
+    tails_arr = np.asarray(tails)
+    report = DecayReport(
+        fitted_rate=fitted,
+        per_trial_rate=tuple(rates.tolist()),
+        per_trial_tail=tuple(tails_arr.tolist()),
+        tail_fraction=float((tails_arr < tol).mean()),
+        tolerance=float(tol),
+        steps=steps,
+        trials=trials,
+    )
+    return report, history
+
+
+def simulate_async_per_tick(W, clocks, x0, steps, trial=0, record_events=True):
+    """``simulate_async`` with one ``rng.random(n)`` draw per tick."""
+    from stochprod.agreement import AgreementTrace, UpdateEvent
+    from stochprod.matrices import spread
+    from stochprod.sequences import trial_seed
+
+    w = entries_of(W)
+    n = w.shape[0]
+    probs = clocks.activation_probabilities()
+    x = np.array(x0, dtype=float)
+    rng = np.random.default_rng(trial_seed(clocks.seed, trial))
+    spreads = [spread(x)]
+    events = []
+    done = 0
+    while done < steps:
+        fired = np.nonzero(rng.random(n) < probs)[0]
+        if fired.size == 0:
+            continue
+        x[fired] = w[fired] @ x
+        done += 1
+        spreads.append(spread(x))
+        if record_events:
+            events.append(UpdateEvent(k=done, activated=frozenset(int(i) for i in fired)))
+    return AgreementTrace(spreads=tuple(spreads), final_x=x, events=tuple(events),
+                          seed=trial_seed(clocks.seed, trial))
+
+
+def simulate_product_per_step(model, steps, checkpoints=None, trial=0):
+    """``simulate_product`` with a checkpoint compare at every step."""
+    from stochprod import sequences
+    from stochprod.products import (
+        TAU_FLOOR,
+        ProductTrace,
+        _max_column_spread,
+        default_checkpoints,
+    )
+
+    fset = model._require_set()
+    arrays = fset.entry_arrays()
+    if checkpoints is None:
+        checkpoints = default_checkpoints(steps)
+    checkpoints = sorted(set(int(c) for c in checkpoints if 1 <= c <= steps))
+    idx = sequences.sample(model, steps, trial=trial)
+    prod = np.eye(fset.dimension)
+    recorded_k, taus, spreads = [], [], []
+    next_cp = 0
+    for k in range(1, steps + 1):
+        prod = arrays[idx[k - 1]] @ prod
+        if next_cp < len(checkpoints) and k == checkpoints[next_cp]:
+            next_cp += 1
+            t = tau(prod)
+            if t < TAU_FLOOR:
+                break
+            recorded_k.append(k)
+            taus.append(t)
+            spreads.append(_max_column_spread(prod))
+    return ProductTrace(checkpoints=tuple(recorded_k), taus=tuple(taus),
+                        spreads=tuple(spreads),
+                        seed=sequences.trial_seed(model.seed, trial),
+                        steps=int(steps))

@@ -1,0 +1,220 @@
+"""Differential tests of the batched sampling and simulation loops against
+the step-at-a-time reference loops in ``helpers``: every output must agree
+bit for bit (``np.array_equal`` and exact equality, no tolerance)."""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import stochprod as sp
+from stochprod.errors import InvalidDistribution, TickBudgetExceeded
+
+from helpers import (
+    markov_indices_stepwise,
+    monte_carlo_decay_per_trial,
+    random_stochastic,
+    simulate_async_per_tick,
+    simulate_product_per_step,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+symbols = st.integers(1, 4)
+dims = st.integers(1, 6)
+lengths = st.one_of(st.just(1), st.integers(1, 40), st.integers(200, 2000))
+trials = st.integers(0, 5)
+
+# the largest double below 1: only the ``m - 1`` clamp keeps it in range
+# once a cumulative row sums to less than 1
+ALMOST_ONE = 1.0 - 2.0**-53
+
+
+def chain_row(rng, m):
+    """A transition row: sparse (zero-probability moves), absorbing, or
+    nudged so that its cumulative sum ends a few ulps below 1."""
+    kind = rng.integers(3)
+    if kind == 1:
+        return np.eye(m)[rng.integers(m)]
+    row = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.7)
+    if not row.any():
+        row[rng.integers(m)] = 1.0
+    row /= row.sum()
+    if kind == 2:
+        j = int(np.flatnonzero(row)[-1])
+        while np.cumsum(row)[-1] >= 1.0:
+            row[j] = np.nextafter(row[j], 0.0)
+    return row
+
+
+def markov_model(rng, m, **kw):
+    return sp.MarkovModulatedModel(initial=chain_row(rng, m),
+                                   transition=np.array([chain_row(rng, m)
+                                                        for _ in range(m)]),
+                                   seed=int(rng.integers(2**31)), **kw)
+
+
+def signal(rng, variant, m, **kw):
+    if variant == "markov":
+        return markov_model(rng, m, **kw)
+    if variant == "iid":
+        return sp.IIDModel(weights=chain_row(rng, m),
+                           seed=int(rng.integers(2**31)), **kw)
+    script = rng.integers(m, size=int(rng.integers(1, 6)))
+    return sp.ScriptedModel(indices=tuple(script.tolist()), **kw)
+
+
+@given(seeds, symbols, lengths, trials)
+def test_markov_sampler_matches_stepwise(seed, m, length, trial):
+    model = markov_model(np.random.default_rng(seed), m)
+    got = model.sample_indices(length, trial=trial)
+    want = markov_indices_stepwise(model, length, trial=trial)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class _ScriptedUniforms:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@given(seeds, symbols, st.integers(1, 60))
+def test_markov_sampler_on_boundary_draws(seed, m, length):
+    # uniforms that sit exactly on cumulative-row boundaries (side="right"
+    # moves past them), at 0, and just below 1 (past a short row's end)
+    rng = np.random.default_rng(seed)
+    model = markov_model(rng, m)
+    edges = np.concatenate([np.cumsum(model.transition, axis=1).ravel(),
+                            np.cumsum(model.initial), [0.0, ALMOST_ONE]])
+    edges = edges[edges < 1.0]
+    u = np.where(rng.random(length) < 0.5, rng.choice(edges, length),
+                 rng.random(length))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda s: _ScriptedUniforms(u))
+        got = model.sample_indices(length)
+        want = markov_indices_stepwise(model, length)
+    assert np.array_equal(got, want)
+
+
+def test_short_row_clamps_to_last_symbol():
+    row = np.array([0.25, 0.75])
+    row[1] = np.nextafter(row[1], 0.0)
+    assert np.cumsum(row)[-1] < 1.0
+    model = sp.MarkovModulatedModel(initial=row, transition=np.array([row, row]))
+    u = np.array([ALMOST_ONE, ALMOST_ONE, 0.1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda s: _ScriptedUniforms(u))
+        got = model.sample_indices(3)
+    assert got.tolist() == [1, 1, 0]
+
+
+# V on a (trials, n) array must give each row the bits V gives the row alone
+FUNCTIONS = {
+    "sup": sp.inf_norm(),
+    "sup2": sp.LyapunovFunction(fn=lambda x: np.abs(x).max(axis=-1) ** 2,
+                                degree=2.0),
+    "squares": sp.LyapunovFunction(fn=lambda x: (x * x).sum(axis=-1),
+                                   degree=2.0),
+}
+
+
+@given(seeds, symbols, dims, st.integers(1, 40), st.integers(1, 6),
+       st.sampled_from(["iid", "markov", "scripted"]),
+       st.sampled_from(sorted(FUNCTIONS)))
+def test_monte_carlo_decay_matches_per_trial_loop(seed, m, n, steps, count,
+                                                  variant, vname):
+    rng = np.random.default_rng(seed)
+    modes = tuple(rng.uniform(-1.0, 1.0, (n, n)) / rng.uniform(1.0, n + 1.0)
+                  for _ in range(m))
+    system = sp.SwitchedSystem(modes=modes, signal=signal(rng, variant, m))
+    V = FUNCTIONS[vname]
+    x0 = rng.normal(size=n)
+    report, history = sp.monte_carlo_decay(system, V, x0, steps, count,
+                                           tol=1e-3, keep_history=True)
+    want, want_history = monte_carlo_decay_per_trial(system, V, x0, steps,
+                                                     count, tol=1e-3)
+    assert report == want
+    assert np.array_equal(history, want_history)
+    assert sp.monte_carlo_decay(system, V, x0, steps, count, tol=1e-3) == want
+
+
+@given(seeds, dims, st.integers(0, 1500), trials,
+       st.sampled_from(["bernoulli", "poisson"]), st.booleans())
+def test_simulate_async_matches_per_tick_loop(seed, n, steps, trial, clock,
+                                              record_events):
+    rng = np.random.default_rng(seed)
+    w = random_stochastic(rng, n, density=0.5)
+    if clock == "bernoulli":
+        clocks = sp.BernoulliClocks(rates=rng.uniform(0.02, 1.0, n),
+                                    seed=int(rng.integers(2**31)))
+    else:
+        clocks = sp.PoissonClocks(rates=rng.uniform(0.05, 0.5, n),
+                                  seed=int(rng.integers(2**31)),
+                                  delta=float(rng.uniform(0.5, 2.0)))
+    x0 = rng.normal(size=n)
+    got = sp.simulate_async(w, clocks, x0, steps, trial=trial,
+                            record_events=record_events)
+    want = simulate_async_per_tick(w, clocks, x0, steps, trial=trial,
+                                   record_events=record_events)
+    assert got.spreads == want.spreads
+    assert np.array_equal(got.final_x, want.final_x)
+    assert got.events == want.events
+    assert got.seed == want.seed
+
+
+@given(seeds, symbols, dims, st.integers(1, 300), trials,
+       st.sampled_from(["iid", "markov", "scripted"]), st.booleans())
+def test_simulate_product_matches_per_step_loop(seed, m, n, steps, trial,
+                                                variant, custom):
+    rng = np.random.default_rng(seed)
+    fset = sp.FiniteMatrixSet(tuple(random_stochastic(rng, n, density=0.4)
+                                    for _ in range(m)))
+    model = signal(rng, variant, m, matrix_set=fset)
+    # custom checkpoints may repeat, fall outside 1..steps, or stop early
+    cps = (rng.integers(-2, steps + 3, size=int(rng.integers(0, 8))).tolist()
+           if custom else None)
+    got = sp.simulate_product(model, steps, checkpoints=cps, trial=trial)
+    want = simulate_product_per_step(model, steps, checkpoints=cps, trial=trial)
+    assert got == want
+
+
+def test_async_negative_steps_rejected():
+    w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+    clocks = sp.BernoulliClocks(rates=np.full(2, 0.5))
+    with pytest.raises(InvalidDistribution, match="steps must be at least 0"):
+        sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=-3)
+    trace = sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=0)
+    assert trace.spreads == (1.0,) and trace.events == ()
+
+
+def test_clocks_that_almost_never_fire_hit_the_tick_budget():
+    # each tick fires with probability about 2e-12: three events would take
+    # some 10**12 ticks, so the run is refused before the first draw
+    w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+    clocks = sp.PoissonClocks(rates=np.full(2, 1e-12))
+    start = time.perf_counter()
+    with pytest.raises(TickBudgetExceeded, match="budget"):
+        sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
+    assert time.perf_counter() - start < 1.0
+    # subnormal rates: the expected tick count overflows to inf
+    clocks = sp.BernoulliClocks(rates=np.full(2, 1e-320))
+    with pytest.raises(TickBudgetExceeded, match="about inf clock ticks"):
+        sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
+
+
+def test_tick_budget_counts_expected_ticks():
+    # p_any = 1e-3 per tick: 10**4 events need about 10**7 ticks
+    w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+    clocks = sp.BernoulliClocks(rates=np.array([1e-3, 1e-300]))
+    with pytest.raises(TickBudgetExceeded):
+        sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=10**4 + 10)
+    trace = sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=2)
+    assert len(trace.spreads) == 3
+    # certain clocks (probability 1) need exactly one tick per event
+    sure = sp.BernoulliClocks(rates=np.array([1.0, 0.5]))
+    assert len(sp.simulate_async(w, sure, np.array([0.0, 1.0]),
+                                 steps=5).events) == 5

@@ -208,13 +208,18 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 @pytest.mark.parametrize("name,kind", [("readme_product", "product"),
                                        ("async_periodic_graph", "async"),
                                        ("lineq_converged", "lineq"),
-                                       ("lineq_exhausted", "lineq")])
+                                       ("lineq_exhausted", "lineq"),
+                                       ("certify_markov", "certify"),
+                                       ("product_markov", "product"),
+                                       ("async_poisson", "async")])
 def test_golden_outputs(tmp_path, name, kind):
     # each case was recorded before the change it guards: product and async
     # (a zero-diagonal, periodic graph) before the averaging builder moved to
     # graphs; lineq before the solver moved to plain arrays, one run
     # converging with record_every 7 and two norm windows, one stopping at
-    # max_iters 23, off its record_every 5 grid
+    # max_iters 23, off its record_every 5 grid; a Markov-signal certify
+    # with 24 trials, a Markov-modulated product and a Poisson-clock async
+    # run before the sampling and simulation loops were batched
     case = os.path.join(DATA, name)
     code = run_cli(kind, os.path.join(case, "config.json"), tmp_path)
     assert code == (3 if name == "lineq_exhausted" else 0)
@@ -282,6 +287,15 @@ BAD_FIELDS = {
     "certify-x0-text": ("certify", {"x0": "abc"}, "'x0': bad value 'abc'"),
     "async-delta-text": ("async", {"clock": "poisson", "delta": "x"},
                          "'delta': bad value 'x'"),
+    "async-steps-negative": ("async", {"steps": -3},
+                             "steps must be at least 0"),
+    "async-clocks-almost-never-fire": ("async", {"clock": "poisson",
+                                                 "rates": 1e-12},
+                                       "over the budget of"),
+    "classify-labels-number": ("classify", {"labels": 5},
+                               "one label per matrix"),
+    "lineq-check_connectivity-text": ("lineq", {"check_connectivity": "false"},
+                                      "'check_connectivity': bad value 'false'"),
 }
 
 
@@ -294,6 +308,16 @@ def test_bad_field_values_are_validation_errors(tmp_path, capfd, kind, fields,
     err = capfd.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_check_connectivity_reads_a_json_boolean(tmp_path, capsys):
+    # no graph of the set is strongly connected: only the check refuses it
+    cfg = {**TINY_CONFIGS["lineq"], "max_iters": 5,
+           "graphs": [{"n": 2, "edges": [[0, 0], [1, 1], [0, 1]]}]}
+    assert run_cli("lineq", write(tmp_path / "on.json", cfg), tmp_path / "a") == 2
+    assert "no strongly connected window" in capsys.readouterr().err
+    off = write(tmp_path / "off.json", {**cfg, "check_connectivity": False})
+    assert run_cli("lineq", off, tmp_path / "b") in (0, 3)
 
 
 def test_non_finite_system_is_validation_error(tmp_path, capfd):
