@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__, jsonio
 from . import agreement, equations, graphs, lyapunov, matrices, products
 from .errors import ConfigParse, StochprodError
+from .jsonio import _field
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -43,16 +44,6 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 _array = partial(np.asarray, dtype=float)
-
-
-def _field(params: dict, key: str, convert, default=None):
-    """``convert(params[key])``, ``default`` standing in for an absent key
-    unless None; a value ``convert`` rejects raises ``ConfigParse``."""
-    value = params[key] if default is None else params.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"config field {key!r}: bad value {value!r}") from exc
 
 
 def _json_bool(value) -> bool:
@@ -128,9 +119,9 @@ def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
 
 def _run_classify(config: ExperimentConfig):
     p = config.params
-    mats = [jsonio.matrix_from_json(m) for m in p.get("matrices", [])]
-    if not mats:
+    if not isinstance(p.get("matrices"), list) or not p["matrices"]:
         raise ConfigParse("classify needs a nonempty 'matrices' list")
+    mats = [jsonio.matrix_from_json(m) for m in p["matrices"]]
     labels = p.get("labels") or [f"M{i}" for i in range(len(mats))]
     if not isinstance(labels, list) or len(labels) != len(mats):
         raise ConfigParse("'labels' must be a list with one label per matrix")

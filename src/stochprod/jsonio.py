@@ -41,13 +41,23 @@ def matrix_to_json(matrix: StochasticMatrix) -> dict:
     return {"n": matrix.n, "rows": matrix.entries.tolist()}
 
 
+def _field(params: dict, key: str, convert, default=None):
+    """``convert(params[key])``, ``default`` standing in for an absent key
+    unless None; a value ``convert`` rejects raises ``ConfigParse``."""
+    value = params[key] if default is None else params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigParse(f"config field {key!r}: bad value {value!r}") from exc
+
+
 def matrix_from_json(obj) -> StochasticMatrix:
     try:
         rows = obj["rows"]
     except (TypeError, KeyError) as exc:
         raise ConfigParse("matrix object needs a 'rows' field") from exc
     m = StochasticMatrix(rows)
-    if "n" in obj and int(obj["n"]) != m.n:
+    if "n" in obj and _field(obj, "n", int) != m.n:
         raise ConfigParse(f"matrix declares n={obj['n']} but has {m.n} rows")
     return m
 
@@ -69,7 +79,7 @@ def model_from_json(obj, matrix_set: FiniteMatrixSet | None = None) -> SequenceM
         variant = obj["variant"]
     except (TypeError, KeyError) as exc:
         raise ConfigParse("model object needs a 'variant' field") from exc
-    seed = int(obj.get("seed", 0))
+    seed = _field(obj, "seed", int, 0)
     if matrix_set is None and obj.get("set"):
         matrix_set = FiniteMatrixSet(
             tuple(matrix_from_json(m) for m in obj["set"]))

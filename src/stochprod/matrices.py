@@ -17,6 +17,7 @@ are nested, and membership depends only on the pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -204,35 +205,20 @@ def pattern_is_sia(mask: np.ndarray) -> bool:
     return graphs.component_period(adj, members) == 1
 
 
-def _pattern_powers(mask):
-    """Walk the boolean powers A, A^2, ... of a pattern.
-
-    Yields ``(k, A^k, j)`` with j the least exponent of a power equal to
-    A^k; the powers live in a finite set, so the walk ends at the first
-    repeat, the first k with j < k.
-    """
-    base = np.asarray(mask, dtype=bool).astype(np.int32)
-    seen = {}
-    power, k = base > 0, 1
-    while True:
-        first = seen.setdefault(power.tobytes(), k)
-        yield k, power, first
-        if first < k:
-            return
-        power = (power.astype(np.int32) @ base) > 0
-        k += 1
-
-
 def pattern_cycle_length(mask: np.ndarray) -> int:
     """Cycle length of the sequence of boolean pattern powers.
 
     The pattern of A^k is the k-th boolean power of A's pattern; the sequence
-    lives in a finite set so it is eventually periodic.  Returns the exact
-    cycle length (1 means the powers' pattern eventually stops changing).
+    lives in a finite set so it is eventually periodic, with cycle length the
+    lcm of the periods of the strongly connected components (Brualdi & Ryser,
+    Combinatorial Matrix Theory, 3.4).  1 means the powers' pattern
+    eventually stops changing.
     """
-    for k, _, first in _pattern_powers(mask):
-        if first < k:
-            return k - first
+    adj = np.asarray(mask, dtype=bool)
+    count, labels = graphs.strongly_connected_components(adj)
+    periods = (graphs.component_period(adj, np.nonzero(labels == c)[0])
+               for c in range(count))
+    return math.lcm(1, *periods)
 
 
 def is_scrambling(matrix) -> bool:
@@ -256,14 +242,18 @@ def scrambling_index(matrix):
     """Smallest m with the m-th pattern power scrambling, or None.
 
     Any product of m stochastic matrices of this matrix's type is scrambling
-    exactly when the m-th boolean pattern power is.  The search walks pattern
-    powers until a repeat proves no power is ever scrambling.
+    exactly when the m-th boolean pattern power is.  Some power scrambles
+    exactly when the pattern is sia (Wolfowitz 1963), so the walk over
+    powers of an sia pattern always ends.
     """
-    for k, power, first in _pattern_powers(pattern_of(matrix)):
-        if first < k:
-            return None
-        if pattern_is_scrambling(power):
-            return k
+    mask = pattern_of(matrix)
+    if not pattern_is_sia(mask):
+        return None
+    base = mask.astype(np.int32)
+    power, k = mask, 1
+    while not pattern_is_scrambling(power):
+        power, k = (power @ base) > 0, k + 1
+    return k
 
 
 def same_type(a, b) -> bool:

@@ -248,3 +248,51 @@ def simulate_product_per_step(model, steps, checkpoints=None, trial=0):
                         spreads=tuple(spreads),
                         seed=sequences.trial_seed(model.seed, trial),
                         steps=int(steps))
+
+
+def pattern_power_walk(mask):
+    """The library's former pattern-power walk: the boolean powers A, A^2,
+    ... walked until one repeats, which must happen because they live in a
+    finite set.  Returns (cycle length of the powers, least k with A^k
+    scrambling or None when no power before the repeat scrambles)."""
+    base = np.asarray(mask, dtype=bool).astype(np.int32)
+    seen, first_scrambling = {}, None
+    power, k = base > 0, 1
+    while power.tobytes() not in seen:
+        seen[power.tobytes()] = k
+        p = power.astype(np.int32)
+        if first_scrambling is None and np.all(p @ p.T > 0):
+            first_scrambling = k
+        power = (p @ base) > 0
+        k += 1
+    return k - seen[power.tobytes()], first_scrambling
+
+
+def planted_pattern(rng, n, kind, zero_diagonal=False):
+    """Pattern of a stochastic matrix (no empty row) of one of three kinds:
+    ``random`` entries; ``cycles``, a permutation-like union of directed
+    cycles on consecutive blocks with a few chords inside blocks; or
+    ``reducible``, the same blocks with extra edges from each block to later
+    ones only, so earlier blocks are transient and can be periodic."""
+    if kind == "random":
+        mask = rng.random((n, n)) < rng.uniform(0.1, 0.7)
+    else:
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)),
+                                  replace=False)) if n > 1 else []
+        bounds = [0, *map(int, cuts), n]
+        mask = np.zeros((n, n), dtype=bool)
+        for a, b in zip(bounds, bounds[1:]):
+            size = b - a
+            for i in range(size):
+                mask[a + i, a + (i + 1) % size] = True
+            if size > 2 and rng.random() < 0.5:
+                i, j = rng.integers(size, size=2)
+                mask[a + i, a + j] = True
+            if kind == "reducible" and b < n:
+                mask[rng.integers(a, b), rng.integers(b, n)] = True
+    if zero_diagonal:
+        np.fill_diagonal(mask, False)
+    for i in np.nonzero(~mask.any(axis=1))[0]:
+        others = [j for j in range(n) if j != i] or [i]
+        mask[i, rng.choice(others)] = True
+    return mask

@@ -211,7 +211,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
                                        ("lineq_exhausted", "lineq"),
                                        ("certify_markov", "certify"),
                                        ("product_markov", "product"),
-                                       ("async_poisson", "async")])
+                                       ("async_poisson", "async"),
+                                       ("classify_periods", "classify")])
 def test_golden_outputs(tmp_path, name, kind):
     # each case was recorded before the change it guards: product and async
     # (a zero-diagonal, periodic graph) before the averaging builder moved to
@@ -219,7 +220,10 @@ def test_golden_outputs(tmp_path, name, kind):
     # converging with record_every 7 and two norm windows, one stopping at
     # max_iters 23, off its record_every 5 grid; a Markov-signal certify
     # with 24 trials, a Markov-modulated product and a Poisson-clock async
-    # run before the sampling and simulation loops were batched
+    # run before the sampling and simulation loops were batched; a classify
+    # run over periods 1 to 28 (cycles of lengths 4 and 6, periodic and
+    # nilpotent transient classes, zero diagonals, a sparse n = 120 matrix)
+    # before the period came from the strongly connected components
     case = os.path.join(DATA, name)
     code = run_cli(kind, os.path.join(case, "config.json"), tmp_path)
     assert code == (3 if name == "lineq_exhausted" else 0)
@@ -296,6 +300,21 @@ BAD_FIELDS = {
                                "one label per matrix"),
     "lineq-check_connectivity-text": ("lineq", {"check_connectivity": "false"},
                                       "'check_connectivity': bad value 'false'"),
+    "classify-matrix-n-text": ("classify", {"matrices": [{"n": "x", "rows": SCRAM}]},
+                               "'n': bad value 'x'"),
+    "classify-matrix-n-null": ("classify", {"matrices": [{"n": None, "rows": SCRAM}]},
+                               "'n': bad value None"),
+    "classify-matrices-number": ("classify", {"matrices": 5},
+                                 "nonempty 'matrices' list"),
+    "product-model-seed-text": ("product", {"model": {
+        **TINY_CONFIGS["product"]["model"], "seed": "abc"}},
+                                "'seed': bad value 'abc'"),
+    "certify-signal-seed-null": ("certify", {"signal": {
+        **TINY_CONFIGS["certify"]["signal"], "seed": None}},
+                                 "'seed': bad value None"),
+    "lineq-graph_model-seed-list": ("lineq", {"graph_model": {
+        **TINY_CONFIGS["lineq"]["graph_model"], "seed": [1]}},
+                                    "'seed': bad value [1]"),
 }
 
 

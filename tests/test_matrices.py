@@ -13,6 +13,8 @@ from stochprod.errors import (
 )
 
 from helpers import (
+    pattern_power_walk,
+    planted_pattern,
     powers_converge_to_rank_one,
     random_pattern_stochastic,
     random_stochastic,
@@ -135,12 +137,14 @@ class TestPatternPeriod:
         assert sp.pattern_period(m) == 2
 
     def test_permutation_with_mixed_cycles(self):
-        # cycles of lengths 2 and 3: pattern powers recur with the lcm
-        perm = [1, 0, 3, 4, 2]
-        m = np.zeros((5, 5))
-        for i, j in enumerate(perm):
-            m[i, j] = 1.0
-        assert sp.pattern_period(sp.StochasticMatrix(m)) == 6
+        # cycles of lengths 2 and 3, then 4 and 6 (lcm 12, not the product
+        # 24 or the max 6): pattern powers recur with the lcm
+        for perm, period in (([1, 0, 3, 4, 2], 6),
+                             ([1, 2, 3, 0, 5, 6, 7, 8, 9, 4], 12)):
+            m = np.zeros((len(perm), len(perm)))
+            for i, j in enumerate(perm):
+                m[i, j] = 1.0
+            assert sp.pattern_period(sp.StochasticMatrix(m)) == period
 
 
 class TestScramblingIndex:
@@ -349,3 +353,21 @@ def test_classify_consistent_with_predicates(n, seed):
     assert cls.is_sia == sp.is_sia(a)
     assert cls.is_markov == sp.is_markov(a)
     assert cls.period == sp.pattern_period(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.sampled_from(["random", "cycles", "reducible"]),
+       st.booleans(), st.integers(0, 10**6))
+def test_pattern_period_and_scrambling_index_match_power_walk(n, kind, zero_diag,
+                                                              seed):
+    # the lcm of the component periods and the sia-gated index against the
+    # walk over boolean powers up to their first repeat
+    rng = np.random.default_rng(seed)
+    mask = planted_pattern(rng, n, kind, zero_diagonal=zero_diag)
+    cycle_length, first_scrambling = pattern_power_walk(mask)
+    m = random_pattern_stochastic(rng, mask)
+    assert sp.matrices.pattern_cycle_length(mask) == cycle_length
+    assert sp.pattern_period(m) == cycle_length
+    index = sp.scrambling_index(m)
+    assert index == first_scrambling
+    assert sp.matrices.pattern_is_sia(mask) == (index is not None)
