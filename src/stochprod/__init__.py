@@ -93,4 +93,35 @@ from .sequences import (
     window_class_probability,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names; the submodules stay reachable as attributes (sp.errors)
+__all__ = [
+    # agreement
+    "AgreementTrace", "BernoulliClocks", "HierarchicalPartition",
+    "PoissonClocks", "UpdateEvent", "async_update_matrix",
+    "hierarchical_partition", "hierarchical_product", "hierarchical_sequence",
+    "hierarchical_word_count", "simulate_async",
+    # equations
+    "GraphSequenceModel", "PartitionedLinearSystem", "ProjectionSet",
+    "SolverReport", "averaging_matrix", "error_transition", "initial_estimate",
+    "initial_state", "kernel_projection", "kernel_projections",
+    "mixed_matrix_norm", "run_solver", "smallest_contracting_window", "step",
+    "window_connectivity_probability",
+    # graphs
+    "DirectedGraph", "compose", "is_rooted", "is_strongly_connected", "roots",
+    # lyapunov
+    "DecayReport", "FiniteStepCertificate", "LyapunovFunction", "SphereGrid",
+    "SwitchedSystem", "certify_contraction", "expected_lyapunov", "inf_norm",
+    "monte_carlo_decay",
+    # matrices
+    "MatrixClass", "StochasticMatrix", "backward_product", "classify",
+    "graph_of", "is_markov", "is_scrambling", "is_sia", "pattern_period",
+    "same_type", "scrambling_index", "spread", "tau", "validate",
+    # products
+    "BlockEstimate", "ProductTrace", "RateReport", "block_decay_estimate",
+    "default_checkpoints", "find_scrambling_window", "fit_empirical_rate",
+    "simulate_product", "window_rate_bound",
+    # sequences
+    "FiniteMatrixSet", "IIDModel", "MarkovModulatedModel", "ScriptedModel",
+    "min_positive_entry", "sample", "stationary_distribution", "trial_seed",
+    "window_class_probability",
+]

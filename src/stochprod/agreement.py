@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graphs import DirectedGraph
 from .matrices import StochasticMatrix
-from .sequences import trial_seed
+from .sequences import _check_seed, trial_seed
 
 __all__ = [
     "BernoulliClocks",
@@ -55,6 +55,7 @@ class BernoulliClocks:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         r = np.asarray(self.rates, dtype=float)
         if not np.all((r > 0) & (r <= 1)):
             raise InvalidDistribution("Bernoulli rates must lie in (0, 1]")
@@ -75,6 +76,7 @@ class PoissonClocks:
     delta: float = 1.0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         r = np.asarray(self.rates, dtype=float)
         if not np.all(np.isfinite(r) & (r > 0)):
             raise InvalidDistribution(

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, jsonio
 from . import agreement, equations, graphs, lyapunov, matrices, products
 from .errors import ConfigParse, StochprodError
-from .jsonio import _field
+from .jsonio import _field, _integer
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -86,7 +86,7 @@ def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             params[key] = value
-    seed = _field(params, "seed", int, 0)
+    seed = _field(params, "seed", _integer, 0)
     params["seed"] = seed
     out_dir = params.pop("out", "out")
     return ExperimentConfig(kind=kind, params=params, seed=seed, out_dir=out_dir)
@@ -149,14 +149,15 @@ def _run_certify(config: ExperimentConfig):
         raise ConfigParse(f"certify config missing field {exc}") from exc
     system = lyapunov.SwitchedSystem(modes=tuple(modes), signal=signal)
     v = lyapunov.inf_norm()
-    grid = lyapunov.SphereGrid(resolution=_field(p, "grid_resolution", int, 101),
-                               seed=config.seed)
+    grid = lyapunov.SphereGrid(
+        resolution=_field(p, "grid_resolution", _integer, 101), seed=config.seed)
     cert = lyapunov.certify_contraction(
-        system, v, horizon_max=_field(p, "horizon_max", int, 8), grid=grid)
+        system, v, horizon_max=_field(p, "horizon_max", _integer, 8), grid=grid)
     x0 = _field(p, "x0", _array, np.ones(system.dimension))
     report, history = lyapunov.monte_carlo_decay(
-        system, v, x0, steps=_field(p, "steps", int, 50),
-        trials=_field(p, "trials", int, 100), tol=_field(p, "tol", float, 1e-8),
+        system, v, x0, steps=_field(p, "steps", _integer, 50),
+        trials=_field(p, "trials", _integer, 100),
+        tol=_field(p, "tol", float, 1e-8),
         keep_history=True)
     qs = np.quantile(history, [0.1, 0.5, 0.9], axis=0)
     means = history.mean(axis=0)
@@ -181,13 +182,13 @@ def _run_product(config: ExperimentConfig):
         model = jsonio.model_from_json(p["model"])
     except KeyError as exc:
         raise ConfigParse(f"product config missing field {exc}") from exc
-    steps = _field(p, "steps", int, 10000)
+    steps = _field(p, "steps", _integer, 10000)
     tol = _field(p, "tol", float, 1e-8)
     if "window" in p:
-        report = products.window_rate_bound(model, _field(p, "window", int))
+        report = products.window_rate_bound(model, _field(p, "window", _integer))
     else:
         report = products.find_scrambling_window(
-            model, _field(p, "window_max", int, 8))
+            model, _field(p, "window_max", _integer, 8))
     trace = products.simulate_product(model, steps=steps)
     try:
         report = report.with_empirical(products.fit_empirical_rate(trace))
@@ -229,7 +230,7 @@ def _run_async(config: ExperimentConfig):
     else:
         raise ConfigParse(f"unknown clock kind {clock_kind!r}")
     x0 = _field(p, "x0", _array, np.arange(n) / max(n - 1, 1))
-    steps = _field(p, "steps", int, 5000)
+    steps = _field(p, "steps", _integer, 5000)
     tol = _field(p, "tol", float, 1e-8)
     trace = agreement.simulate_async(w, clocks, x0, steps=steps,
                                      record_events=False)
@@ -252,14 +253,15 @@ def _run_lineq(config: ExperimentConfig):
         raise ConfigParse(f"lineq config missing field {exc}") from exc
     system = equations.PartitionedLinearSystem(blocks=tuple(blocks))
     gmodel = equations.GraphSequenceModel(
-        graph_set=graph_set, model=graph_model, window=_field(p, "window", int, 1))
+        graph_set=graph_set, model=graph_model,
+        window=_field(p, "window", _integer, 1))
     report = equations.run_solver(
         system, gmodel,
-        max_iters=_field(p, "max_iters", int, 100000),
+        max_iters=_field(p, "max_iters", _integer, 100000),
         tol=_field(p, "tol", float, 1e-8),
         check_connectivity=_field(p, "check_connectivity", _json_bool, True),
-        record_every=_field(p, "record_every", int, 1),
-        norm_windows=_field(p, "norm_windows", int, 0))
+        record_every=_field(p, "record_every", _integer, 1),
+        norm_windows=_field(p, "norm_windows", _integer, 0))
     rows = [[k, repr(d), repr(r)] for k, d, r in report.history]
     summary = {
         "converged": report.converged, "iterations": report.iterations,

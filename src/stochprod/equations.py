@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import graphs as graphlib
 from . import matrices, sequences
@@ -140,9 +139,6 @@ class ProjectionSet:
             raise InvalidDistribution("projection is not idempotent")
         ps.flags.writeable = False
         object.__setattr__(self, "projections", ps)
-
-    def block_diagonal(self) -> np.ndarray:
-        return block_diag(*self.projections)
 
 
 def kernel_projections(system: PartitionedLinearSystem) -> ProjectionSet:

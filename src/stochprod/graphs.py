@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NoInNeighbor
 
@@ -87,7 +85,8 @@ def compose(g2: DirectedGraph, g1: DirectedGraph) -> DirectedGraph:
     (i1, j) in g2."""
     if g1.n != g2.n:
         raise DimensionMismatch("composition needs equal vertex counts")
-    prod = adjacency(g1).astype(np.int32) @ adjacency(g2).astype(np.int32)
+    # float32 path counts are exact (at most n < 2**24) and go through BLAS
+    prod = adjacency(g1).astype(np.float32) @ adjacency(g2).astype(np.float32)
     return DirectedGraph.from_adjacency(prod > 0)
 
 
@@ -95,15 +94,52 @@ def strongly_connected_components(adj: np.ndarray):
     """Component labels for a boolean adjacency matrix.
 
     Returns ``(count, labels)`` where labels[v] identifies v's strongly
-    connected component.
+    connected component.  Tarjan's algorithm (1972) with an explicit work
+    stack in place of recursion; components are labelled in the order they
+    complete, which is a reverse topological order of the condensation.
     """
     adj = np.asarray(adj, dtype=bool)
     n = adj.shape[0]
-    if n == 0:
-        return 0, np.zeros(0, dtype=int)
-    count, labels = connected_components(
-        csr_matrix(adj), directed=True, connection="strong")
-    return count, labels
+    succ = [row.nonzero()[0].tolist() for row in adj]
+    index = [-1] * n      # discovery order
+    low = [0] * n         # smallest index reachable through the DFS subtree
+    labels = [-1] * n     # -1 while the vertex is on Tarjan's stack or unseen
+    stack, count, seen = [], 0, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        work = [(root, 0)]  # (vertex, position in its successor list)
+        while work:
+            v, i = work[-1]
+            succs = succ[v]
+            while i < len(succs):
+                w = succs[i]
+                i += 1
+                if index[w] < 0:
+                    work[-1] = (v, i)
+                    index[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    work.append((w, 0))
+                    break
+                if labels[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        labels[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+    return count, np.array(labels, dtype=int)
 
 
 def closed_components(adj: np.ndarray):

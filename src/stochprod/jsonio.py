@@ -41,6 +41,16 @@ def matrix_to_json(matrix: StochasticMatrix) -> dict:
     return {"n": matrix.n, "rows": matrix.entries.tolist()}
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a float with a fractional part rather than
+    truncating it, and a JSON boolean; an integral float such as
+    ``60000.0`` is read as is."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _field(params: dict, key: str, convert, default=None):
     """``convert(params[key])``, ``default`` standing in for an absent key
     unless None; a value ``convert`` rejects raises ``ConfigParse``."""
@@ -57,7 +67,7 @@ def matrix_from_json(obj) -> StochasticMatrix:
     except (TypeError, KeyError) as exc:
         raise ConfigParse("matrix object needs a 'rows' field") from exc
     m = StochasticMatrix(rows)
-    if "n" in obj and _field(obj, "n", int) != m.n:
+    if "n" in obj and _field(obj, "n", _integer) != m.n:
         raise ConfigParse(f"matrix declares n={obj['n']} but has {m.n} rows")
     return m
 
@@ -68,8 +78,8 @@ def graph_to_json(graph: DirectedGraph) -> dict:
 
 def graph_from_json(obj) -> DirectedGraph:
     try:
-        return DirectedGraph(int(obj["n"]),
-                             frozenset((int(i), int(j)) for i, j in obj["edges"]))
+        return DirectedGraph(_integer(obj["n"]), frozenset(
+            (_integer(i), _integer(j)) for i, j in obj["edges"]))
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigParse(f"bad graph object: {exc}") from exc
 
@@ -79,7 +89,7 @@ def model_from_json(obj, matrix_set: FiniteMatrixSet | None = None) -> SequenceM
         variant = obj["variant"]
     except (TypeError, KeyError) as exc:
         raise ConfigParse("model object needs a 'variant' field") from exc
-    seed = _field(obj, "seed", int, 0)
+    seed = _field(obj, "seed", _integer, 0)
     if matrix_set is None and obj.get("set"):
         matrix_set = FiniteMatrixSet(
             tuple(matrix_from_json(m) for m in obj["set"]))
@@ -93,7 +103,7 @@ def model_from_json(obj, matrix_set: FiniteMatrixSet | None = None) -> SequenceM
                 transition=np.asarray(obj["transition"], dtype=float),
                 seed=seed, matrix_set=matrix_set)
         if variant == "scripted":
-            return ScriptedModel(indices=tuple(int(i) for i in obj["indices"]),
+            return ScriptedModel(indices=tuple(map(_integer, obj["indices"])),
                                  seed=seed, matrix_set=matrix_set)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParse(f"bad {variant!r} model object: {exc}") from exc

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import matrices, sequences
 from .errors import DimensionMismatch, InvalidDistribution, NoCertificate
@@ -116,6 +115,7 @@ class SphereGrid:
     def __post_init__(self):
         if self.resolution < 1 or self.points_per_face < 1:
             raise InvalidDistribution("grid sizes must be at least 1")
+        sequences._check_seed(self.seed)
 
     def points(self, n: int) -> np.ndarray:
         if n < 1:
@@ -133,6 +133,8 @@ class SphereGrid:
                     pts[:, 1 - axis] = t
                     faces.append(pts)
         else:
+            # the package's only scipy use; the cube-vertex grid (ROADMAP 1) drops it
+            from scipy.stats import qmc
             sob = qmc.Sobol(d=n - 1, scramble=True, seed=self.seed)
             for axis in range(n):
                 for sign in (1.0, -1.0):

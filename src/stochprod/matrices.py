@@ -181,9 +181,10 @@ def spread(x) -> float:
 
 def pattern_is_scrambling(mask: np.ndarray) -> bool:
     """Every pair of rows shares a column where both are positive."""
-    m = np.asarray(mask, dtype=bool)
-    share = m.astype(np.int32) @ m.astype(np.int32).T
-    return bool(np.all(share > 0))
+    # float32 counts of shared columns are exact (at most n < 2**24), and
+    # unlike integer products they go through BLAS
+    m = np.asarray(mask, dtype=bool).astype(np.float32)
+    return bool(np.all(m @ m.T > 0))
 
 
 def pattern_is_markov(mask: np.ndarray) -> bool:
@@ -191,18 +192,31 @@ def pattern_is_markov(mask: np.ndarray) -> bool:
     return bool(np.asarray(mask, dtype=bool).all(axis=0).any())
 
 
-def pattern_is_sia(mask: np.ndarray) -> bool:
-    """Powers converge to identical rows: there is exactly one closed
-    strongly connected class and it is aperiodic.
+def _sia_and_cycle_length(mask: np.ndarray, cycle_length: bool):
+    """One component labelling of the walk digraph (edge i -> j when entry
+    (i, j) is positive) for both pattern predicates below.
 
-    The walk digraph here has an edge i -> j when entry (i, j) is positive.
+    Returns ``(sia, length)``: ``sia`` says there is exactly one closed
+    strongly connected class and it is aperiodic; ``length`` is the lcm of
+    every component's period when ``cycle_length``, else None and only the
+    closed class's period is computed.
     """
     adj = np.asarray(mask, dtype=bool)
     closed, labels = graphs.closed_components(adj)
-    if len(closed) != 1:
-        return False
-    members = np.nonzero(labels == closed[0])[0]
-    return graphs.component_period(adj, members) == 1
+    if cycle_length:
+        wanted = range(int(labels.max()) + 1 if labels.size else 0)
+    else:
+        wanted = closed if len(closed) == 1 else []
+    periods = {c: graphs.component_period(adj, np.nonzero(labels == c)[0])
+               for c in wanted}
+    sia = len(closed) == 1 and periods[closed[0]] == 1
+    return sia, math.lcm(1, *periods.values()) if cycle_length else None
+
+
+def pattern_is_sia(mask: np.ndarray) -> bool:
+    """Powers converge to identical rows: there is exactly one closed
+    strongly connected class and it is aperiodic."""
+    return _sia_and_cycle_length(mask, cycle_length=False)[0]
 
 
 def pattern_cycle_length(mask: np.ndarray) -> int:
@@ -214,11 +228,7 @@ def pattern_cycle_length(mask: np.ndarray) -> int:
     Combinatorial Matrix Theory, 3.4).  1 means the powers' pattern
     eventually stops changing.
     """
-    adj = np.asarray(mask, dtype=bool)
-    count, labels = graphs.strongly_connected_components(adj)
-    periods = (graphs.component_period(adj, np.nonzero(labels == c)[0])
-               for c in range(count))
-    return math.lcm(1, *periods)
+    return _sia_and_cycle_length(mask, cycle_length=True)[1]
 
 
 def is_scrambling(matrix) -> bool:
@@ -249,10 +259,10 @@ def scrambling_index(matrix):
     mask = pattern_of(matrix)
     if not pattern_is_sia(mask):
         return None
-    base = mask.astype(np.int32)
+    base = mask.astype(np.float32)  # exact path counts, BLAS product
     power, k = mask, 1
     while not pattern_is_scrambling(power):
-        power, k = (power @ base) > 0, k + 1
+        power, k = (power.astype(np.float32) @ base) > 0, k + 1
     return k
 
 
@@ -266,11 +276,12 @@ def same_type(a, b) -> bool:
 
 def classify(matrix) -> MatrixClass:
     mask = pattern_of(matrix)
+    sia, period = _sia_and_cycle_length(mask, cycle_length=True)
     return MatrixClass(
         is_scrambling=pattern_is_scrambling(mask),
-        is_sia=pattern_is_sia(mask),
+        is_sia=sia,
         is_markov=pattern_is_markov(mask),
-        period=pattern_cycle_length(mask),
+        period=period,
     )
 
 

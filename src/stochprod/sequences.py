@@ -56,6 +56,12 @@ _PATTERN_TESTS = {
 }
 
 
+def _check_seed(seed: int):
+    """Seeds are nonnegative: numpy's generators refuse negative ones."""
+    if seed < 0:
+        raise InvalidDistribution(f"seed must be nonnegative, got {seed}")
+
+
 def trial_seed(seed: int, trial: int) -> int:
     """Stream-split rule: Monte Carlo trial t runs on ``seed ^ t``."""
     return int(seed) ^ int(trial)
@@ -159,6 +165,7 @@ class IIDModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
+        _check_seed(self.seed)
         object.__setattr__(self, "weights", _check_distribution(self.weights, "weights"))
 
     @property
@@ -190,6 +197,7 @@ class MarkovModulatedModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
+        _check_seed(self.seed)
         v = _check_distribution(self.initial, "initial distribution")
         t = np.asarray(self.transition, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] != v.size:
@@ -247,6 +255,7 @@ class ScriptedModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
+        _check_seed(self.seed)
         idx = tuple(int(i) for i in self.indices)
         if not idx:
             raise InvalidDistribution("a script needs at least one index")

@@ -3,6 +3,9 @@
 import itertools
 
 import numpy as np
+from scipy.linalg import block_diag
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from stochprod.matrices import StochasticMatrix, entries_of, tau
 
@@ -296,3 +299,27 @@ def planted_pattern(rng, n, kind, zero_diagonal=False):
         others = [j for j in range(n) if j != i] or [i]
         mask[i, rng.choice(others)] = True
     return mask
+
+
+def block_diagonal(projs):
+    """Dense block-diagonal matrix of a ProjectionSet's projections, for the
+    kron reference of the error system."""
+    return block_diag(*projs.projections)
+
+
+def scipy_components(adj):
+    """scipy's strongly connected components of a boolean adjacency matrix:
+    the library's former implementation, now the oracle of its Tarjan
+    search.  Returns (count, labels)."""
+    adj = np.asarray(adj, dtype=bool)
+    if adj.shape[0] == 0:
+        return 0, np.zeros(0, dtype=int)
+    return connected_components(csr_matrix(adj), directed=True,
+                                connection="strong")
+
+
+def canonical_partition(labels):
+    """A labelling up to relabelling: each label replaced by the first
+    vertex that carries it."""
+    first = {}
+    return [first.setdefault(int(c), v) for v, c in enumerate(labels)]

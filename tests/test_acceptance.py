@@ -12,6 +12,7 @@ import pytest
 import stochprod as sp
 
 from helpers import (
+    block_diagonal,
     figure_network,
     random_rooted_graph,
     random_stochastic,
@@ -329,7 +330,7 @@ def test_criterion_8_error_system_equivalence():
         word = gmodel.sample_graphs(100, trial=trial)
         est = sp.initial_state(system)
         err = (est - x_star[None, :]).reshape(-1)
-        p = projections.block_diagonal()
+        p = block_diagonal(projections)
         for g in word:
             est = sp.step(est, g, projections)
             err = p @ np.kron(sp.averaging_matrix(g), np.eye(m)) @ p @ err

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -315,6 +317,25 @@ BAD_FIELDS = {
     "lineq-graph_model-seed-list": ("lineq", {"graph_model": {
         **TINY_CONFIGS["lineq"]["graph_model"], "seed": [1]}},
                                     "'seed': bad value [1]"),
+    "product-model-seed-negative": ("product", {"model": {
+        **TINY_CONFIGS["product"]["model"], "seed": -1}},
+                                    "seed must be nonnegative, got -1"),
+    "async-seed-negative": ("async", {"seed": -3},
+                            "seed must be nonnegative, got -3"),
+    "classify-matrix-n-fraction": ("classify", {"matrices": [{"n": 2.7,
+                                                              "rows": SCRAM}]},
+                                   "'n': bad value 2.7"),
+    "classify-seed-fraction": ("classify", {"seed": 1.9},
+                               "'seed': bad value 1.9"),
+    "lineq-graph_model-seed-fraction": ("lineq", {"graph_model": {
+        **TINY_CONFIGS["lineq"]["graph_model"], "seed": 0.5}},
+                                        "'seed': bad value 0.5"),
+    "product-steps-fraction": ("product", {"steps": 2.5},
+                               "'steps': bad value 2.5"),
+    "product-window-fraction": ("product", {"window": 1.5},
+                                "'window': bad value 1.5"),
+    "product-steps-boolean": ("product", {"steps": True},
+                              "'steps': bad value True"),
 }
 
 
@@ -327,6 +348,28 @@ def test_bad_field_values_are_validation_errors(tmp_path, capfd, kind, fields,
     err = capfd.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    cfg = {**TINY_CONFIGS["product"], "steps": 8.0, "window": 1.0,
+           "seed": 3.0}
+    code = run_cli("product", write(tmp_path / "c.json", cfg), tmp_path / "o")
+    assert code == 3  # eight steps do not reach the tolerance
+    summary, _ = read_outputs(tmp_path / "o")
+    assert summary["seed"] == 3 and summary["results"]["steps"] == 8
+    assert summary["results"]["h"] == 1
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only import-time dependency; scipy is imported only by
+    # the certificate grid of dimension 3 and up
+    probe = ("import sys, stochprod, stochprod.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 def test_check_connectivity_reads_a_json_boolean(tmp_path, capsys):

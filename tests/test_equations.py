@@ -12,6 +12,8 @@ from stochprod.errors import (
     NonFiniteEntry,
 )
 
+from helpers import block_diagonal
+
 
 def complete_graph(n):
     return sp.DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n)))
@@ -128,7 +130,7 @@ class TestInitialEstimates:
 
 def kron_factor(graph, projs):
     """Dense reference factor P (W kron I) P of the error system."""
-    p = projs.block_diagonal()
+    p = block_diagonal(projs)
     m = projs.projections[0].shape[0]
     return p @ np.kron(sp.averaging_matrix(graph), np.eye(m)) @ p
 
@@ -213,7 +215,7 @@ class TestErrorTransition:
     def test_self_loops_only_gives_projections(self):
         projs = sp.kernel_projections(HAND_SYSTEM)
         phi, norm = sp.error_transition([self_loops_only(2)], projs)
-        np.testing.assert_allclose(phi, projs.block_diagonal(), atol=1e-14)
+        np.testing.assert_allclose(phi, block_diagonal(projs), atol=1e-14)
         assert norm <= 1.0 + 1e-10
 
     def test_windows_never_expand(self):
@@ -265,7 +267,7 @@ class TestErrorTransition:
             x = sp.initial_state(system)
             m = system.m
             err = (x - x_star[None, :]).reshape(-1)
-            p = projs.block_diagonal()
+            p = block_diagonal(projs)
             for g in graphs:
                 x = sp.step(x, g, projs)
                 w = sp.averaging_matrix(g)

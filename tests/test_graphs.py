@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stochprod as sp
 from stochprod.errors import DimensionMismatch, NoInNeighbor
@@ -9,9 +11,17 @@ from stochprod.graphs import (
     bfs_levels,
     closed_components,
     component_period,
+    strongly_connected_components,
 )
 
-from helpers import figure_network, random_rooted_graph, uniform_weights
+from helpers import (
+    canonical_partition,
+    figure_network,
+    planted_pattern,
+    random_rooted_graph,
+    scipy_components,
+    uniform_weights,
+)
 
 
 def complete_graph(n):
@@ -163,3 +173,35 @@ class TestInternals:
         assert component_period(aperiodic, range(6)) == 1
         self_loop = np.array([[1]], dtype=bool)
         assert component_period(self_loop, [0]) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 12),
+       st.sampled_from(["random", "cycles", "reducible", "sparse"]),
+       st.booleans(), st.integers(0, 10**6))
+@example(0, "random", False, 0)
+def test_tarjan_matches_scipy_components(n, kind, zero_diag, seed):
+    # same partition as scipy's csgraph up to relabelling, labels 0..count-1
+    # in reverse topological order of the condensation
+    rng = np.random.default_rng(seed)
+    if kind == "sparse" or n == 0:  # empty rows and isolated vertices too
+        adj = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+    else:
+        adj = planted_pattern(rng, n, kind, zero_diagonal=zero_diag)
+    count, labels = strongly_connected_components(adj)
+    ref_count, ref_labels = scipy_components(adj)
+    assert count == ref_count
+    assert canonical_partition(labels) == canonical_partition(ref_labels)
+    assert sorted(set(labels.tolist())) == list(range(count))
+    ii, jj = np.nonzero(adj)
+    assert np.all(labels[ii] >= labels[jj])
+
+
+def test_tarjan_needs_no_recursion_depth():
+    # a 3000-vertex path and cycle: far deeper than Python's recursion limit
+    path = np.eye(3000, k=1, dtype=bool)
+    count, labels = strongly_connected_components(path)
+    assert count == 3000 and labels.tolist() == list(range(2999, -1, -1))
+    cycle = path.copy()
+    cycle[-1, 0] = True
+    assert strongly_connected_components(cycle)[0] == 1

@@ -355,6 +355,30 @@ def test_classify_consistent_with_predicates(n, seed):
     assert cls.period == sp.pattern_period(a)
 
 
+def test_classify_labels_components_once(monkeypatch):
+    # one component labelling and one period per component for all of
+    # classify; the closed class's period is not computed twice
+    calls = {"scc": 0, "period": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sp.graphs, "strongly_connected_components",
+                        counted("scc", sp.graphs.strongly_connected_components))
+    monkeypatch.setattr(sp.graphs, "component_period",
+                        counted("period", sp.graphs.component_period))
+    # transient 2-cycle {0, 1} feeding the closed 3-cycle {2, 3, 4}
+    chain = np.zeros((5, 5))
+    chain[0, 1], chain[1, 0], chain[1, 2] = 1.0, 0.5, 0.5
+    chain[2, 3] = chain[3, 4] = chain[4, 2] = 1.0
+    cls = sp.classify(chain)
+    assert (cls.is_sia, cls.period) == (False, 6)
+    assert calls == {"scc": 1, "period": 2}
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10), st.sampled_from(["random", "cycles", "reducible"]),
        st.booleans(), st.integers(0, 10**6))

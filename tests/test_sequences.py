@@ -68,6 +68,21 @@ class TestModels:
         se = np.sqrt(0.4 * 0.6 / after0.size)
         assert abs(freq1 - 0.4) < 3 * se
 
+    @pytest.mark.parametrize("make", [
+        lambda seed: sp.IIDModel(weights=[1.0], seed=seed),
+        lambda seed: sp.MarkovModulatedModel(initial=[1.0], transition=[[1.0]],
+                                             seed=seed),
+        lambda seed: sp.ScriptedModel(indices=(0,), seed=seed),
+        lambda seed: sp.BernoulliClocks(rates=[0.5], seed=seed),
+        lambda seed: sp.PoissonClocks(rates=[0.5], seed=seed),
+        lambda seed: sp.SphereGrid(seed=seed),
+    ], ids=["iid", "markov", "scripted", "bernoulli", "poisson", "grid"])
+    def test_negative_seed_rejected(self, make):
+        # numpy's generators take only nonnegative seeds
+        make(0)
+        with pytest.raises(InvalidDistribution, match="got -1"):
+            make(-1)
+
 
 class TestWindowProbability:
     def test_single_scrambling_matrix(self):
