@@ -142,7 +142,7 @@ def hierarchical_partition(graph: DirectedGraph, root: int) -> HierarchicalParti
     spanning tree deterministic.  Raises ``NotReachable`` when the root does
     not reach some vertex.
     """
-    adj = graphlib.adjacency(graph)
+    adj = graph.adj
     dist = graphlib.bfs_levels(adj, int(root))
     missing = np.nonzero(dist < 0)[0]
     if missing.size:

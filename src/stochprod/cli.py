@@ -22,14 +22,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import __version__, jsonio
 from . import agreement, equations, graphs, lyapunov, matrices, products
 from .errors import ConfigParse, StochprodError
-from .jsonio import _field, _integer
+from .jsonio import _array, _field, _integer, _number
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -42,9 +41,6 @@ KINDS = tuple(KIND_FLAGS)
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-_array = partial(np.asarray, dtype=float)
-
 
 def _json_bool(value) -> bool:
     if not isinstance(value, bool):
@@ -157,7 +153,7 @@ def _run_certify(config: ExperimentConfig):
     report, history = lyapunov.monte_carlo_decay(
         system, v, x0, steps=_field(p, "steps", _integer, 50),
         trials=_field(p, "trials", _integer, 100),
-        tol=_field(p, "tol", float, 1e-8),
+        tol=_field(p, "tol", _number, 1e-8),
         keep_history=True)
     qs = np.quantile(history, [0.1, 0.5, 0.9], axis=0)
     means = history.mean(axis=0)
@@ -183,7 +179,7 @@ def _run_product(config: ExperimentConfig):
     except KeyError as exc:
         raise ConfigParse(f"product config missing field {exc}") from exc
     steps = _field(p, "steps", _integer, 10000)
-    tol = _field(p, "tol", float, 1e-8)
+    tol = _field(p, "tol", _number, 1e-8)
     if "window" in p:
         report = products.window_rate_bound(model, _field(p, "window", _integer))
     else:
@@ -219,19 +215,19 @@ def _run_async(config: ExperimentConfig):
     else:
         raise ConfigParse("async config needs a 'matrix' or a 'graph'")
     n = w.n
-    rates = _field(p, "rates", lambda r: np.full(n, float(r)) if np.isscalar(r)
+    rates = _field(p, "rates", lambda r: np.full(n, _number(r)) if np.isscalar(r)
                    else _array(r), 0.5)
     clock_kind = p.get("clock", "bernoulli")
     if clock_kind == "bernoulli":
         clocks = agreement.BernoulliClocks(rates=rates, seed=config.seed)
     elif clock_kind == "poisson":
         clocks = agreement.PoissonClocks(rates=rates, seed=config.seed,
-                                         delta=_field(p, "delta", float, 1.0))
+                                         delta=_field(p, "delta", _number, 1.0))
     else:
         raise ConfigParse(f"unknown clock kind {clock_kind!r}")
     x0 = _field(p, "x0", _array, np.arange(n) / max(n - 1, 1))
     steps = _field(p, "steps", _integer, 5000)
-    tol = _field(p, "tol", float, 1e-8)
+    tol = _field(p, "tol", _number, 1e-8)
     trace = agreement.simulate_async(w, clocks, x0, steps=steps,
                                      record_events=False)
     rows = [[k, repr(s)] for k, s in enumerate(trace.spreads)]
@@ -258,7 +254,7 @@ def _run_lineq(config: ExperimentConfig):
     report = equations.run_solver(
         system, gmodel,
         max_iters=_field(p, "max_iters", _integer, 100000),
-        tol=_field(p, "tol", float, 1e-8),
+        tol=_field(p, "tol", _number, 1e-8),
         check_connectivity=_field(p, "check_connectivity", _json_bool, True),
         record_every=_field(p, "record_every", _integer, 1),
         norm_windows=_field(p, "norm_windows", _integer, 0))

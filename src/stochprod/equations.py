@@ -165,7 +165,7 @@ def initial_state(system: PartitionedLinearSystem) -> np.ndarray:
 
 
 def _check_self_arcs(graph: DirectedGraph):
-    if not graphlib.has_all_self_loops(graph):
+    if not graph.adj.diagonal().all():
         raise MissingSelfArc("solver graphs must contain every self-arc")
 
 
@@ -181,7 +181,7 @@ def step(x: np.ndarray, graph: DirectedGraph,
     """One synchronous round of the projected-averaging update: maps the
     (n, m) estimates ``x`` (row i is agent i's x_i) to the next ones."""
     _check_self_arcs(graph)
-    incoming = graphlib.adjacency(graph).T.astype(float)
+    incoming = graph.adj.T.astype(float)
     degrees = incoming.sum(axis=1)
     sums = incoming @ x
     corrections = degrees[:, None] * x - sums
@@ -271,7 +271,7 @@ def window_connectivity_probability(gmodel: GraphSequenceModel,
                                     window: int | None = None) -> float:
     """Exact minimum over window starts of the probability that the window's
     graph composition is strongly connected."""
-    adjs = [graphlib.adjacency(g).T for g in gmodel.graph_set]
+    adjs = [g.adj.T for g in gmodel.graph_set]
     # the engine multiplies later factors on the left, so it builds the
     # transpose of the composition; strong connectivity ignores transposes
     probs = sequences.window_probability(
@@ -293,10 +293,6 @@ class SolverReport:
     fitted_decay: float | None
     window_norms: tuple
     exponential_consistent: bool | None
-
-
-def _disagreement(estimates: np.ndarray) -> float:
-    return float((estimates.max(axis=0) - estimates.min(axis=0)).max())
 
 
 def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
@@ -329,14 +325,14 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     def residual(x):
         return float(np.abs(a_full @ x.mean(axis=0) - b_full).max())
 
-    dis, res = _disagreement(x), residual(x)
+    dis, res = matrices._max_column_spread(x), residual(x)
     history = [(0, dis, res)]
     converged = dis < tol and res < tol
     k = 0
     while not converged and k < max_iters:
         x = step(x, gmodel.graph_set[indices[k]], projections)
         k += 1
-        dis = _disagreement(x)
+        dis = matrices._max_column_spread(x)
         if k % record_every == 0 or dis < tol:
             res = residual(x)
             history.append((k, dis, res))

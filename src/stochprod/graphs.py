@@ -8,8 +8,8 @@ edges, and a *root* is a vertex whose value can influence every other vertex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -17,18 +17,21 @@ from .errors import DimensionMismatch, NoInNeighbor
 
 __all__ = [
     "DirectedGraph",
-    "adjacency",
     "averaging_weights",
     "compose",
     "is_strongly_connected",
     "is_rooted",
     "roots",
-    "has_all_self_loops",
     "strongly_connected_components",
     "closed_components",
     "component_period",
     "bfs_levels",
 ]
+
+
+def _is_vertex(v) -> bool:
+    """An integer, numpy's included, but not a boolean."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,9 @@ class DirectedGraph:
             raise DimensionMismatch("vertex count must be nonnegative")
         adj = np.zeros((self.n, self.n), dtype=bool)
         for (i, j) in self.edges:
+            if not (_is_vertex(i) and _is_vertex(j)):
+                raise DimensionMismatch(f"edge ({i!r}, {j!r}) has a vertex "
+                                        "that is not an integer")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise DimensionMismatch(
                     f"edge ({i}, {j}) outside vertex range 0..{self.n - 1}")
@@ -63,17 +69,11 @@ class DirectedGraph:
         return np.nonzero(self.adj[:, j])[0].tolist()
 
 
-def adjacency(graph: DirectedGraph) -> np.ndarray:
-    """Read-only boolean adjacency matrix, adj[i, j] true when (i, j) is an
-    edge."""
-    return graph.adj
-
-
 def averaging_weights(graph: DirectedGraph) -> np.ndarray:
     """Row-stochastic neighbor-averaging matrix: row i spreads weight 1/d_i
     over i's d_i in-neighbors.  Raises ``NoInNeighbor`` when some vertex has
     none."""
-    incoming = adjacency(graph).T.astype(float)  # incoming[i, j]: j feeds i
+    incoming = graph.adj.T.astype(float)  # incoming[i, j]: j feeds i
     degrees = incoming.sum(axis=1)
     if not degrees.all():  # argmin is then the first vertex without one
         raise NoInNeighbor(f"vertex {degrees.argmin()} has no in-neighbor")
@@ -86,7 +86,7 @@ def compose(g2: DirectedGraph, g1: DirectedGraph) -> DirectedGraph:
     if g1.n != g2.n:
         raise DimensionMismatch("composition needs equal vertex counts")
     # float32 path counts are exact (at most n < 2**24) and go through BLAS
-    prod = adjacency(g1).astype(np.float32) @ adjacency(g2).astype(np.float32)
+    prod = g1.adj.astype(np.float32) @ g2.adj.astype(np.float32)
     return DirectedGraph.from_adjacency(prod > 0)
 
 
@@ -159,23 +159,21 @@ def closed_components(adj: np.ndarray):
 
 
 def bfs_levels(adj: np.ndarray, root: int) -> np.ndarray:
-    """BFS distance from ``root`` along edges; unreachable vertices get -1."""
+    """BFS distance from ``root`` along edges; unreachable vertices get -1.
+
+    Each level is one boolean frontier: the unlevelled vertices that some
+    frontier vertex has an edge to."""
     adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
-    level = np.full(n, -1, dtype=int)
-    level[root] = 0
-    frontier = [root]
+    level = np.full(adj.shape[0], -1, dtype=int)
+    frontier = np.zeros(adj.shape[0], dtype=bool)
+    frontier[root] = True
     d = 0
-    while frontier:
+    while frontier.any():
+        level[frontier] = d
         d += 1
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if level[v] < 0:
-                    level[v] = d
-                    nxt.append(int(v))
-        frontier = nxt
+        frontier = adj[frontier].any(axis=0) & (level < 0)
     return level
+
 
 def component_period(adj: np.ndarray, vertices) -> int:
     """Period of a strongly connected vertex set: the gcd of its cycle lengths.
@@ -186,19 +184,13 @@ def component_period(adj: np.ndarray, vertices) -> int:
     """
     vertices = sorted(vertices)
     sub = np.asarray(adj, dtype=bool)[np.ix_(vertices, vertices)]
-    k = len(vertices)
-    if k == 1:
-        return 1  # trivial component; a self-loop also gives gcd 1
     level = bfs_levels(sub, 0)
-    g = 0
-    for u in range(k):
-        for v in np.nonzero(sub[u])[0]:
-            g = math.gcd(g, level[u] + 1 - level[int(v)])
-    return abs(g) if g != 0 else 1
+    ii, jj = np.nonzero(sub)
+    return int(np.gcd.reduce(level[ii] + 1 - level[jj])) or 1
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:
-    count, _ = strongly_connected_components(adjacency(graph))
+    count, _ = strongly_connected_components(graph.adj)
     return count <= 1
 
 
@@ -209,7 +201,7 @@ def roots(graph: DirectedGraph) -> list:
     component, i.e. a single closed component of the reversed graph; the
     roots are that component's vertices.
     """
-    sources, labels = closed_components(adjacency(graph).T)
+    sources, labels = closed_components(graph.adj.T)
     if len(sources) != 1:
         return []
     return [v for v in range(graph.n) if labels[v] == sources[0]]
@@ -218,7 +210,3 @@ def roots(graph: DirectedGraph) -> list:
 def is_rooted(graph: DirectedGraph) -> bool:
     """True when some vertex reaches all others."""
     return bool(roots(graph))
-
-
-def has_all_self_loops(graph: DirectedGraph) -> bool:
-    return bool(graph.adj.diagonal().all())

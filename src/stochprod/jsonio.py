@@ -42,13 +42,29 @@ def matrix_to_json(matrix: StochasticMatrix) -> dict:
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a float with a fractional part rather than
-    truncating it, and a JSON boolean; an integral float such as
-    ``60000.0`` is read as is."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """``int(value)``, refusing a string, a JSON boolean and a float with a
+    fractional part rather than parsing or truncating it; an integral float
+    such as ``60000.0`` is read as is."""
+    if isinstance(value, (str, bool)) or (isinstance(value, float)
+                                          and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _number(value) -> float:
+    """``float(value)`` of a JSON number, refusing a string or a boolean."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _array(value) -> np.ndarray:
+    """Float array of a JSON number or nested lists of numbers, refusing a
+    string or a boolean anywhere in it."""
+    cells = np.asarray(value, dtype=object)
+    if any(isinstance(c, (str, bool)) for c in cells.flat):
+        raise ValueError(f"{value!r} holds a string or a boolean")
+    return cells.astype(float)
 
 
 def _field(params: dict, key: str, convert, default=None):
@@ -95,12 +111,12 @@ def model_from_json(obj, matrix_set: FiniteMatrixSet | None = None) -> SequenceM
             tuple(matrix_from_json(m) for m in obj["set"]))
     try:
         if variant == "iid":
-            return IIDModel(weights=np.asarray(obj["weights"], dtype=float),
+            return IIDModel(weights=_field(obj, "weights", _array),
                             seed=seed, matrix_set=matrix_set)
         if variant == "markov":
             return MarkovModulatedModel(
-                initial=np.asarray(obj["initial"], dtype=float),
-                transition=np.asarray(obj["transition"], dtype=float),
+                initial=_field(obj, "initial", _array),
+                transition=_field(obj, "transition", _array),
                 seed=seed, matrix_set=matrix_set)
         if variant == "scripted":
             return ScriptedModel(indices=tuple(map(_integer, obj["indices"])),
@@ -128,7 +144,6 @@ def model_to_json(model: SequenceModel, include_set: bool = True) -> dict:
 
 def system_blocks_from_json(obj) -> list:
     try:
-        return [(np.asarray(blk["A"], dtype=float),
-                 np.asarray(blk["b"], dtype=float)) for blk in obj["blocks"]]
+        return [(_array(blk["A"]), _array(blk["b"])) for blk in obj["blocks"]]
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigParse(f"bad system object: {exc}") from exc

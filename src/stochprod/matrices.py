@@ -179,6 +179,11 @@ def spread(x) -> float:
     return float(x.max() - x.min())
 
 
+def _max_column_spread(a: np.ndarray) -> float:
+    """Largest spread of a column: the worst disagreement among the rows."""
+    return float((a.max(axis=0) - a.min(axis=0)).max())
+
+
 def pattern_is_scrambling(mask: np.ndarray) -> bool:
     """Every pair of rows shares a column where both are positive."""
     # float32 counts of shared columns are exact (at most n < 2**24), and
@@ -192,31 +197,26 @@ def pattern_is_markov(mask: np.ndarray) -> bool:
     return bool(np.asarray(mask, dtype=bool).all(axis=0).any())
 
 
-def _sia_and_cycle_length(mask: np.ndarray, cycle_length: bool):
+def _sia_and_cycle_length(mask: np.ndarray):
     """One component labelling of the walk digraph (edge i -> j when entry
     (i, j) is positive) for both pattern predicates below.
 
     Returns ``(sia, length)``: ``sia`` says there is exactly one closed
     strongly connected class and it is aperiodic; ``length`` is the lcm of
-    every component's period when ``cycle_length``, else None and only the
-    closed class's period is computed.
+    every component's period.
     """
     adj = np.asarray(mask, dtype=bool)
     closed, labels = graphs.closed_components(adj)
-    if cycle_length:
-        wanted = range(int(labels.max()) + 1 if labels.size else 0)
-    else:
-        wanted = closed if len(closed) == 1 else []
-    periods = {c: graphs.component_period(adj, np.nonzero(labels == c)[0])
-               for c in wanted}
+    periods = [graphs.component_period(adj, np.nonzero(labels == c)[0])
+               for c in range(labels.max() + 1 if labels.size else 0)]
     sia = len(closed) == 1 and periods[closed[0]] == 1
-    return sia, math.lcm(1, *periods.values()) if cycle_length else None
+    return sia, math.lcm(1, *periods)
 
 
 def pattern_is_sia(mask: np.ndarray) -> bool:
     """Powers converge to identical rows: there is exactly one closed
     strongly connected class and it is aperiodic."""
-    return _sia_and_cycle_length(mask, cycle_length=False)[0]
+    return _sia_and_cycle_length(mask)[0]
 
 
 def pattern_cycle_length(mask: np.ndarray) -> int:
@@ -228,7 +228,7 @@ def pattern_cycle_length(mask: np.ndarray) -> int:
     Combinatorial Matrix Theory, 3.4).  1 means the powers' pattern
     eventually stops changing.
     """
-    return _sia_and_cycle_length(mask, cycle_length=True)[1]
+    return _sia_and_cycle_length(mask)[1]
 
 
 def is_scrambling(matrix) -> bool:
@@ -276,7 +276,7 @@ def same_type(a, b) -> bool:
 
 def classify(matrix) -> MatrixClass:
     mask = pattern_of(matrix)
-    sia, period = _sia_and_cycle_length(mask, cycle_length=True)
+    sia, period = _sia_and_cycle_length(mask)
     return MatrixClass(
         is_scrambling=pattern_is_scrambling(mask),
         is_sia=sia,

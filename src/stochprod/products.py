@@ -105,10 +105,6 @@ def default_checkpoints(steps: int) -> tuple:
     return tuple(ks)
 
 
-def _max_column_spread(prod: np.ndarray) -> float:
-    return float((prod.max(axis=0) - prod.min(axis=0)).max())
-
-
 def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
                      trial: int = 0) -> ProductTrace:
     """Accumulate the backward product of a sampled run, recording tau and
@@ -135,7 +131,7 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
             break
         recorded_k.append(k)
         taus.append(t)
-        spreads.append(_max_column_spread(prod))
+        spreads.append(matrices._max_column_spread(prod))
     return ProductTrace(
         checkpoints=tuple(recorded_k),
         taus=tuple(taus),

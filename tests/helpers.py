@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -221,12 +222,8 @@ def simulate_async_per_tick(W, clocks, x0, steps, trial=0, record_events=True):
 def simulate_product_per_step(model, steps, checkpoints=None, trial=0):
     """``simulate_product`` with a checkpoint compare at every step."""
     from stochprod import sequences
-    from stochprod.products import (
-        TAU_FLOOR,
-        ProductTrace,
-        _max_column_spread,
-        default_checkpoints,
-    )
+    from stochprod.matrices import _max_column_spread
+    from stochprod.products import TAU_FLOOR, ProductTrace, default_checkpoints
 
     fset = model._require_set()
     arrays = fset.entry_arrays()
@@ -323,3 +320,37 @@ def canonical_partition(labels):
     vertex that carries it."""
     first = {}
     return [first.setdefault(int(c), v) for v, c in enumerate(labels)]
+
+
+def bfs_levels_loop(adj, root):
+    """The library's former BFS, one Python step per vertex and edge: the
+    oracle of the frontier-mask ``graphs.bfs_levels``."""
+    adj = np.asarray(adj, dtype=bool)
+    level = np.full(adj.shape[0], -1, dtype=int)
+    level[root] = 0
+    frontier, d = [root], 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(adj[u])[0]:
+                if level[v] < 0:
+                    level[v] = d
+                    nxt.append(int(v))
+        frontier = nxt
+    return level
+
+
+def component_period_loop(adj, vertices):
+    """The library's former period: ``math.gcd`` folded over the internal
+    edges one at a time, the oracle of ``graphs.component_period``."""
+    vertices = sorted(vertices)
+    sub = np.asarray(adj, dtype=bool)[np.ix_(vertices, vertices)]
+    if len(vertices) == 1:
+        return 1
+    level = bfs_levels_loop(sub, 0)
+    g = 0
+    for u in range(len(vertices)):
+        for v in np.nonzero(sub[u])[0]:
+            g = math.gcd(g, level[u] + 1 - level[int(v)])
+    return abs(g) if g != 0 else 1

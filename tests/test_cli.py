@@ -336,6 +336,40 @@ BAD_FIELDS = {
                                 "'window': bad value 1.5"),
     "product-steps-boolean": ("product", {"steps": True},
                               "'steps': bad value True"),
+    # numbers written as JSON strings, and booleans where numbers belong
+    "product-steps-string": ("product", {"steps": "8"},
+                             "'steps': bad value '8'"),
+    "product-tol-string": ("product", {"tol": "1e-3"},
+                           "'tol': bad value '1e-3'"),
+    "product-tol-boolean": ("product", {"tol": True}, "'tol': bad value True"),
+    "product-model-seed-string": ("product", {"model": {
+        **TINY_CONFIGS["product"]["model"], "seed": "4"}},
+                                  "'seed': bad value '4'"),
+    "product-model-weights-strings": ("product", {"model": {
+        **TINY_CONFIGS["product"]["model"], "weights": ["1.0"]}},
+                                      "'weights': bad value ['1.0']"),
+    "lineq-graph_model-weights-boolean": ("lineq", {"graph_model": {
+        **TINY_CONFIGS["lineq"]["graph_model"], "weights": [True]}},
+                                          "'weights': bad value [True]"),
+    "certify-signal-initial-string": ("certify", {"signal": {
+        **MARKOV_SIGNAL, "initial": ["1.0"]}},
+                                      "'initial': bad value ['1.0']"),
+    "certify-signal-transition-string": ("certify", {"signal": {
+        **MARKOV_SIGNAL, "transition": [["1.0"]]}},
+                                         "'transition': bad value [['1.0']]"),
+    "async-rates-string": ("async", {"rates": "0.5"},
+                           "'rates': bad value '0.5'"),
+    "async-rates-strings": ("async", {"rates": ["0.5", "0.5"]},
+                            "'rates': bad value ['0.5', '0.5']"),
+    "async-delta-string": ("async", {"clock": "poisson", "delta": "1"},
+                           "'delta': bad value '1'"),
+    "async-x0-booleans": ("async", {"x0": [True, False]},
+                          "'x0': bad value [True, False]"),
+    "certify-modes-strings": ("certify", {"modes": [[["0.5", 0], [0, 0.5]]]},
+                              "'modes': bad value"),
+    "lineq-system-b-string": ("lineq", {"system": {"blocks": [
+        {"A": [[1.0, 0.0]], "b": ["1"]}, {"A": [[0.0, 1.0]], "b": [1.0]}]}},
+                              "bad system object"),
 }
 
 

@@ -4,9 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochprod as sp
-from stochprod.errors import DimensionMismatch, NoInNeighbor
+from stochprod.errors import DimensionMismatch, MissingSelfArc, NoInNeighbor
 from stochprod.graphs import (
-    adjacency,
     averaging_weights,
     bfs_levels,
     closed_components,
@@ -15,7 +14,9 @@ from stochprod.graphs import (
 )
 
 from helpers import (
+    bfs_levels_loop,
     canonical_partition,
+    component_period_loop,
     figure_network,
     planted_pattern,
     random_rooted_graph,
@@ -37,19 +38,32 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             sp.DirectedGraph(2, frozenset({(0, 2)}))
 
+    @pytest.mark.parametrize("edge", [(0.5, 1), (True, 1), (1, np.True_),
+                                      (1.0, 2)])
+    def test_vertex_must_be_an_integer(self, edge):
+        # a float is no index, and True would index every row of the
+        # adjacency, setting a whole column for one edge
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            sp.DirectedGraph(3, {edge})
+
+    def test_numpy_integer_vertices(self):
+        g = sp.DirectedGraph(3, {(np.int64(0), np.int32(2))})
+        assert g.adj.sum() == 1 and g.adj[0, 2]
+
     def test_negative_vertex_count(self):
         with pytest.raises(DimensionMismatch):
             sp.DirectedGraph(-1)
 
     def test_adjacency_built_once_read_only(self):
         g = sp.DirectedGraph(3, frozenset({(0, 1), (2, 1), (1, 1)}))
-        adj = adjacency(g)
-        assert adj is adjacency(g) and not adj.flags.writeable
+        adj = g.adj
+        assert adj is g.adj and not adj.flags.writeable
         assert adj.tolist() == [[False, True, False], [False, True, False],
                                 [False, True, False]]
         assert g.in_neighbors(1) == [0, 1, 2] and g.in_neighbors(0) == []
-        assert not sp.graphs.has_all_self_loops(g)
-        assert sp.graphs.has_all_self_loops(complete_graph(3))
+        with pytest.raises(MissingSelfArc):
+            sp.equations.averaging_matrix(g)
+        assert sp.equations.averaging_matrix(complete_graph(3)).shape == (3, 3)
 
     def test_adjacency_outside_eq_hash_repr(self):
         g = sp.DirectedGraph(2, frozenset({(0, 1)}))
@@ -114,7 +128,7 @@ class TestRootedness:
             n = int(rng.integers(0, 8))
             g = sp.DirectedGraph.from_adjacency(rng.random((n, n)) < rng.random())
             expected = [v for v in range(n)
-                        if (bfs_levels(adjacency(g), v) >= 0).all()]
+                        if (bfs_levels(g.adj, v) >= 0).all()]
             assert sp.roots(g) == expected
 
     def test_random_rooted_generator(self):
@@ -150,7 +164,7 @@ class TestCompose:
 class TestInternals:
     def test_bfs_levels(self):
         g = figure_network()
-        dist = bfs_levels(adjacency(g), 2)
+        dist = bfs_levels(g.adj, 2)
         assert dist.tolist() == [2, 1, 0, 2, 3, 1]
 
     def test_closed_components(self):
@@ -162,13 +176,13 @@ class TestInternals:
         assert len(closed) == 2  # {0} and the 2-cycle {2, 3}
 
     def test_component_period(self):
-        assert component_period(adjacency(cycle_graph(4)), range(4)) == 4
+        assert component_period(cycle_graph(4).adj, range(4)) == 4
         # 6-cycle plus a shortcut 0 -> 3 adds a 4-cycle: gcd(6, 4) = 2
-        with_chord = adjacency(cycle_graph(6)).copy()
+        with_chord = cycle_graph(6).adj.copy()
         with_chord[0, 3] = True
         assert component_period(with_chord, range(6)) == 2
         # and a shortcut 0 -> 2 adds a 5-cycle: gcd(6, 5) = 1
-        aperiodic = adjacency(cycle_graph(6)).copy()
+        aperiodic = cycle_graph(6).adj.copy()
         aperiodic[0, 2] = True
         assert component_period(aperiodic, range(6)) == 1
         self_loop = np.array([[1]], dtype=bool)
@@ -205,3 +219,31 @@ def test_tarjan_needs_no_recursion_depth():
     cycle = path.copy()
     cycle[-1, 0] = True
     assert strongly_connected_components(cycle)[0] == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 12),
+       st.sampled_from(["random", "cycles", "reducible", "sparse"]),
+       st.sampled_from(["kept", "none", "all"]), st.integers(0, 10**6))
+@example(1, "sparse", "none", 0)
+@example(1, "sparse", "all", 0)
+def test_array_traversals_match_the_loops(n, kind, self_loops, seed):
+    # the frontier-mask BFS and the one-gcd period against the former
+    # per-vertex and per-edge loops: from every root, on every component and
+    # on the whole vertex set, with empty rows and unreachable vertices
+    # (sparse), planted cycles (cycles, reducible) and self-loops
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        adj = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+    else:
+        adj = planted_pattern(rng, n, kind)
+    if self_loops != "kept":
+        np.fill_diagonal(adj, self_loops == "all")
+    for root in range(n):
+        assert bfs_levels(adj, root).tolist() == bfs_levels_loop(adj, root).tolist()
+    count, labels = strongly_connected_components(adj)
+    vertex_sets = [np.nonzero(labels == c)[0] for c in range(count)] + [range(n)]
+    for vertices in vertex_sets:
+        period = component_period(adj, vertices)
+        assert type(period) is int and period >= 1
+        assert period == component_period_loop(adj, vertices)
