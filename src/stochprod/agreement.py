@@ -142,6 +142,9 @@ def hierarchical_partition(graph: DirectedGraph, root: int) -> HierarchicalParti
     spanning tree deterministic.  Raises ``NotReachable`` when the root does
     not reach some vertex.
     """
+    if not (graphlib._is_vertex(root) and 0 <= root < graph.n):
+        raise DimensionMismatch(
+            f"root {root!r} is not a vertex of a {graph.n}-vertex graph")
     adj = graph.adj
     dist = graphlib.bfs_levels(adj, int(root))
     missing = np.nonzero(dist < 0)[0]

@@ -176,17 +176,26 @@ def averaging_matrix(graph: DirectedGraph) -> np.ndarray:
     return graphlib.averaging_weights(graph)
 
 
+def _in_weights(graph: DirectedGraph):
+    """The float in-adjacency (row i marks i's in-neighbors) and the (n, 1)
+    in-degree column of a solver graph."""
+    incoming = graph.adj.T.astype(float)
+    return incoming, incoming.sum(axis=1)[:, None]
+
+
+def _step(x, incoming, degrees, ps):
+    """``step`` on a graph's prebuilt ``_in_weights`` and the projection
+    stack ``ps``: the one arithmetic path of ``step`` and ``run_solver``."""
+    corrections = degrees * x - incoming @ x
+    return x - np.einsum("ijk,ik->ij", ps, corrections) / degrees
+
+
 def step(x: np.ndarray, graph: DirectedGraph,
          projections: ProjectionSet) -> np.ndarray:
     """One synchronous round of the projected-averaging update: maps the
     (n, m) estimates ``x`` (row i is agent i's x_i) to the next ones."""
     _check_self_arcs(graph)
-    incoming = graph.adj.T.astype(float)
-    degrees = incoming.sum(axis=1)
-    sums = incoming @ x
-    corrections = degrees[:, None] * x - sums
-    projected = np.einsum("ijk,ik->ij", projections.projections, corrections)
-    return x - projected / degrees[:, None]
+    return _step(x, *_in_weights(graph), projections.projections)
 
 
 def mixed_matrix_norm(q: np.ndarray, block_size: int) -> float:
@@ -317,20 +326,30 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
         raise NoConnectedWindow(
             f"no strongly connected window of length {gmodel.window}")
     projections = kernel_projections(system)
+    ps = projections.projections
+    weights = [_in_weights(g) for g in gmodel.graph_set]
     a_full, b_full = system.stacked()
     x = initial_state(system)
-    indices = (sequences.sample(gmodel.model, max_iters, trial=trial)
-               if max_iters else np.zeros(0, dtype=np.int64))
+    width = gmodel.window * max(1, min(gmodel.n - 1, 8))
+
+    def draw(length):
+        # a longer draw of the same (model, trial) extends a shorter one
+        return (sequences.sample(gmodel.model, length, trial=trial).tolist()
+                if length else [])
 
     def residual(x):
-        return float(np.abs(a_full @ x.mean(axis=0) - b_full).max())
+        mean = np.add.reduce(x, 0) / system.n
+        return float(np.maximum.reduce(np.abs(a_full @ mean - b_full)))
 
+    indices = draw(min(max_iters, max(1024, norm_windows * width)))
     dis, res = matrices._max_column_spread(x), residual(x)
     history = [(0, dis, res)]
     converged = dis < tol and res < tol
     k = 0
     while not converged and k < max_iters:
-        x = step(x, gmodel.graph_set[indices[k]], projections)
+        if k == len(indices):
+            indices = draw(min(max_iters, 2 * k))
+        x = _step(x, *weights[indices[k]], ps)
         k += 1
         dis = matrices._max_column_spread(x)
         if k % record_every == 0 or dis < tol:
@@ -341,7 +360,6 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
         res = residual(x)
 
     window_norms = []
-    width = gmodel.window * max(1, min(gmodel.n - 1, 8))
     for w in range(norm_windows):
         chunk = indices[w * width:(w + 1) * width]
         if len(chunk) < width:

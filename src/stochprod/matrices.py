@@ -69,17 +69,24 @@ def _check_finite(a: np.ndarray):
 class StochasticMatrix:
     """A validated row-stochastic matrix.
 
-    Entries are finite and nonnegative and every row sums to 1 within
-    ``ROW_SUM_TOL``.  Instances are immutable; the entry array is stored
-    read-only.
+    Entries are integer or float numbers, finite and nonnegative, and every
+    row sums to 1 within ``ROW_SUM_TOL``.  Instances are immutable; the
+    entry array is stored read-only.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        try:
+            a = np.asarray(entries)
+        except ValueError as exc:  # ragged nested lists
+            raise DimensionMismatch(f"entries do not form an array: {exc}") from exc
+        # strings, booleans and objects would convert silently below
+        if a.dtype.kind not in "iuf":
+            raise DimensionMismatch(f"expected numbers, got an array of {a.dtype}")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
+        a = np.array(a, dtype=float)
         _check_finite(a)
         neg = np.argwhere(a < 0)
         if len(neg):
@@ -181,7 +188,8 @@ def spread(x) -> float:
 
 def _max_column_spread(a: np.ndarray) -> float:
     """Largest spread of a column: the worst disagreement among the rows."""
-    return float((a.max(axis=0) - a.min(axis=0)).max())
+    return float(np.maximum.reduce(np.maximum.reduce(a, 0)
+                                   - np.minimum.reduce(a, 0)))
 
 
 def pattern_is_scrambling(mask: np.ndarray) -> bool:

@@ -295,7 +295,8 @@ class ScriptedModel(SequenceModel):
 def sample(model: SequenceModel, length: int, trial: int = 0) -> np.ndarray:
     """Draw a length-``length`` index sequence as a read-only array; the same
     (model, trial) gives the same draw, on seed ``trial_seed(model.seed,
-    trial)``."""
+    trial)``, and a longer draw extends a shorter one: ``sample(model,
+    L)[:k]`` equals ``sample(model, k)`` for every k <= L."""
     if length < 1:
         raise InvalidDistribution("length must be at least 1")
     idx = np.asarray(model.sample_indices(length, trial=trial), dtype=np.int64)

@@ -354,3 +354,72 @@ def component_period_loop(adj, vertices):
         for v in np.nonzero(sub[u])[0]:
             g = math.gcd(g, level[u] + 1 - level[int(v)])
     return abs(g) if g != 0 else 1
+
+
+def run_solver_stepwise(system, gmodel, max_iters, tol=1e-8, trial=0,
+                        check_connectivity=True, record_every=1,
+                        norm_windows=0):
+    """The library's former ``run_solver`` loop, the oracle of the per-graph
+    array loop: the whole ``max_iters`` draw up front, the public ``step``
+    at every iteration, and ``mean``/``.max()`` reductions."""
+    from stochprod import equations, sequences
+    from stochprod.errors import (DimensionMismatch, InvalidDistribution,
+                                  NoConnectedWindow)
+    from stochprod.products import _log_linear_rate
+
+    if gmodel.n != system.n:
+        raise DimensionMismatch("one graph vertex per agent")
+    if record_every < 1 or max_iters < 0:
+        raise InvalidDistribution("need record_every >= 1 and max_iters >= 0")
+    if (check_connectivity
+            and equations.window_connectivity_probability(gmodel) <= 0.0):
+        raise NoConnectedWindow(
+            f"no strongly connected window of length {gmodel.window}")
+    projections = equations.kernel_projections(system)
+    a_full, b_full = system.stacked()
+    x = equations.initial_state(system)
+    indices = (sequences.sample(gmodel.model, max_iters, trial=trial)
+               if max_iters else np.zeros(0, dtype=np.int64))
+
+    def spread(x):
+        return float((x.max(axis=0) - x.min(axis=0)).max())
+
+    def residual(x):
+        return float(np.abs(a_full @ x.mean(axis=0) - b_full).max())
+
+    dis, res = spread(x), residual(x)
+    history = [(0, dis, res)]
+    converged = dis < tol and res < tol
+    k = 0
+    while not converged and k < max_iters:
+        x = equations.step(x, gmodel.graph_set[indices[k]], projections)
+        k += 1
+        dis = spread(x)
+        if k % record_every == 0 or dis < tol:
+            res = residual(x)
+            history.append((k, dis, res))
+            converged = dis < tol and res < tol
+    if history[-1][0] != k:
+        res = residual(x)
+
+    window_norms = []
+    width = gmodel.window * max(1, min(gmodel.n - 1, 8))
+    for w in range(norm_windows):
+        chunk = indices[w * width:(w + 1) * width]
+        if len(chunk) < width:
+            break
+        _, norm = equations.error_transition(
+            [gmodel.graph_set[i] for i in chunk], projections)
+        window_norms.append(norm)
+
+    fitted = _log_linear_rate([h[0] for h in history], [h[1] for h in history],
+                              min_points=3)
+    exponential_consistent = None
+    if window_norms and fitted is not None:
+        per_step = float(np.mean(window_norms)) ** (1.0 / width)
+        exponential_consistent = fitted <= per_step + 1e-9
+    return equations.SolverReport(
+        converged=bool(converged), iterations=k, disagreement=dis,
+        residual=res, solution=x.mean(axis=0), history=tuple(history),
+        fitted_decay=fitted, window_norms=tuple(window_norms),
+        exponential_consistent=exponential_consistent)

@@ -86,6 +86,18 @@ class TestHierarchicalPartition:
             sp.hierarchical_partition(g, 0)
         assert exc.value.vertex == 2
 
+    @pytest.mark.parametrize("root", [5, 3, -1, 1.5, 1.0, True, "1", None])
+    def test_root_must_be_a_vertex(self, root):
+        path = sp.DirectedGraph(3, frozenset({(0, 1), (1, 2)}))
+        with pytest.raises(DimensionMismatch, match="is not a vertex"):
+            sp.hierarchical_partition(path, root)
+
+    def test_numpy_integer_root(self):
+        path = sp.DirectedGraph(3, frozenset({(0, 1), (1, 2)}))
+        part = sp.hierarchical_partition(path, np.int64(0))
+        assert part.root == 0 and type(part.root) is int
+        assert part.levels == ((0,), (1,), (2,))
+
     def test_lowest_index_parent(self):
         g = sp.DirectedGraph(3, frozenset({(0, 2), (1, 2), (0, 1)}))
         part = sp.hierarchical_partition(g, 0)

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochprod as sp
@@ -16,6 +16,7 @@ from helpers import (
     markov_indices_stepwise,
     monte_carlo_decay_per_trial,
     random_stochastic,
+    run_solver_stepwise,
     simulate_async_per_tick,
     simulate_product_per_step,
 )
@@ -71,6 +72,68 @@ def test_markov_sampler_matches_stepwise(seed, m, length, trial):
     got = model.sample_indices(length, trial=trial)
     want = markov_indices_stepwise(model, length, trial=trial)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@given(seeds, symbols, st.sampled_from(["iid", "markov", "scripted"]),
+       st.integers(1, 3000), trials, st.data())
+def test_longer_sample_extends_shorter(seed, m, variant, length, trial, data):
+    model = signal(np.random.default_rng(seed), variant, m)
+    k = data.draw(st.integers(1, length))
+    got = sp.sample(model, length, trial=trial)[:k]
+    assert np.array_equal(got, sp.sample(model, k, trial=trial))
+
+
+def solver_case(rng, n, m, graphs):
+    """A consistent random system of n agents, each with fewer than m rows
+    over m unknowns (so no agent starts at the solution), and a set of
+    random graphs with every self-arc."""
+    x_star = rng.normal(size=m)
+    blocks = []
+    for _ in range(n):
+        a = rng.normal(size=(int(rng.integers(1, m)), m))
+        blocks.append((a, a @ x_star))
+    graph_set = []
+    for _ in range(graphs):
+        mask = rng.random((n, n)) < 0.4
+        np.fill_diagonal(mask, True)
+        graph_set.append(sp.DirectedGraph(n, frozenset(
+            zip(*(v.tolist() for v in np.nonzero(mask))))))
+    return sp.PartitionedLinearSystem(blocks=tuple(blocks)), tuple(graph_set)
+
+
+@settings(max_examples=60)
+@given(seeds, symbols, st.sampled_from(["iid", "markov", "scripted"]),
+       st.integers(2, 4), st.integers(2, 4), st.integers(1, 3),
+       st.integers(1, 7), st.integers(0, 3),
+       st.one_of(st.integers(0, 40), st.integers(1000, 3000),
+                 st.sampled_from([1024, 1025, 2048, 2049])),
+       st.sampled_from([0.0, 1e-10, 1e-4]), trials)
+@example(5, 3, "iid", 3, 3, 1, 1, 2, 3000, 0.0, 0)
+@example(6, 3, "markov", 4, 3, 2, 7, 3, 2049, 0.0, 1)
+@example(7, 2, "scripted", 3, 4, 3, 3, 0, 2500, 0.0, 2)
+def test_run_solver_matches_stepwise_loop(seed, m, variant, n, unknowns,
+                                          window, record_every, norm_windows,
+                                          max_iters, tol, trial):
+    # tol 0 never converges, so those runs stop at max_iters, and the
+    # longer ones cross the 1024- and 2048-index re-draws
+    rng = np.random.default_rng(seed)
+    system, graph_set = solver_case(rng, n, unknowns, m)
+    gmodel = sp.GraphSequenceModel(graph_set=graph_set,
+                                   model=signal(rng, variant, m), window=window)
+    kw = dict(max_iters=max_iters, tol=tol, trial=trial,
+              check_connectivity=False, record_every=record_every,
+              norm_windows=norm_windows)
+    got = sp.run_solver(system, gmodel, **kw)
+    want = run_solver_stepwise(system, gmodel, **kw)
+    assert got.converged == want.converged
+    assert got.iterations == want.iterations
+    assert got.disagreement == want.disagreement
+    assert got.residual == want.residual
+    assert np.array_equal(got.solution, want.solution)
+    assert got.history == want.history
+    assert got.fitted_decay == want.fitted_decay
+    assert got.window_norms == want.window_norms
+    assert got.exponential_consistent == want.exponential_consistent
 
 
 class _ScriptedUniforms:

@@ -214,7 +214,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
                                        ("certify_markov", "certify"),
                                        ("product_markov", "product"),
                                        ("async_poisson", "async"),
-                                       ("classify_periods", "classify")])
+                                       ("classify_periods", "classify"),
+                                       ("lineq_markov", "lineq")])
 def test_golden_outputs(tmp_path, name, kind):
     # each case was recorded before the change it guards: product and async
     # (a zero-diagonal, periodic graph) before the averaging builder moved to
@@ -225,7 +226,10 @@ def test_golden_outputs(tmp_path, name, kind):
     # run before the sampling and simulation loops were batched; a classify
     # run over periods 1 to 28 (cycles of lengths 4 and 6, periodic and
     # nilpotent transient classes, zero diagonals, a sparse n = 120 matrix)
-    # before the period came from the strongly connected components
+    # before the period came from the strongly connected components; a
+    # lineq run over a Markov graph signal (window 2, two norm windows)
+    # converging after 2,958 iterations, past the solver's 1,024- and
+    # 2,048-index draws, before those draws became lazy
     case = os.path.join(DATA, name)
     code = run_cli(kind, os.path.join(case, "config.json"), tmp_path)
     assert code == (3 if name == "lineq_exhausted" else 0)
@@ -367,6 +371,20 @@ BAD_FIELDS = {
                           "'x0': bad value [True, False]"),
     "certify-modes-strings": ("certify", {"modes": [[["0.5", 0], [0, 0.5]]]},
                               "'modes': bad value"),
+    # matrix rows are checked by their array's dtype, not cell by cell
+    "classify-rows-strings": ("classify", {"matrices": [{"n": 2, "rows": [
+        ["0.5", "0.5"], ["0.5", "0.5"]]}]}, "expected numbers, got an array of <U3"),
+    "classify-rows-mixed-strings": ("classify", {"matrices": [{"n": 2, "rows": [
+        ["0.5", 0.5], [0.5, 0.5]]}]}, "expected numbers"),
+    "classify-rows-booleans": ("classify", {"matrices": [{"n": 2, "rows": [
+        [True, False], [False, True]]}]}, "expected numbers, got an array of bool"),
+    "classify-rows-null": ("classify", {"matrices": [{"n": 2, "rows": [
+        [None, 1.0], [0.5, 0.5]]}]}, "expected numbers, got an array of object"),
+    "classify-rows-ragged": ("classify", {"matrices": [{"n": 2, "rows": [
+        [0.5, 0.5], [1.0]]}]}, "entries do not form an array"),
+    "product-set-rows-strings": ("product", {"model": {
+        **TINY_CONFIGS["product"]["model"], "set": [{"n": 2, "rows": [
+            ["1", "0"], ["0", "1"]]}]}}, "expected numbers"),
     "lineq-system-b-string": ("lineq", {"system": {"blocks": [
         {"A": [[1.0, 0.0]], "b": ["1"]}, {"A": [[0.0, 1.0]], "b": [1.0]}]}},
                               "bad system object"),
