@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, jsonio
 from . import agreement, equations, graphs, lyapunov, matrices, products
 from .errors import ConfigParse, StochprodError
-from .jsonio import _array, _field, _integer, _number
+from .jsonio import _array, _boolean, _field, _integer, _list, _number, _string
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -41,12 +41,6 @@ KINDS = tuple(KIND_FLAGS)
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("expected true or false")
-    return value
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -82,9 +76,9 @@ def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             params[key] = value
-    seed = _field(params, "seed", _integer, 0)
-    params["seed"] = seed
-    out_dir = params.pop("out", "out")
+    params["seed"] = seed = _field(params, "seed", _integer, 0)
+    out_dir = _field(params, "out", _string, "out")
+    params.pop("out", None)
     return ExperimentConfig(kind=kind, params=params, seed=seed, out_dir=out_dir)
 
 
@@ -96,7 +90,10 @@ def _atomic_write(path: str, data: str):
 
 
 def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigParse(f"cannot create output directory: {exc}") from exc
     envelope = {
         "kind": config.kind,
         "seed": config.seed,
@@ -115,9 +112,10 @@ def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
 
 def _run_classify(config: ExperimentConfig):
     p = config.params
-    if not isinstance(p.get("matrices"), list) or not p["matrices"]:
+    mats = _field(p, "matrices", _list(jsonio.matrix_from_json))
+    if not mats:
         raise ConfigParse("classify needs a nonempty 'matrices' list")
-    mats = [jsonio.matrix_from_json(m) for m in p["matrices"]]
+    # labels are echoed to the outputs as they are, so any JSON values do
     labels = p.get("labels") or [f"M{i}" for i in range(len(mats))]
     if not isinstance(labels, list) or len(labels) != len(mats):
         raise ConfigParse("'labels' must be a list with one label per matrix")
@@ -138,12 +136,9 @@ def _run_classify(config: ExperimentConfig):
 
 def _run_certify(config: ExperimentConfig):
     p = config.params
-    try:
-        modes = _field(p, "modes", lambda ms: [_array(m) for m in ms])
-        signal = jsonio.model_from_json(p["signal"])
-    except KeyError as exc:
-        raise ConfigParse(f"certify config missing field {exc}") from exc
-    system = lyapunov.SwitchedSystem(modes=tuple(modes), signal=signal)
+    system = lyapunov.SwitchedSystem(
+        modes=tuple(_field(p, "modes", _list(_array))),
+        signal=_field(p, "signal", jsonio.model_from_json))
     v = lyapunov.inf_norm()
     grid = lyapunov.SphereGrid(
         resolution=_field(p, "grid_resolution", _integer, 101), seed=config.seed)
@@ -174,10 +169,7 @@ def _run_certify(config: ExperimentConfig):
 
 def _run_product(config: ExperimentConfig):
     p = config.params
-    try:
-        model = jsonio.model_from_json(p["model"])
-    except KeyError as exc:
-        raise ConfigParse(f"product config missing field {exc}") from exc
+    model = _field(p, "model", jsonio.model_from_json)
     steps = _field(p, "steps", _integer, 10000)
     tol = _field(p, "tol", _number, 1e-8)
     if "window" in p:
@@ -208,16 +200,16 @@ def _run_product(config: ExperimentConfig):
 def _run_async(config: ExperimentConfig):
     p = config.params
     if "matrix" in p:
-        w = jsonio.matrix_from_json(p["matrix"])
+        w = _field(p, "matrix", jsonio.matrix_from_json)
     elif "graph" in p:
-        g = jsonio.graph_from_json(p["graph"])
+        g = _field(p, "graph", jsonio.graph_from_json)
         w = matrices.StochasticMatrix(graphs.averaging_weights(g))
     else:
         raise ConfigParse("async config needs a 'matrix' or a 'graph'")
     n = w.n
     rates = _field(p, "rates", lambda r: np.full(n, _number(r)) if np.isscalar(r)
-                   else _array(r), 0.5)
-    clock_kind = p.get("clock", "bernoulli")
+                   else _array(r), np.full(n, 0.5))
+    clock_kind = _field(p, "clock", _string, "bernoulli")
     if clock_kind == "bernoulli":
         clocks = agreement.BernoulliClocks(rates=rates, seed=config.seed)
     elif clock_kind == "poisson":
@@ -241,21 +233,17 @@ def _run_async(config: ExperimentConfig):
 
 def _run_lineq(config: ExperimentConfig):
     p = config.params
-    try:
-        blocks = jsonio.system_blocks_from_json(p["system"])
-        graph_set = tuple(jsonio.graph_from_json(g) for g in p["graphs"])
-        graph_model = jsonio.model_from_json(p["graph_model"])
-    except KeyError as exc:
-        raise ConfigParse(f"lineq config missing field {exc}") from exc
-    system = equations.PartitionedLinearSystem(blocks=tuple(blocks))
+    system = equations.PartitionedLinearSystem(
+        blocks=tuple(_field(p, "system", jsonio.system_blocks_from_json)))
     gmodel = equations.GraphSequenceModel(
-        graph_set=graph_set, model=graph_model,
+        graph_set=tuple(_field(p, "graphs", _list(jsonio.graph_from_json))),
+        model=_field(p, "graph_model", jsonio.model_from_json),
         window=_field(p, "window", _integer, 1))
     report = equations.run_solver(
         system, gmodel,
         max_iters=_field(p, "max_iters", _integer, 100000),
         tol=_field(p, "tol", _number, 1e-8),
-        check_connectivity=_field(p, "check_connectivity", _json_bool, True),
+        check_connectivity=_field(p, "check_connectivity", _boolean, True),
         record_every=_field(p, "record_every", _integer, 1),
         norm_windows=_field(p, "norm_windows", _integer, 0))
     rows = [[k, repr(d), repr(r)] for k, d, r in report.history]

@@ -1,4 +1,4 @@
-"""JSON encoding of the domain objects used by the experiment runner.
+"""Reading the domain objects of an experiment config from parsed JSON.
 
 Schemas:
 
@@ -9,9 +9,14 @@ Schemas:
              "initial": [...]?, "transition": [[...], ...]?,
              "indices": [...]?}``
 * system   ``{"blocks": [{"A": [[...], ...], "b": [...]}, ...]}``
+
+Every field is read by ``_field``, which turns a value its converter
+rejects into a ``ConfigParse`` naming the field.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -26,25 +31,32 @@ from .sequences import (
     SequenceModel,
 )
 
-__all__ = [
-    "matrix_to_json",
-    "matrix_from_json",
-    "graph_to_json",
-    "graph_from_json",
-    "model_from_json",
-    "model_to_json",
-    "system_blocks_from_json",
-]
+__all__ = ["matrix_from_json", "graph_from_json", "model_from_json",
+           "system_blocks_from_json"]
+
+_REQUIRED = object()
 
 
-def matrix_to_json(matrix: StochasticMatrix) -> dict:
-    return {"n": matrix.n, "rows": matrix.entries.tolist()}
+def _field(params, key: str, convert, default=_REQUIRED):
+    """``convert(params[key])``, or ``default`` (already typed) for an absent
+    key that is not required; ``ConfigParse`` for a ``params`` that is not an
+    object, a missing required key or a value ``convert`` rejects."""
+    if not isinstance(params, dict):
+        raise ConfigParse(f"expected an object with field {key!r}, got {params!r}")
+    if key not in params:
+        if default is _REQUIRED:
+            raise ConfigParse(f"config missing field {key!r}")
+        return default
+    value = params[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ConfigParse(f"config field {key!r}: bad value {value!r}") from exc
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a string, a JSON boolean and a float with a
-    fractional part rather than parsing or truncating it; an integral float
-    such as ``60000.0`` is read as is."""
+    """``int(value)`` of a JSON integer or integral float (``60000.0``); a
+    string, a boolean or a fraction is refused, never parsed or truncated."""
     if isinstance(value, (str, bool)) or (isinstance(value, float)
                                           and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
@@ -58,92 +70,92 @@ def _number(value) -> float:
     return float(value)
 
 
+def _boolean(value) -> bool:
+    """A JSON ``true`` or ``false``, refusing anything else."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
+def _string(value) -> str:
+    """A nonempty JSON string."""
+    if not isinstance(value, str) or not value:
+        raise TypeError(f"{value!r} is not a nonempty string")
+    return value
+
+
+def _list(convert):
+    """Converter of a JSON list that converts it item by item."""
+    def read(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return [convert(item) for item in value]
+    return read
+
+
+def _check_leaves(value):
+    """Refuse nested lists with a leaf that is not an int or a float (a
+    boolean, a string, null) or with numbers and lists at one depth."""
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if kinds <= {int, float}:
+            return
+        if kinds != {list}:
+            raise ValueError(f"{value!r} holds a value that is not a number")
+        level = list(chain.from_iterable(level))
+
+
 def _array(value) -> np.ndarray:
-    """Float array of a JSON number or nested lists of numbers, refusing a
-    string or a boolean anywhere in it."""
-    cells = np.asarray(value, dtype=object)
-    if any(isinstance(c, (str, bool)) for c in cells.flat):
-        raise ValueError(f"{value!r} holds a string or a boolean")
-    return cells.astype(float)
+    """Float array of a JSON number or nested lists of numbers."""
+    _check_leaves(value)
+    return np.asarray(value, dtype=float)
 
 
-def _field(params: dict, key: str, convert, default=None):
-    """``convert(params[key])``, ``default`` standing in for an absent key
-    unless None; a value ``convert`` rejects raises ``ConfigParse``."""
-    value = params[key] if default is None else params.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"config field {key!r}: bad value {value!r}") from exc
+def _matrix(rows) -> StochasticMatrix:
+    """Rows past the dtype checks, then refusing booleans among numbers."""
+    matrix = StochasticMatrix(rows)
+    _check_leaves(rows)
+    return matrix
+
+
+def _edge(value) -> tuple:
+    i, j = value
+    return _integer(i), _integer(j)
+
+
+def _block(obj) -> tuple:
+    return _field(obj, "A", _array), _field(obj, "b", _array)
 
 
 def matrix_from_json(obj) -> StochasticMatrix:
-    try:
-        rows = obj["rows"]
-    except (TypeError, KeyError) as exc:
-        raise ConfigParse("matrix object needs a 'rows' field") from exc
-    m = StochasticMatrix(rows)
-    if "n" in obj and _field(obj, "n", _integer) != m.n:
+    m = _field(obj, "rows", _matrix)
+    if _field(obj, "n", _integer, m.n) != m.n:
         raise ConfigParse(f"matrix declares n={obj['n']} but has {m.n} rows")
     return m
 
 
-def graph_to_json(graph: DirectedGraph) -> dict:
-    return {"n": graph.n, "edges": sorted(map(list, graph.edges))}
-
-
 def graph_from_json(obj) -> DirectedGraph:
-    try:
-        return DirectedGraph(_integer(obj["n"]), frozenset(
-            (_integer(i), _integer(j)) for i, j in obj["edges"]))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigParse(f"bad graph object: {exc}") from exc
+    return DirectedGraph(_field(obj, "n", _integer),
+                         frozenset(_field(obj, "edges", _list(_edge))))
 
 
-def model_from_json(obj, matrix_set: FiniteMatrixSet | None = None) -> SequenceModel:
-    try:
-        variant = obj["variant"]
-    except (TypeError, KeyError) as exc:
-        raise ConfigParse("model object needs a 'variant' field") from exc
-    seed = _field(obj, "seed", _integer, 0)
-    if matrix_set is None and obj.get("set"):
-        matrix_set = FiniteMatrixSet(
-            tuple(matrix_from_json(m) for m in obj["set"]))
-    try:
-        if variant == "iid":
-            return IIDModel(weights=_field(obj, "weights", _array),
-                            seed=seed, matrix_set=matrix_set)
-        if variant == "markov":
-            return MarkovModulatedModel(
-                initial=_field(obj, "initial", _array),
-                transition=_field(obj, "transition", _array),
-                seed=seed, matrix_set=matrix_set)
-        if variant == "scripted":
-            return ScriptedModel(indices=tuple(map(_integer, obj["indices"])),
-                                 seed=seed, matrix_set=matrix_set)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParse(f"bad {variant!r} model object: {exc}") from exc
+def model_from_json(obj) -> SequenceModel:
+    variant = _field(obj, "variant", _string)
+    mats = _field(obj, "set", _list(matrix_from_json), [])
+    common = {"seed": _field(obj, "seed", _integer, 0),
+              "matrix_set": FiniteMatrixSet(tuple(mats)) if mats else None}
+    if variant == "iid":
+        return IIDModel(weights=_field(obj, "weights", _array), **common)
+    if variant == "markov":
+        return MarkovModulatedModel(initial=_field(obj, "initial", _array),
+                                    transition=_field(obj, "transition", _array),
+                                    **common)
+    if variant == "scripted":
+        return ScriptedModel(indices=tuple(_field(obj, "indices", _list(_integer))),
+                             **common)
     raise ConfigParse(f"unknown model variant {variant!r}")
 
 
-def model_to_json(model: SequenceModel, include_set: bool = True) -> dict:
-    out: dict = {"seed": model.seed}
-    if isinstance(model, IIDModel):
-        out.update(variant="iid", weights=model.weights.tolist())
-    elif isinstance(model, MarkovModulatedModel):
-        out.update(variant="markov", initial=model.initial.tolist(),
-                   transition=model.transition.tolist())
-    elif isinstance(model, ScriptedModel):
-        out.update(variant="scripted", indices=list(model.indices))
-    else:
-        raise ConfigParse(f"cannot serialize model type {type(model).__name__}")
-    if include_set and model.matrix_set is not None:
-        out["set"] = [matrix_to_json(m) for m in model.matrix_set.matrices]
-    return out
-
-
 def system_blocks_from_json(obj) -> list:
-    try:
-        return [(_array(blk["A"]), _array(blk["b"])) for blk in obj["blocks"]]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigParse(f"bad system object: {exc}") from exc
+    return _field(obj, "blocks", _list(_block))

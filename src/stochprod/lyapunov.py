@@ -46,7 +46,7 @@ class SwitchedSystem:
         mats = tuple(np.array(a, dtype=float) for a in self.modes)
         if not mats:
             raise DimensionMismatch("a switched system needs at least one mode")
-        n = mats[0].shape[0]
+        n = mats[0].shape[0] if mats[0].ndim == 2 else None
         for a in mats:
             if a.ndim != 2 or a.shape != (n, n):
                 raise DimensionMismatch("modes must be square and share dimensions")

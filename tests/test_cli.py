@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod import cli
+from stochprod import cli, jsonio
+from stochprod.errors import ConfigParse
 
 CHAIN3 = [[0.0, 0.4, 0.6], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 SCRAM = [[0.2, 0.8], [0.5, 0.5]]
@@ -181,27 +182,46 @@ class TestRunnerContract:
         assert run_cli("classify", cfg, tmp_path / "o") == 2
 
 
-class TestJsonRoundTrips:
-    def test_model_round_trip(self):
-        from stochprod import jsonio
-        fset = sp.FiniteMatrixSet((sp.StochasticMatrix(SCRAM),
-                                   sp.StochasticMatrix(np.eye(2))))
-        for model in (
-            sp.IIDModel(weights=[0.25, 0.75], seed=4, matrix_set=fset),
-            sp.MarkovModulatedModel(initial=[1, 0], seed=4, matrix_set=fset,
-                                    transition=[[0.5, 0.5], [1.0, 0.0]]),
-            sp.ScriptedModel(indices=(0, 1, 1), seed=4, matrix_set=fset),
-        ):
-            back = jsonio.model_from_json(jsonio.model_to_json(model))
-            assert type(back) is type(model)
-            assert back.seed == model.seed
-            assert np.array_equal(back.sample_indices(64),
-                                  model.sample_indices(64))
+class TestJsonReaders:
+    SET = [{"n": 2, "rows": SCRAM}, {"n": 2, "rows": [[1, 0], [0, 1]]}]
 
-    def test_graph_round_trip(self):
-        from stochprod import jsonio
-        g = sp.DirectedGraph(3, frozenset({(0, 1), (1, 2), (2, 0), (1, 1)}))
-        assert jsonio.graph_from_json(jsonio.graph_to_json(g)) == g
+    def test_model_variants_from_json(self):
+        iid = jsonio.model_from_json({"variant": "iid", "seed": 4,
+                                      "weights": [0.25, 0.75], "set": self.SET})
+        markov = jsonio.model_from_json({
+            "variant": "markov", "initial": [1, 0],
+            "transition": [[0.5, 0.5], [1.0, 0.0]]})
+        scripted = jsonio.model_from_json({"variant": "scripted", "seed": 4,
+                                           "indices": [0, 1, 1.0]})
+        assert type(iid) is sp.IIDModel and iid.seed == 4
+        np.testing.assert_array_equal(iid.weights, [0.25, 0.75])
+        assert [m.entries.tolist() for m in iid.matrix_set.matrices] == [
+            SCRAM, [[1.0, 0.0], [0.0, 1.0]]]
+        assert type(markov) is sp.MarkovModulatedModel
+        assert markov.seed == 0 and markov.matrix_set is None
+        np.testing.assert_array_equal(markov.transition, [[0.5, 0.5], [1, 0]])
+        assert type(scripted) is sp.ScriptedModel
+        assert scripted.indices == (0, 1, 1) and scripted.seed == 4
+        for model, direct in (
+            (iid, sp.IIDModel(weights=[0.25, 0.75], seed=4)),
+            (markov, sp.MarkovModulatedModel(
+                initial=[1, 0], transition=[[0.5, 0.5], [1.0, 0.0]])),
+            (scripted, sp.ScriptedModel(indices=(0, 1, 1), seed=4)),
+        ):
+            assert np.array_equal(model.sample_indices(64),
+                                  direct.sample_indices(64))
+
+    def test_graph_from_json(self):
+        g = jsonio.graph_from_json({"n": 3, "edges": [[0, 1], [1, 2], [2, 0],
+                                                      [1, 1]]})
+        assert g == sp.DirectedGraph(3, frozenset({(0, 1), (1, 2), (2, 0),
+                                                   (1, 1)}))
+
+    def test_missing_field_is_named(self):
+        with pytest.raises(ConfigParse, match="config missing field 'edges'"):
+            jsonio.graph_from_json({"n": 3})
+        with pytest.raises(ConfigParse, match="expected an object"):
+            jsonio.model_from_json([1])
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -311,7 +331,9 @@ BAD_FIELDS = {
     "classify-matrix-n-null": ("classify", {"matrices": [{"n": None, "rows": SCRAM}]},
                                "'n': bad value None"),
     "classify-matrices-number": ("classify", {"matrices": 5},
-                                 "nonempty 'matrices' list"),
+                                 "'matrices': bad value 5"),
+    "classify-matrices-empty": ("classify", {"matrices": []},
+                                "nonempty 'matrices' list"),
     "product-model-seed-text": ("product", {"model": {
         **TINY_CONFIGS["product"]["model"], "seed": "abc"}},
                                 "'seed': bad value 'abc'"),
@@ -387,7 +409,29 @@ BAD_FIELDS = {
             ["1", "0"], ["0", "1"]]}]}}, "expected numbers"),
     "lineq-system-b-string": ("lineq", {"system": {"blocks": [
         {"A": [[1.0, 0.0]], "b": ["1"]}, {"A": [[0.0, 1.0]], "b": [1.0]}]}},
-                              "bad system object"),
+                              "'b': bad value"),
+    # booleans and nulls that numpy would promote to numbers or NaN
+    "classify-rows-mixed-booleans": ("classify", {"matrices": [{"n": 2, "rows": [
+        [True, 0.0], [0.0, 1]]}]}, "'rows': bad value [[True, 0.0], [0.0, 1]]"),
+    "product-set-rows-mixed-booleans": ("product", {"model": {
+        **TINY_CONFIGS["product"]["model"], "set": [{"n": 2, "rows": [
+            [0.5, 0.5], [False, 1.0]]}]}}, "'rows': bad value"),
+    "product-model-weights-null": ("product", {"model": {
+        **TINY_CONFIGS["product"]["model"], "weights": [None]}},
+                                   "'weights': bad value [None]"),
+    "async-x0-null": ("async", {"x0": [None, 0.5]},
+                      "'x0': bad value [None, 0.5]"),
+    # values of the wrong JSON type that once escaped as raw tracebacks
+    "product-model-set-number": ("product", {"model": {
+        **TINY_CONFIGS["product"]["model"], "set": 0.5}}, "'set': bad value 0.5"),
+    "lineq-graphs-boolean": ("lineq", {"graphs": True},
+                             "'graphs': bad value True"),
+    "certify-modes-scalar": ("certify", {"modes": [1e308, [[0.5, 0], [0, 0.5]]]},
+                             "modes must be square"),
+    "product-model-number": ("product", {"model": 5},
+                             "expected an object with field 'variant', got 5"),
+    "lineq-graph-edge-triple": ("lineq", {"graphs": [{"n": 2, "edges": [
+        [0, 0, 1]]}]}, "'edges': bad value [[0, 0, 1]]"),
 }
 
 
@@ -432,6 +476,27 @@ def test_check_connectivity_reads_a_json_boolean(tmp_path, capsys):
     assert "no strongly connected window" in capsys.readouterr().err
     off = write(tmp_path / "off.json", {**cfg, "check_connectivity": False})
     assert run_cli("lineq", off, tmp_path / "b") in (0, 3)
+
+
+@pytest.mark.parametrize("out", [5, ["x"], ""], ids=["number", "list", "empty"])
+def test_config_out_must_be_a_nonempty_string(tmp_path, monkeypatch, capfd, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "c.json", {**TINY_CONFIGS["classify"], "out": out})
+    assert cli.main(["run", "classify", "--config", cfg]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: config field 'out': bad value {out!r}")
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("out,message", [
+    ("", "config field 'out': bad value ''"),
+    ("taken", "cannot create output directory")], ids=["empty", "a-file"])
+def test_bad_out_flag_is_validation_error(tmp_path, capfd, out, message):
+    cfg = write(tmp_path / "c.json", TINY_CONFIGS["classify"])
+    (tmp_path / "taken").write_text("")
+    assert run_cli("classify", cfg, out and tmp_path / out) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_non_finite_system_is_validation_error(tmp_path, capfd):

@@ -80,6 +80,13 @@ class TestExpectedLyapunov:
         with pytest.raises(NonFiniteEntry):
             single_mode_system([[0.5, np.nan], [0.0, 0.5]])
 
+    @pytest.mark.parametrize("first", [1e308, [0.5, 0.5], [[[0.5]]]])
+    def test_first_mode_not_a_matrix_rejected(self, first):
+        # the first mode's shape sets the dimension, so it is checked first
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            sp.SwitchedSystem(modes=(np.asarray(first), np.eye(2)),
+                              signal=sp.IIDModel(weights=[0.5, 0.5]))
+
 
 class TestCertify:
     def test_single_contracting_mode(self):
