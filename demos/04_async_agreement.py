@@ -48,8 +48,7 @@ print("hierarchical words among all length-%d words: %d of %d" %
 
 # Asynchronous run: independent per-agent clocks, agreement to 1e-12.
 clocks = sp.BernoulliClocks(rates=np.full(6, 0.5), seed=3)
-trace = sp.simulate_async(W, clocks, np.arange(6.0), steps=600,
-                          record_events=False)
+trace = sp.simulate_async(W, clocks, np.arange(6.0), steps=600)
 print("\nasynchronous spread:")
 for k in (0, 25, 50, 100, 200, 400, 600):
     print(f"  after {k:4d} events: {trace.spreads[k]:.3e}")

@@ -11,7 +11,6 @@ from .agreement import (
     BernoulliClocks,
     HierarchicalPartition,
     PoissonClocks,
-    UpdateEvent,
     async_update_matrix,
     hierarchical_partition,
     hierarchical_product,
@@ -97,9 +96,9 @@ from .sequences import (
 __all__ = [
     # agreement
     "AgreementTrace", "BernoulliClocks", "HierarchicalPartition",
-    "PoissonClocks", "UpdateEvent", "async_update_matrix",
-    "hierarchical_partition", "hierarchical_product", "hierarchical_sequence",
-    "hierarchical_word_count", "simulate_async",
+    "PoissonClocks", "async_update_matrix", "hierarchical_partition",
+    "hierarchical_product", "hierarchical_sequence", "hierarchical_word_count",
+    "simulate_async",
     # equations
     "GraphSequenceModel", "PartitionedLinearSystem", "ProjectionSet",
     "SolverReport", "averaging_matrix", "error_transition", "initial_estimate",

@@ -23,7 +23,6 @@ from .errors import (
     EmptyActivation,
     InvalidDistribution,
     NotReachable,
-    TickBudgetExceeded,
 )
 from .graphs import DirectedGraph
 from .matrices import StochasticMatrix
@@ -32,7 +31,6 @@ from .sequences import _check_seed, trial_seed
 __all__ = [
     "BernoulliClocks",
     "PoissonClocks",
-    "UpdateEvent",
     "AgreementTrace",
     "HierarchicalPartition",
     "async_update_matrix",
@@ -43,8 +41,8 @@ __all__ = [
     "simulate_async",
 ]
 
-TICK_BLOCK = 1024  # clock ticks drawn at once by ``simulate_async``
-TICK_LIMIT = 10**7  # expected clock ticks ``simulate_async`` may spend
+EVENT_BLOCK = 1024  # update events drawn at once by ``simulate_async``
+EVENT_LIMIT = 10**7  # update events one ``simulate_async`` run may take
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class BernoulliClocks:
 @dataclass(frozen=True)
 class PoissonClocks:
     """Poisson clocks thinned onto a tick grid of width ``delta``: the
-    per-tick firing probability is 1 - exp(-rate * delta)."""
+    per-tick firing probability is -expm1(-rate * delta), exact when tiny."""
 
     rates: np.ndarray
     seed: int = 0
@@ -87,15 +85,7 @@ class PoissonClocks:
         object.__setattr__(self, "rates", r)
 
     def activation_probabilities(self):
-        return 1.0 - np.exp(-self.rates * self.delta)
-
-
-@dataclass(frozen=True)
-class UpdateEvent:
-    """One event tick: the nonempty set of agents that updated."""
-
-    k: int
-    activated: frozenset
+        return -np.expm1(-self.rates * self.delta)
 
 
 @dataclass(frozen=True)
@@ -105,7 +95,6 @@ class AgreementTrace:
 
     spreads: tuple
     final_x: np.ndarray
-    events: tuple
     seed: int
 
 
@@ -184,16 +173,35 @@ def hierarchical_word_count(partition: HierarchicalPartition) -> int:
     return count
 
 
+def _firing_sets(rng, probs, count) -> np.ndarray:
+    """``count`` i.i.d. firing sets, a ``(count, n)`` boolean array, from the
+    law of the agents that fire in one tick given that at least one does:
+    the first is i with probability p_i prod_{j<i} (1 - p_j) / p_any, and
+    every agent after it fires independently with its own probability.  The
+    cumulative sum is divided by its last entry, p_any, so it ends at exactly
+    1, above every uniform draw even for subnormal probabilities, and an
+    agent of probability 0 is never picked."""
+    n = probs.shape[0]
+    survive = np.concatenate(([1.0], np.cumprod(1.0 - probs)[:-1]))
+    cum = np.cumsum(probs * survive)
+    first = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
+    fired = rng.random((count, n)) < probs
+    fired &= np.arange(n) > first[:, None]
+    fired[np.arange(count), first] = True
+    return fired
+
+
 def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
-                   trial: int = 0, record_events: bool = True) -> AgreementTrace:
+                   trial: int = 0) -> AgreementTrace:
     """Run ``steps`` asynchronous update events.
 
-    Each tick samples the set of firing agents from the clocks; ticks where
-    nobody fires are skipped (no event happens, no time passes in the
-    event-indexed system).  All agents firing at once apply their rows
-    simultaneously.  Raises ``InvalidDistribution`` for negative ``steps``
-    and ``TickBudgetExceeded`` when the expected number of ticks is over
-    ``TICK_LIMIT``.
+    The system is event-indexed: each step is one update event, its firing
+    set drawn from the clocks' law given that some agent fires, so empty
+    ticks never enter.  Events are drawn ``EVENT_BLOCK`` at a time, always
+    the same shape, so a run of k steps is a prefix of a longer one.  All
+    agents firing at once apply their rows simultaneously.  Raises
+    ``InvalidDistribution`` when no agent can fire or ``steps`` is below 0
+    or over ``EVENT_LIMIT``.
     """
     w = matrices.entries_of(W)
     n = w.shape[0]
@@ -206,35 +214,22 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     steps = int(steps)
     if steps < 0:
         raise InvalidDistribution("steps must be at least 0")
-    # a tick carries an event with probability p_any, so the run takes
-    # steps / p_any ticks on average
-    with np.errstate(divide="ignore"):
-        p_any = -float(np.expm1(np.log1p(-probs).sum()))
-    if steps > TICK_LIMIT * p_any:
-        raise TickBudgetExceeded(
-            f"{steps} events need about {steps / p_any:.3g} clock ticks, "
-            f"over the budget of {TICK_LIMIT}")
+    if steps > EVENT_LIMIT:
+        raise InvalidDistribution(f"steps must be at most {EVENT_LIMIT}")
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise DimensionMismatch("x0 needs one entry per agent")
     matrices._check_finite(x[:, None])
     rng = np.random.default_rng(trial_seed(clocks.seed, trial))
     spreads = [float(x.max() - x.min())]
-    events = []
-    done = 0
-    while done < steps:
-        # TICK_BLOCK ticks per draw: the same stream as one rng.random(n) each
-        block = rng.random((TICK_BLOCK, n)) < probs
-        for row in block[block.any(axis=1)][:steps - done]:
+    while len(spreads) <= steps:
+        block = _firing_sets(rng, probs, EVENT_BLOCK)
+        for row in block[:steps + 1 - len(spreads)]:
             fired = np.nonzero(row)[0]
             x[fired] = w[fired] @ x
-            done += 1
             spreads.append(float(x.max() - x.min()))
-            if record_events:
-                events.append(UpdateEvent(k=done, activated=frozenset(fired.tolist())))
     return AgreementTrace(
         spreads=tuple(spreads),
         final_x=x,
-        events=tuple(events),
         seed=trial_seed(clocks.seed, trial),
     )

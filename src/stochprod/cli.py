@@ -58,6 +58,11 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _refuse_constant(name: str):
+    """``NaN``, ``Infinity`` and ``-Infinity`` are not JSON."""
+    raise ConfigParse(f"config holds {name}, which is not a JSON number")
+
+
 def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigParse(f"unknown experiment kind {kind!r}; choose from {KINDS}")
@@ -66,7 +71,7 @@ def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
             raise ConfigParse(f"{kind} does not read --{key}")
     try:
         with open(path) as fh:
-            params = json.load(fh)
+            params = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -116,8 +121,9 @@ def _run_classify(config: ExperimentConfig):
     if not mats:
         raise ConfigParse("classify needs a nonempty 'matrices' list")
     # labels are echoed to the outputs as they are, so any JSON values do
-    labels = p.get("labels") or [f"M{i}" for i in range(len(mats))]
-    if not isinstance(labels, list) or len(labels) != len(mats):
+    labels = _field(p, "labels", _list(lambda label: label),
+                    [f"M{i}" for i in range(len(mats))])
+    if len(labels) != len(mats):
         raise ConfigParse("'labels' must be a list with one label per matrix")
     per_matrix = []
     rows = []
@@ -220,8 +226,7 @@ def _run_async(config: ExperimentConfig):
     x0 = _field(p, "x0", _array, np.arange(n) / max(n - 1, 1))
     steps = _field(p, "steps", _integer, 5000)
     tol = _field(p, "tol", _number, 1e-8)
-    trace = agreement.simulate_async(w, clocks, x0, steps=steps,
-                                     record_events=False)
+    trace = agreement.simulate_async(w, clocks, x0, steps=steps)
     rows = [[k, repr(s)] for k, s in enumerate(trace.spreads)]
     summary = {
         "final_spread": trace.spreads[-1],

@@ -91,10 +91,6 @@ class NoInNeighbor(StochprodError):
     """A vertex has no in-neighbor, so it has nothing to average."""
 
 
-class TickBudgetExceeded(StochprodError):
-    """Clocks fire so rarely that a run would take too many ticks."""
-
-
 class EmptyActivation(StochprodError):
     """An asynchronous update needs at least one activated agent."""
 

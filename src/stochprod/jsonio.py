@@ -16,6 +16,7 @@ rejects into a ``ConfigParse`` naming the field.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -64,9 +65,10 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
-    """``float(value)`` of a JSON number, refusing a string or a boolean."""
-    if isinstance(value, (str, bool)):
-        raise ValueError(f"{value!r} is not a number")
+    """``float(value)`` of a finite JSON number, refusing a string, a boolean
+    or a number too large for a float (``1e400`` parses to ``inf``)."""
+    if isinstance(value, (str, bool)) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 
 

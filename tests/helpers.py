@@ -192,31 +192,77 @@ def monte_carlo_decay_per_trial(system, V, x0, steps, trials, tol=1e-8):
     return report, history
 
 
-def simulate_async_per_tick(W, clocks, x0, steps, trial=0, record_events=True):
-    """``simulate_async`` with one ``rng.random(n)`` draw per tick."""
-    from stochprod.agreement import AgreementTrace, UpdateEvent
+def apply_firing_sets(W, x0, fired):
+    """Spreads and final state of the events ``fired`` (one boolean row per
+    event) applied in order to ``x0``, one row at a time."""
     from stochprod.matrices import spread
-    from stochprod.sequences import trial_seed
 
     w = entries_of(W)
-    n = w.shape[0]
-    probs = clocks.activation_probabilities()
     x = np.array(x0, dtype=float)
-    rng = np.random.default_rng(trial_seed(clocks.seed, trial))
     spreads = [spread(x)]
-    events = []
-    done = 0
-    while done < steps:
-        fired = np.nonzero(rng.random(n) < probs)[0]
-        if fired.size == 0:
-            continue
-        x[fired] = w[fired] @ x
-        done += 1
+    for row in fired:
+        agents = np.nonzero(row)[0]
+        x[agents] = w[agents] @ x
         spreads.append(spread(x))
-        if record_events:
-            events.append(UpdateEvent(k=done, activated=frozenset(int(i) for i in fired)))
-    return AgreementTrace(spreads=tuple(spreads), final_x=x, events=tuple(events),
-                          seed=trial_seed(clocks.seed, trial))
+    return tuple(spreads), x
+
+
+def simulate_async_per_tick(clocks, steps, trial=0):
+    """Reference law of ``simulate_async``'s events: the ``(steps, n)``
+    boolean firing sets of a tick loop, one ``rng.random(n)`` draw per clock
+    tick, the ticks where nobody fires skipped."""
+    from stochprod.sequences import trial_seed
+
+    probs = clocks.activation_probabilities()
+    rng = np.random.default_rng(trial_seed(clocks.seed, trial))
+    fired = []
+    while len(fired) < steps:
+        row = rng.random(probs.size) < probs
+        if row.any():
+            fired.append(row)
+    return np.array(fired, dtype=bool).reshape(steps, probs.size)
+
+
+def firing_set_counts(fired):
+    """How often each firing set occurs among the boolean rows ``fired``,
+    indexed by the set's bitmask (agent i is bit i)."""
+    fired = np.asarray(fired, dtype=bool)
+    codes = fired @ (1 << np.arange(fired.shape[1]))
+    return np.bincount(codes, minlength=2 ** fired.shape[1])
+
+
+def _pool_small(observed, expected):
+    """Cells expecting fewer than five counts pooled into one."""
+    small = expected < 5
+    if not small.any():
+        return observed, expected
+    return (np.append(observed[~small], observed[small].sum()),
+            np.append(expected[~small], expected[small].sum()))
+
+
+def chi_square_p(observed, probs):
+    """Chi-square goodness-of-fit p-value of counts against cell
+    probabilities; cells of probability 0 must be empty."""
+    from scipy import stats
+
+    observed = np.asarray(observed)
+    expected = np.asarray(probs, dtype=float) * observed.sum()
+    assert observed[expected == 0].sum() == 0
+    keep = expected > 0
+    return stats.chisquare(*_pool_small(observed[keep], expected[keep])).pvalue
+
+
+def two_sample_chi_square_p(a, b):
+    """Chi-square p-value that two count vectors share one law; the cells
+    both samples together hit fewer than ten times are pooled into one."""
+    from scipy import stats
+
+    a, b = np.asarray(a), np.asarray(b)
+    rare = a + b < 10
+    table = np.array([a[~rare], b[~rare]])
+    if (a + b)[rare].any():
+        table = np.column_stack([table, [a[rare].sum(), b[rare].sum()]])
+    return stats.chi2_contingency(table, correction=False).pvalue
 
 
 def simulate_product_per_step(model, steps, checkpoints=None, trial=0):

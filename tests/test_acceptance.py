@@ -213,8 +213,7 @@ def test_criterion_6_agreement_iff_rooted():
     reached = 0
     for trial in range(100):
         clocks = sp.BernoulliClocks(rates=np.full(6, 0.5), seed=600 + trial)
-        trace = sp.simulate_async(w, clocks, np.arange(6.0), steps=2000,
-                                  record_events=False)
+        trace = sp.simulate_async(w, clocks, np.arange(6.0), steps=2000)
         reached += min(trace.spreads) < 1e-8
     # necessity: two isolated rotating groups with distinct values
     wd = np.zeros((6, 6))
@@ -224,7 +223,7 @@ def test_criterion_6_agreement_iff_rooted():
     assert not sp.is_rooted(sp.graph_of(wd))
     x0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     clocks = sp.BernoulliClocks(rates=np.full(6, 0.5), seed=61)
-    trace_d = sp.simulate_async(wd, clocks, x0, steps=10000, record_events=False)
+    trace_d = sp.simulate_async(wd, clocks, x0, steps=10000)
     gap_held = min(trace_d.spreads) >= 1.0
     # baseline: synchronous updates under a periodic matrix recur exactly
     n = 5

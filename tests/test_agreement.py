@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stochprod as sp
+from stochprod import agreement
 from stochprod.errors import (
     DimensionMismatch,
     EmptyActivation,
@@ -13,7 +14,9 @@ from stochprod.errors import (
 )
 
 from helpers import (
+    chi_square_p,
     figure_network,
+    firing_set_counts,
     random_rooted_graph,
     uniform_weights,
     weights_for_graph,
@@ -202,6 +205,44 @@ class TestClocks:
         np.testing.assert_allclose(clocks.activation_probabilities(),
                                    1.0 - np.exp([-0.5, -1.0]))
 
+    def test_poisson_thinning_keeps_tiny_rates(self):
+        # 1 - exp(-1e-20) is 0 in floating point; -expm1(-1e-20) is not
+        clocks = sp.PoissonClocks(rates=np.array([1e-20, 1.0]), delta=1.0)
+        np.testing.assert_allclose(clocks.activation_probabilities()[0], 1e-20,
+                                   rtol=1e-15, atol=0)
+
+
+def exact_firing_set_law(probs):
+    """Probability of each firing set, by bitmask, given that some agent
+    fires: prod_S p_i prod_{not S} (1 - p_i) / p_any, and 0 for no agent."""
+    n = probs.size
+    sets = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    law = np.where(sets, probs, 1.0 - probs).prod(axis=1)
+    law[0] = 0.0
+    return law / law.sum()
+
+
+class TestFiringSets:
+    @pytest.mark.parametrize("clocks", [
+        # one certain clock: every set holds agent 2
+        sp.BernoulliClocks(rates=np.array([0.3, 0.1, 1.0, 0.6])),
+        # one clock of rate 1e-9: the sets holding agent 1 all but never occur
+        sp.PoissonClocks(rates=np.array([0.4, 1e-9, 0.9, 0.2]), delta=1.0),
+    ], ids=["bernoulli-certain", "poisson-tiny"])
+    def test_law_matches_exact_probabilities(self, clocks):
+        probs = clocks.activation_probabilities()
+        fired = agreement._firing_sets(np.random.default_rng(2024), probs,
+                                       100000)
+        assert fired.shape == (100000, 4) and fired.any(axis=1).all()
+        assert chi_square_p(firing_set_counts(fired),
+                            exact_firing_set_law(probs)) > 1e-3
+
+    def test_agents_of_probability_zero_never_fire(self):
+        probs = np.array([0.0, 0.5, 0.0, 1e-3, 0.0])
+        fired = agreement._firing_sets(np.random.default_rng(7), probs, 50000)
+        assert not fired[:, probs == 0].any()
+        assert fired.any(axis=1).all() and fired[:, 3].any()
+
 
 class TestSimulateAsync:
     def test_rooted_periodic_reaches_agreement(self):
@@ -209,8 +250,7 @@ class TestSimulateAsync:
         assert sp.is_rooted(sp.graph_of(w))
         assert sp.pattern_period(w) > 1  # simultaneous updates would cycle
         clocks = sp.BernoulliClocks(rates=np.full(6, 0.5), seed=7)
-        trace = sp.simulate_async(w, clocks, np.arange(6.0), steps=4000,
-                                  record_events=False)
+        trace = sp.simulate_async(w, clocks, np.arange(6.0), steps=4000)
         assert trace.spreads[-1] < 1e-8
 
     def test_decomposable_never_agrees(self):
@@ -221,7 +261,7 @@ class TestSimulateAsync:
         assert not sp.is_rooted(sp.graph_of(w))
         x0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         clocks = sp.BernoulliClocks(rates=np.full(6, 0.5), seed=3)
-        trace = sp.simulate_async(w, clocks, x0, steps=2000, record_events=False)
+        trace = sp.simulate_async(w, clocks, x0, steps=2000)
         assert min(trace.spreads) >= 1.0  # the inter-block gap is exact
 
     def test_synchronous_rotation_oscillates(self):
@@ -238,17 +278,19 @@ class TestSimulateAsync:
         assert sp.spread(states[period]) == sp.spread(states[0])
 
     def test_event_counting_skips_empty_ticks(self):
+        # nine ticks in ten are empty; every step is an event all the same,
+        # and each event halves the spread (one agent fires) or ends it (both)
         w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
         clocks = sp.BernoulliClocks(rates=np.full(2, 0.05), seed=1)
         trace = sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=25)
-        assert len(trace.events) == 25
-        assert all(e.activated for e in trace.events)
         assert len(trace.spreads) == 26
+        assert all(s <= 0.5 ** k for k, s in enumerate(trace.spreads))
+        assert sp.spread(trace.final_x) == trace.spreads[-1]
 
     def test_clocks_that_never_fire_rejected(self):
-        # 1 - exp(-1e-20) rounds to 0: no tick could ever hold an event
+        # rate * delta underflows to 0: no tick could ever hold an event
         w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-        clocks = sp.PoissonClocks(rates=np.full(2, 1e-20))
+        clocks = sp.PoissonClocks(rates=np.full(2, 1e-200), delta=1e-200)
         with pytest.raises(InvalidDistribution):
             sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
 
@@ -267,6 +309,7 @@ class TestSimulateAsync:
         a = sp.simulate_async(w, clocks, np.arange(6.0), steps=200)
         b = sp.simulate_async(w, clocks, np.arange(6.0), steps=200)
         assert a.spreads == b.spreads
-        assert a.events == b.events
+        assert np.array_equal(a.final_x, b.final_x)
         c = sp.simulate_async(w, clocks, np.arange(6.0), steps=200, trial=1)
         assert a.spreads != c.spreads
+        assert not np.array_equal(a.final_x, c.final_x)

@@ -1,6 +1,9 @@
 """Differential tests of the batched sampling and simulation loops against
 the step-at-a-time reference loops in ``helpers``: every output must agree
-bit for bit (``np.array_equal`` and exact equality, no tolerance)."""
+bit for bit (``np.array_equal`` and exact equality, no tolerance).  The
+asynchronous runs draw their events from a law, not a tick stream, so they
+agree with the tick loop in law (a two-sample chi-square test) and with a
+replay of their own event stream bit for bit."""
 
 import time
 
@@ -10,15 +13,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochprod as sp
-from stochprod.errors import InvalidDistribution, TickBudgetExceeded
+from stochprod import agreement
+from stochprod.errors import InvalidDistribution
 
 from helpers import (
+    apply_firing_sets,
+    firing_set_counts,
     markov_indices_stepwise,
     monte_carlo_decay_per_trial,
     random_stochastic,
     run_solver_stepwise,
     simulate_async_per_tick,
     simulate_product_per_step,
+    two_sample_chi_square_p,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -205,10 +212,8 @@ def test_monte_carlo_decay_matches_per_trial_loop(seed, m, n, steps, count,
     assert sp.monte_carlo_decay(system, V, x0, steps, count, tol=1e-3) == want
 
 
-@given(seeds, dims, st.integers(0, 1500), trials,
-       st.sampled_from(["bernoulli", "poisson"]), st.booleans())
-def test_simulate_async_matches_per_tick_loop(seed, n, steps, trial, clock,
-                                              record_events):
+def async_run(seed, n, clock):
+    """A random averaging matrix, clocks and start vector of ``n`` agents."""
     rng = np.random.default_rng(seed)
     w = random_stochastic(rng, n, density=0.5)
     if clock == "bernoulli":
@@ -218,15 +223,50 @@ def test_simulate_async_matches_per_tick_loop(seed, n, steps, trial, clock,
         clocks = sp.PoissonClocks(rates=rng.uniform(0.05, 0.5, n),
                                   seed=int(rng.integers(2**31)),
                                   delta=float(rng.uniform(0.5, 2.0)))
-    x0 = rng.normal(size=n)
-    got = sp.simulate_async(w, clocks, x0, steps, trial=trial,
-                            record_events=record_events)
-    want = simulate_async_per_tick(w, clocks, x0, steps, trial=trial,
-                                   record_events=record_events)
-    assert got.spreads == want.spreads
-    assert np.array_equal(got.final_x, want.final_x)
-    assert got.events == want.events
-    assert got.seed == want.seed
+    return w, clocks, rng.normal(size=n)
+
+
+def drawn_firing_sets(clocks, steps, trial=0):
+    """The first ``steps`` firing sets of the stream ``simulate_async``
+    draws, ``EVENT_BLOCK`` events at a time."""
+    probs = clocks.activation_probabilities()
+    rng = np.random.default_rng(sp.trial_seed(clocks.seed, trial))
+    blocks = [agreement._firing_sets(rng, probs, agreement.EVENT_BLOCK)
+              for _ in range(-(-steps // agreement.EVENT_BLOCK))]
+    return np.concatenate(blocks or [np.zeros((0, probs.size), bool)])[:steps]
+
+
+def test_simulate_async_matches_per_tick_loop():
+    # in law: the event stream against the tick loop's nonempty ticks, on
+    # sparse, dense and one-certain clocks
+    cases = [sp.BernoulliClocks(rates=np.array([0.05, 0.1, 0.02, 0.08]), seed=4),
+             sp.BernoulliClocks(rates=np.array([0.6, 0.3, 1.0, 0.5]), seed=5),
+             sp.PoissonClocks(rates=np.array([0.3, 0.9, 0.1, 0.5]), seed=6,
+                              delta=0.7)]
+    for clocks in cases:
+        ticks = simulate_async_per_tick(clocks, 20000)
+        events = drawn_firing_sets(clocks, 20000, trial=1)
+        p = two_sample_chi_square_p(firing_set_counts(ticks),
+                                    firing_set_counts(events))
+        assert p > 1e-3, (clocks, p)
+
+
+@given(seeds, dims, st.integers(0, 2500), st.integers(0, 2500), trials,
+       st.sampled_from(["bernoulli", "poisson"]))
+@example(0, 3, 1024, 1025, 0, "bernoulli")
+@example(1, 2, 0, 2049, 2, "poisson")
+@settings(max_examples=40)
+def test_shorter_async_run_is_a_prefix(seed, n, k, length, trial, clock):
+    k, length = sorted((k, length))
+    w, clocks, x0 = async_run(seed, n, clock)
+    short = sp.simulate_async(w, clocks, x0, k, trial=trial)
+    long = sp.simulate_async(w, clocks, x0, length, trial=trial)
+    fired = drawn_firing_sets(clocks, length, trial=trial)
+    spreads, x = apply_firing_sets(w, x0, fired)
+    assert long.spreads == spreads and np.array_equal(long.final_x, x)
+    assert short.spreads == long.spreads[:k + 1]
+    assert np.array_equal(short.final_x, apply_firing_sets(w, x0, fired[:k])[1])
+    assert short.seed == long.seed == sp.trial_seed(clocks.seed, trial)
 
 
 @given(seeds, symbols, dims, st.integers(1, 300), trials,
@@ -251,33 +291,30 @@ def test_async_negative_steps_rejected():
     with pytest.raises(InvalidDistribution, match="steps must be at least 0"):
         sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=-3)
     trace = sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=0)
-    assert trace.spreads == (1.0,) and trace.events == ()
+    assert trace.spreads == (1.0,)
+    assert np.array_equal(trace.final_x, [0.0, 1.0])
 
 
-def test_clocks_that_almost_never_fire_hit_the_tick_budget():
-    # each tick fires with probability about 2e-12: three events would take
-    # some 10**12 ticks, so the run is refused before the first draw
+@pytest.mark.parametrize("clocks", [sp.PoissonClocks(rates=np.full(2, 1e-12)),
+                                    sp.BernoulliClocks(rates=np.full(2, 1e-320))],
+                         ids=["poisson-1e-12", "bernoulli-subnormal"])
+def test_sparse_clocks_run_in_time_proportional_to_steps(clocks):
+    # each tick fires with probability about 2e-12 (or a subnormal one), but
+    # a run draws events, not ticks: 10**4 events cost what dense clocks do
     w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-    clocks = sp.PoissonClocks(rates=np.full(2, 1e-12))
     start = time.perf_counter()
-    with pytest.raises(TickBudgetExceeded, match="budget"):
-        sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
+    trace = sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=10**4)
     assert time.perf_counter() - start < 1.0
-    # subnormal rates: the expected tick count overflows to inf
-    clocks = sp.BernoulliClocks(rates=np.full(2, 1e-320))
-    with pytest.raises(TickBudgetExceeded, match="about inf clock ticks"):
-        sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
+    assert len(trace.spreads) == 10**4 + 1 and trace.spreads[-1] == 0.0
 
 
-def test_tick_budget_counts_expected_ticks():
-    # p_any = 1e-3 per tick: 10**4 events need about 10**7 ticks
+def test_event_cap_raises_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew events for a run over the cap")
+
+    monkeypatch.setattr(agreement, "_firing_sets", no_draw)
     w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-    clocks = sp.BernoulliClocks(rates=np.array([1e-3, 1e-300]))
-    with pytest.raises(TickBudgetExceeded):
-        sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=10**4 + 10)
-    trace = sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=2)
-    assert len(trace.spreads) == 3
-    # certain clocks (probability 1) need exactly one tick per event
-    sure = sp.BernoulliClocks(rates=np.array([1.0, 0.5]))
-    assert len(sp.simulate_async(w, sure, np.array([0.0, 1.0]),
-                                 steps=5).events) == 5
+    clocks = sp.BernoulliClocks(rates=np.array([1.0, 0.5]))
+    with pytest.raises(InvalidDistribution,
+                       match="steps must be at most 10000000"):
+        sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=10**7 + 1)

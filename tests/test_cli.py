@@ -116,6 +116,15 @@ class TestAsync:
         assert spreads[-1] < 1e-8
         assert spreads[-1] <= spreads[0]
 
+    def test_sparse_poisson_clocks_run(self, tmp_path):
+        # each tick fires with probability about 2e-12; the run draws events
+        cfg = write(tmp_path / "c.json", {
+            "matrix": {"n": 2, "rows": SCRAM}, "clock": "poisson",
+            "rates": 1e-12, "steps": 50, "seed": 4})
+        assert run_cli("async", cfg, tmp_path / "out") == 0
+        summary, lines = read_outputs(tmp_path / "out")
+        assert summary["results"]["steps"] == 50 and len(lines) == 52
+
 
 class TestLineq:
     def test_two_agent_system(self, tmp_path):
@@ -249,7 +258,8 @@ def test_golden_outputs(tmp_path, name, kind):
     # before the period came from the strongly connected components; a
     # lineq run over a Markov graph signal (window 2, two norm windows)
     # converging after 2,958 iterations, past the solver's 1,024- and
-    # 2,048-index draws, before those draws became lazy
+    # 2,048-index draws, before those draws became lazy.  The two async runs
+    # were re-recorded when runs began drawing events instead of clock ticks
     case = os.path.join(DATA, name)
     code = run_cli(kind, os.path.join(case, "config.json"), tmp_path)
     assert code == (3 if name == "lineq_exhausted" else 0)
@@ -319,11 +329,30 @@ BAD_FIELDS = {
                          "'delta': bad value 'x'"),
     "async-steps-negative": ("async", {"steps": -3},
                              "steps must be at least 0"),
-    "async-clocks-almost-never-fire": ("async", {"clock": "poisson",
-                                                 "rates": 1e-12},
-                                       "over the budget of"),
+    "async-steps-over-cap": ("async", {"steps": 10**7 + 1},
+                             "steps must be at most 10000000"),
     "classify-labels-number": ("classify", {"labels": 5},
-                               "one label per matrix"),
+                               "'labels': bad value 5"),
+    # a falsy labels value is refused, not replaced by the default labels
+    "classify-labels-zero": ("classify", {"labels": 0}, "'labels': bad value 0"),
+    "classify-labels-false": ("classify", {"labels": False},
+                              "'labels': bad value False"),
+    "classify-labels-empty-string": ("classify", {"labels": ""},
+                                     "'labels': bad value ''"),
+    "classify-labels-empty-object": ("classify", {"labels": {}},
+                                     "'labels': bad value {}"),
+    "classify-labels-null": ("classify", {"labels": None},
+                             "'labels': bad value None"),
+    "classify-labels-empty-list": ("classify", {"labels": []},
+                                   "one label per matrix"),
+    # NaN and Infinity are not JSON; a number past the float range is refused
+    "async-tol-nan": ("async", {"tol": float("nan")}, "config holds NaN"),
+    "product-tol-infinity": ("product", {"tol": float("inf")},
+                             "config holds Infinity"),
+    "async-delta-minus-infinity": ("async", {"clock": "poisson",
+                                             "delta": float("-inf")},
+                                   "config holds -Infinity"),
+    "async-tol-huge-integer": ("async", {"tol": 10**400}, "'tol': bad value 1"),
     "lineq-check_connectivity-text": ("lineq", {"check_connectivity": "false"},
                                       "'check_connectivity': bad value 'false'"),
     "classify-matrix-n-text": ("classify", {"matrices": [{"n": "x", "rows": SCRAM}]},
@@ -500,12 +529,34 @@ def test_bad_out_flag_is_validation_error(tmp_path, capfd, out, message):
 
 
 def test_non_finite_system_is_validation_error(tmp_path, capfd):
-    cfg = write(tmp_path / "c.json", {
-        "system": {"blocks": [{"A": [[1.0, float("nan")]], "b": [1.0]},
+    # 1e400 is a valid JSON number that parses to inf
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "system": {"blocks": [{"A": [[1.0, 1.5]], "b": [1.0]},
                               {"A": [[0.0, 1.0]], "b": [1.0]}]},
         "graphs": [{"n": 2, "edges": [[0, 0], [1, 1], [0, 1], [1, 0]]}],
-        "graph_model": {"variant": "iid", "weights": [1.0]}, "max_iters": 5})
-    assert run_cli("lineq", cfg, tmp_path / "o") == 2
+        "graph_model": {"variant": "iid", "weights": [1.0]},
+        "max_iters": 5}).replace("1.5", "1e400"))
+    assert run_cli("lineq", str(cfg), tmp_path / "o") == 2
     err = capfd.readouterr().err
-    assert err.startswith("error: entry (0, 1) = nan is not finite")
+    assert err.startswith("error: entry (0, 1) = inf is not finite")
     assert "Traceback" not in err and "DLASCL" not in err
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+def test_overflowing_number_is_validation_error(tmp_path, capfd, literal):
+    # the float literal parses to +-inf, which would be echoed as Infinity
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**TINY_CONFIGS["async"], "tol": 0.125})
+                   .replace("0.125", literal))
+    assert run_cli("async", str(cfg), tmp_path / "o") == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: config field 'tol': bad value")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_non_finite_tol_flag_is_validation_error(tmp_path, capfd):
+    cfg = write(tmp_path / "c.json", TINY_CONFIGS["async"])
+    assert run_cli("async", cfg, tmp_path / "o", "--tol", "nan") == 2
+    assert "'tol': bad value nan" in capfd.readouterr().err
+    assert not (tmp_path / "o").exists()
