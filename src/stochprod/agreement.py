@@ -90,10 +90,10 @@ class PoissonClocks:
 
 @dataclass(frozen=True)
 class AgreementTrace:
-    """Spread history of an asynchronous run; spreads[k] is after event k,
-    with spreads[0] the initial disagreement."""
+    """Spread history of an asynchronous run: a read-only float64 array,
+    spreads[k] after event k, with spreads[0] the initial disagreement."""
 
-    spreads: tuple
+    spreads: np.ndarray
     final_x: np.ndarray
     seed: int
 
@@ -221,15 +221,17 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
         raise DimensionMismatch("x0 needs one entry per agent")
     matrices._check_finite(x[:, None])
     rng = np.random.default_rng(trial_seed(clocks.seed, trial))
-    spreads = [float(x.max() - x.min())]
-    while len(spreads) <= steps:
+    spreads = np.empty(steps + 1)
+    spreads[0] = x.max() - x.min()
+    for start in range(1, steps + 1, EVENT_BLOCK):
         block = _firing_sets(rng, probs, EVENT_BLOCK)
-        for row in block[:steps + 1 - len(spreads)]:
+        for k, row in enumerate(block[:steps + 1 - start], start):
             fired = np.nonzero(row)[0]
             x[fired] = w[fired] @ x
-            spreads.append(float(x.max() - x.min()))
+            spreads[k] = x.max() - x.min()
+    spreads.flags.writeable = False
     return AgreementTrace(
-        spreads=tuple(spreads),
+        spreads=spreads,
         final_x=x,
         seed=trial_seed(clocks.seed, trial),
     )

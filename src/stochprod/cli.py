@@ -8,8 +8,8 @@ overrides (a flag the kind does not read is a config error, see
 the effective configuration, and the package version; identical (config,
 seed) pairs produce byte-identical files.
 
-Exit codes: 0 success, 2 validation/config error, 3 budget exhausted without
-convergence (product and lineq kinds).
+Exit codes: 0 success, 2 validation/config error or an output that cannot
+be written, 3 budget exhausted without convergence (product and lineq kinds).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
+import itertools
 import json
 import os
 import sys
@@ -87,11 +87,18 @@ def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, params=params, seed=seed, out_dir=out_dir)
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, write):
+    """Stream ``write(fh)`` into a temp file and rename it over ``path``; an
+    ``OSError`` on the way is a ``ConfigParse`` and removes the temp file."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise ConfigParse(f"cannot write {path}: {exc}") from exc
 
 
 def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
@@ -106,13 +113,10 @@ def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
         "version": __version__,
         "results": summary,
     }
-    _atomic_write(os.path.join(config.out_dir, "summary.json"),
-                  json.dumps(envelope, sort_keys=True, indent=2) + "\n")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(os.path.join(config.out_dir, "trace.csv"), buf.getvalue())
+    _atomic_write(os.path.join(config.out_dir, "summary.json"), lambda fh: fh.write(
+        json.dumps(envelope, sort_keys=True, indent=2) + "\n"))
+    _atomic_write(os.path.join(config.out_dir, "trace.csv"), lambda fh: csv.writer(
+        fh, lineterminator="\n").writerows(itertools.chain([header], rows)))
 
 
 def _run_classify(config: ExperimentConfig):
@@ -134,7 +138,7 @@ def _run_classify(config: ExperimentConfig):
             "label": label, "tau": t, "scrambling": cls.is_scrambling,
             "sia": cls.is_sia, "markov": cls.is_markov, "period": cls.period,
         })
-        rows.append([label, repr(t), cls.is_scrambling, cls.is_sia,
+        rows.append([label, t, cls.is_scrambling, cls.is_sia,
                      cls.is_markov, cls.period])
     header = ["label", "tau", "scrambling", "sia", "markov", "period"]
     return {"matrices": per_matrix}, header, rows, EXIT_OK
@@ -151,16 +155,13 @@ def _run_certify(config: ExperimentConfig):
     cert = lyapunov.certify_contraction(
         system, v, horizon_max=_field(p, "horizon_max", _integer, 8), grid=grid)
     x0 = _field(p, "x0", _array, np.ones(system.dimension))
-    report, history = lyapunov.monte_carlo_decay(
+    report = lyapunov.monte_carlo_decay(
         system, v, x0, steps=_field(p, "steps", _integer, 50),
         trials=_field(p, "trials", _integer, 100),
-        tol=_field(p, "tol", _number, 1e-8),
-        keep_history=True)
-    qs = np.quantile(history, [0.1, 0.5, 0.9], axis=0)
-    means = history.mean(axis=0)
-    rows = [[k, repr(float(means[k])), repr(float(qs[0, k])),
-             repr(float(qs[1, k])), repr(float(qs[2, k]))]
-            for k in range(history.shape[1])]
+        tol=_field(p, "tol", _number, 1e-8))
+    qs = np.quantile(report.history, [0.1, 0.5, 0.9], axis=0)
+    means = report.history.mean(axis=0)
+    rows = zip(range(means.size), means, *qs)
     summary = {
         "certificate": {"T": cert.horizon, "alpha": cert.alpha,
                         "rate": cert.rate,
@@ -191,8 +192,7 @@ def _run_product(config: ExperimentConfig):
     final_tau = trace.taus[-1] if trace.taus else 0.0
     stopped_early = not trace.checkpoints or trace.checkpoints[-1] < trace.steps
     converged = stopped_early or final_tau < tol
-    rows = [[k, repr(t), repr(s)]
-            for k, t, s in zip(trace.checkpoints, trace.taus, trace.spreads)]
+    rows = zip(trace.checkpoints, trace.taus, trace.spreads)
     summary = {
         "p": report.scrambling_prob, "alpha": report.min_entry,
         "h": report.window_len, "bound": report.bound,
@@ -227,13 +227,12 @@ def _run_async(config: ExperimentConfig):
     steps = _field(p, "steps", _integer, 5000)
     tol = _field(p, "tol", _number, 1e-8)
     trace = agreement.simulate_async(w, clocks, x0, steps=steps)
-    rows = [[k, repr(s)] for k, s in enumerate(trace.spreads)]
     summary = {
-        "final_spread": trace.spreads[-1],
-        "converged": trace.spreads[-1] < tol,
+        "final_spread": float(trace.spreads[-1]),
+        "converged": bool(trace.spreads[-1] < tol),
         "steps": steps, "tol": tol,
     }
-    return summary, ["k", "spread"], rows, EXIT_OK
+    return summary, ["k", "spread"], enumerate(trace.spreads), EXIT_OK
 
 
 def _run_lineq(config: ExperimentConfig):
@@ -251,7 +250,6 @@ def _run_lineq(config: ExperimentConfig):
         check_connectivity=_field(p, "check_connectivity", _boolean, True),
         record_every=_field(p, "record_every", _integer, 1),
         norm_windows=_field(p, "norm_windows", _integer, 0))
-    rows = [[k, repr(d), repr(r)] for k, d, r in report.history]
     summary = {
         "converged": report.converged, "iterations": report.iterations,
         "disagreement": report.disagreement, "residual": report.residual,
@@ -260,7 +258,7 @@ def _run_lineq(config: ExperimentConfig):
         "window_norms": list(report.window_norms),
         "exponential_consistent": report.exponential_consistent,
     }
-    return (summary, ["k", "disagreement", "residual"], rows,
+    return (summary, ["k", "disagreement", "residual"], report.history,
             EXIT_OK if report.converged else EXIT_NO_CONVERGENCE)
 
 

@@ -320,8 +320,9 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     """
     if gmodel.n != system.n:
         raise DimensionMismatch("one graph vertex per agent")
-    if record_every < 1 or max_iters < 0:
-        raise InvalidDistribution("need record_every >= 1 and max_iters >= 0")
+    if record_every < 1 or max_iters < 0 or norm_windows < 0:
+        raise InvalidDistribution(
+            "need record_every >= 1, max_iters >= 0 and norm_windows >= 0")
     if check_connectivity and window_connectivity_probability(gmodel) <= 0.0:
         raise NoConnectedWindow(
             f"no strongly connected window of length {gmodel.window}")

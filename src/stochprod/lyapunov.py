@@ -14,7 +14,7 @@ then be checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -244,7 +244,8 @@ class DecayReport:
 
     ``fitted_rate`` is the geometric mean over trials of the per-trial
     least-squares decay of log V; trials whose V hits exact 0 immediately
-    contribute rate 0 (they have already converged).
+    contribute rate 0 (they have already converged).  ``history`` is the
+    read-only (trials, steps + 1) array of V values.
     """
 
     fitted_rate: float
@@ -254,18 +255,16 @@ class DecayReport:
     tolerance: float
     steps: int
     trials: int
+    history: np.ndarray = field(compare=False, repr=False)
 
 
 def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
-                      steps: int, trials: int, tol: float = 1e-8,
-                      keep_history: bool = False):
+                      steps: int, trials: int, tol: float = 1e-8) -> DecayReport:
     """Simulate trajectories and fit the realized decay of V.
 
     Trial t draws its switching sequence with the stream-split seed
     ``signal.seed ^ t``, so reports are reproducible and trials independent;
     the trials then advance in lockstep, one batched matmul per step.
-    With ``keep_history`` the (trials, steps + 1) array of V values is
-    returned alongside the report.
     """
     steps, trials = int(steps), int(trials)
     if steps < 1 or trials < 1:
@@ -289,7 +288,8 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
                       or 0.0 for vs in history])
     fitted = 0.0 if np.any(rates == 0.0) else float(np.exp(np.mean(np.log(rates))))
     tails = history[:, -1]
-    report = DecayReport(
+    history.flags.writeable = False
+    return DecayReport(
         fitted_rate=fitted,
         per_trial_rate=tuple(rates.tolist()),
         per_trial_tail=tuple(tails.tolist()),
@@ -297,7 +297,5 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
         tolerance=float(tol),
         steps=steps,
         trials=trials,
+        history=history,
     )
-    if keep_history:
-        return report, history
-    return report

@@ -157,8 +157,7 @@ def markov_indices_stepwise(model, length, trial=0):
 
 
 def monte_carlo_decay_per_trial(system, V, x0, steps, trials, tol=1e-8):
-    """``monte_carlo_decay`` one trial and one step at a time; returns the
-    report and the (trials, steps + 1) history of V."""
+    """``monte_carlo_decay`` one trial and one step at a time."""
     from stochprod import sequences
     from stochprod.lyapunov import DecayReport
     from stochprod.products import _log_linear_rate
@@ -180,7 +179,7 @@ def monte_carlo_decay_per_trial(system, V, x0, steps, trials, tol=1e-8):
     rates = np.asarray(rates)
     fitted = 0.0 if np.any(rates == 0.0) else float(np.exp(np.mean(np.log(rates))))
     tails_arr = np.asarray(tails)
-    report = DecayReport(
+    return DecayReport(
         fitted_rate=fitted,
         per_trial_rate=tuple(rates.tolist()),
         per_trial_tail=tuple(tails_arr.tolist()),
@@ -188,8 +187,8 @@ def monte_carlo_decay_per_trial(system, V, x0, steps, trials, tol=1e-8):
         tolerance=float(tol),
         steps=steps,
         trials=trials,
+        history=history,
     )
-    return report, history
 
 
 def apply_firing_sets(W, x0, fired):

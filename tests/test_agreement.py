@@ -303,13 +303,25 @@ class TestSimulateAsync:
         with pytest.raises(DimensionMismatch):
             sp.simulate_async(w, clocks, np.zeros(3), steps=3)
 
+    @pytest.mark.parametrize("steps", [0, 1, 1024, 1025])
+    def test_spreads_are_a_read_only_float64_array(self, steps):
+        w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+        clocks = sp.BernoulliClocks(rates=np.full(2, 0.3), seed=5)
+        trace = sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=steps)
+        assert isinstance(trace.spreads, np.ndarray)
+        assert trace.spreads.dtype == np.float64
+        assert trace.spreads.shape == (steps + 1,)
+        assert not trace.spreads.flags.writeable
+        with pytest.raises(ValueError):
+            trace.spreads[0] = 0.0
+
     def test_reproducible(self):
         w = uniform_weights(figure_network())
         clocks = sp.BernoulliClocks(rates=np.full(6, 0.4), seed=99)
         a = sp.simulate_async(w, clocks, np.arange(6.0), steps=200)
         b = sp.simulate_async(w, clocks, np.arange(6.0), steps=200)
-        assert a.spreads == b.spreads
+        assert np.array_equal(a.spreads, b.spreads)
         assert np.array_equal(a.final_x, b.final_x)
         c = sp.simulate_async(w, clocks, np.arange(6.0), steps=200, trial=1)
-        assert a.spreads != c.spreads
+        assert not np.array_equal(a.spreads, c.spreads)
         assert not np.array_equal(a.final_x, c.final_x)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import stochprod as sp
 from stochprod import cli, jsonio
@@ -317,6 +321,8 @@ BAD_FIELDS = {
                                  "max_iters >= 0"),
     "lineq-norm_windows-text": ("lineq", {"norm_windows": "x"},
                                 "'norm_windows': bad value 'x'"),
+    "lineq-norm_windows-negative": ("lineq", {"norm_windows": -2},
+                                    "norm_windows >= 0"),
     "certify-grid_resolution-negative": ("certify", {"grid_resolution": -1},
                                          "grid sizes must be at least 1"),
     "certify-steps-0-markov": ("certify", {"steps": 0, "signal": MARKOV_SIGNAL},
@@ -560,3 +566,41 @@ def test_non_finite_tol_flag_is_validation_error(tmp_path, capfd):
     assert run_cli("async", cfg, tmp_path / "o", "--tol", "nan") == 2
     assert "'tol': bad value nan" in capfd.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["summary.json", "trace.csv"])
+def test_unwritable_output_is_validation_error(tmp_path, capfd, name):
+    # an output path held by a directory cannot be replaced by a file
+    cfg = write(tmp_path / "c.json", TINY_CONFIGS["classify"])
+    (tmp_path / "o" / name).mkdir(parents=True)
+    assert run_cli("classify", cfg, tmp_path / "o") == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'o' / name}")
+    assert "Traceback" not in err
+    assert not [f for f in os.listdir(tmp_path / "o") if f.endswith(".tmp")]
+
+
+def csv_line(cells):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1e-05)
+@example(9.999999999999999e-05)
+@example(0.0001)
+@example(9999999999999998.0)
+@example(1e16)
+@example(-1e16)
+def test_csv_writes_each_float_as_its_repr(v):
+    # the runners hand csv their floats as they hold them (Python floats, or
+    # numpy float64 scalars read off an array), and csv writes str(v)
+    want = csv_line([3, repr(float(v))])
+    assert csv_line([3, v]) == want
+    assert csv_line([3, np.float64(v)]) == want
+    assert csv_line(next(enumerate(np.array([v]), 3))) == want

@@ -210,8 +210,7 @@ class TestMonteCarlo:
         for kw in ({"steps": 0}, {"trials": 0}, {"steps": -1}):
             with pytest.raises(InvalidDistribution):
                 sp.monte_carlo_decay(damped_system, sp.inf_norm(), [1.0, 1.0],
-                                     **{"steps": 3, "trials": 2, **kw},
-                                     keep_history=True)
+                                     **{"steps": 3, "trials": 2, **kw})
 
     def test_zero_initial_state(self):
         system = single_mode_system(0.5 * np.eye(2))
@@ -235,8 +234,8 @@ class TestMonteCarlo:
         cert = sp.certify_contraction(damped_system, sp.inf_norm(), horizon_max=2)
         v = sp.inf_norm()
         x0 = np.array([1.0, 1.0])
-        _, history = sp.monte_carlo_decay(damped_system, v, x0, steps=120,
-                                          trials=200, keep_history=True)
+        history = sp.monte_carlo_decay(damped_system, v, x0, steps=120,
+                                       trials=200).history
         gamma = 1.0 / cert.rate
         weights = gamma ** np.arange(history.shape[1])
         rescaled = history * weights[None, :]
