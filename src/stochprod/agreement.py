@@ -198,8 +198,9 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     The system is event-indexed: each step is one update event, its firing
     set drawn from the clocks' law given that some agent fires, so empty
     ticks never enter.  Events are drawn ``EVENT_BLOCK`` at a time, always
-    the same shape, so a run of k steps is a prefix of a longer one.  All
-    agents firing at once apply their rows simultaneously.  Raises
+    the same shape, so a run of k steps is a prefix of a longer one; each
+    block's spreads are reduced at once after its events.  All agents
+    firing at once apply their rows simultaneously.  Raises
     ``InvalidDistribution`` when no agent can fire or ``steps`` is below 0
     or over ``EVENT_LIMIT``.
     """
@@ -223,12 +224,19 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     rng = np.random.default_rng(trial_seed(clocks.seed, trial))
     spreads = np.empty(steps + 1)
     spreads[0] = x.max() - x.min()
+    states = np.empty((EVENT_BLOCK, n))
     for start in range(1, steps + 1, EVENT_BLOCK):
-        block = _firing_sets(rng, probs, EVENT_BLOCK)
-        for k, row in enumerate(block[:steps + 1 - start], start):
-            fired = np.nonzero(row)[0]
+        block = _firing_sets(rng, probs, EVENT_BLOCK)[:steps + 1 - start]
+        # event j's agents are agents[ends[j - 1]:ends[j]]
+        agents = np.nonzero(block)[1]
+        ends = np.count_nonzero(block, 1).cumsum().tolist()
+        for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            fired = agents[lo:hi]
             x[fired] = w[fired] @ x
-            spreads[k] = x.max() - x.min()
+            states[j] = x
+        s = states[:len(block)]
+        spreads[start:start + len(block)] = (np.maximum.reduce(s, 1)
+                                             - np.minimum.reduce(s, 1))
     spreads.flags.writeable = False
     return AgreementTrace(
         spreads=spreads,

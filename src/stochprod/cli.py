@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
+TRACE_CHUNK = 4096  # trace cells converted to Python floats at once
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Effective experiment description after flag overrides."""
@@ -87,21 +90,21 @@ def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, params=params, seed=seed, out_dir=out_dir)
 
 
-def _atomic_write(path: str, write):
-    """Stream ``write(fh)`` into a temp file and rename it over ``path``; an
-    ``OSError`` on the way is a ``ConfigParse`` and removes the temp file."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except OSError as exc:
-        if os.path.isfile(tmp):
-            os.remove(tmp)
-        raise ConfigParse(f"cannot write {path}: {exc}") from exc
+def _python_floats(values):
+    """The entries of a float array as Python floats, converted
+    ``TRACE_CHUNK`` at a time: ``csv`` formats a Python float faster than a
+    numpy scalar, and one ``tolist()`` of a long trace would hold every cell
+    as an object at once."""
+    return itertools.chain.from_iterable(
+        values[start:start + TRACE_CHUNK].tolist()
+        for start in range(0, len(values), TRACE_CHUNK))
 
 
 def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
+    """Stream both outputs into temp files, then rename ``trace.csv`` and,
+    last, ``summary.json`` into place, so a failed run leaves the previous
+    pair.  An ``OSError`` on the way is a ``ConfigParse``; no temp file
+    outlives the call."""
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
@@ -113,10 +116,24 @@ def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
         "version": __version__,
         "results": summary,
     }
-    _atomic_write(os.path.join(config.out_dir, "summary.json"), lambda fh: fh.write(
-        json.dumps(envelope, sort_keys=True, indent=2) + "\n"))
-    _atomic_write(os.path.join(config.out_dir, "trace.csv"), lambda fh: csv.writer(
-        fh, lineterminator="\n").writerows(itertools.chain([header], rows)))
+    outputs = {  # renamed in this order: summary.json last
+        os.path.join(config.out_dir, "trace.csv"): lambda fh: csv.writer(
+            fh, lineterminator="\n").writerows(itertools.chain([header], rows)),
+        os.path.join(config.out_dir, "summary.json"): lambda fh: fh.write(
+            json.dumps(envelope, sort_keys=True, indent=2) + "\n"),
+    }
+    try:
+        for path, write in outputs.items():
+            with open(path + ".tmp", "w") as fh:
+                write(fh)
+        for path in outputs:
+            os.replace(path + ".tmp", path)
+    except OSError as exc:
+        raise ConfigParse(f"cannot write {path}: {exc}") from exc
+    finally:
+        for path in outputs:
+            if os.path.isfile(path + ".tmp"):
+                os.remove(path + ".tmp")
 
 
 def _run_classify(config: ExperimentConfig):
@@ -161,7 +178,7 @@ def _run_certify(config: ExperimentConfig):
         tol=_field(p, "tol", _number, 1e-8))
     qs = np.quantile(report.history, [0.1, 0.5, 0.9], axis=0)
     means = report.history.mean(axis=0)
-    rows = zip(range(means.size), means, *qs)
+    rows = zip(range(means.size), *map(_python_floats, (means, *qs)))
     summary = {
         "certificate": {"T": cert.horizon, "alpha": cert.alpha,
                         "rate": cert.rate,
@@ -232,7 +249,8 @@ def _run_async(config: ExperimentConfig):
         "converged": bool(trace.spreads[-1] < tol),
         "steps": steps, "tol": tol,
     }
-    return summary, ["k", "spread"], enumerate(trace.spreads), EXIT_OK
+    rows = enumerate(_python_floats(trace.spreads))
+    return summary, ["k", "spread"], rows, EXIT_OK
 
 
 def _run_lineq(config: ExperimentConfig):

@@ -55,6 +55,8 @@ __all__ = [
 
 RANK_CUTOFF = 1e-12
 CONSISTENCY_TOL = 1e-8
+SOLVER_BLOCK = 32  # solver steps whose spreads ``run_solver`` reduces at once
+STATE_BYTES = 2**20  # cap on the bytes of those steps' states
 
 
 @dataclass(frozen=True)
@@ -313,9 +315,12 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     Stops once both the largest pairwise estimate gap and the stacked
     residual at the averaged estimate fall below ``tol``; the residual is
     computed only for recorded rows (every ``record_every``-th iteration,
-    and every one whose gap is below ``tol``) and for the report.  With
-    ``norm_windows`` > 0 the first windows of the sampled sequence also get
-    their error-transition mixed norms computed, giving a contraction
+    and every one whose gap is below ``tol``) and for the report.  The steps
+    run in blocks of up to ``SOLVER_BLOCK`` (fewer past ``STATE_BYTES`` of
+    states) whose gaps are reduced at once; steps past the stop are computed
+    and discarded, so the report is bit for bit that of a per-step loop.
+    With ``norm_windows`` > 0 the first windows of the sampled sequence also
+    get their error-transition mixed norms computed, giving a contraction
     estimate the fitted decay can be compared against.
     """
     if gmodel.n != system.n:
@@ -346,17 +351,30 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     dis, res = matrices._max_column_spread(x), residual(x)
     history = [(0, dis, res)]
     converged = dis < tol and res < tol
+    states = np.empty((max(1, min(SOLVER_BLOCK, STATE_BYTES // x.nbytes)),)
+                      + x.shape)
     k = 0
     while not converged and k < max_iters:
-        if k == len(indices):
+        count = min(len(states), max_iters - k)
+        if k + count > len(indices):
             indices = draw(min(max_iters, 2 * k))
-        x = _step(x, *weights[indices[k]], ps)
-        k += 1
-        dis = matrices._max_column_spread(x)
-        if k % record_every == 0 or dis < tol:
-            res = residual(x)
-            history.append((k, dis, res))
-            converged = dis < tol and res < tol
+        for j, g in enumerate(indices[k:k + count]):
+            x = states[j] = _step(x, *weights[g], ps)
+        s = states[:count]
+        spreads = np.maximum.reduce(
+            np.maximum.reduce(s, 1) - np.minimum.reduce(s, 1), 1).tolist()
+        first = k + 1
+        k += count
+        dis = spreads[-1]
+        for i, (state, d) in enumerate(zip(states, spreads), first):
+            if i % record_every == 0 or d < tol:
+                res = residual(state)
+                history.append((i, d, res))
+                converged = d < tol and res < tol
+                if converged:
+                    # the block's steps past the stop are dropped
+                    k, dis, x = i, d, state
+                    break
     if history[-1][0] != k:
         res = residual(x)
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochprod as sp
-from stochprod import agreement
+from stochprod import agreement, equations
 from stochprod.errors import InvalidDistribution
 
 from helpers import (
@@ -130,6 +130,10 @@ def test_run_solver_matches_stepwise_loop(seed, m, variant, n, unknowns,
     kw = dict(max_iters=max_iters, tol=tol, trial=trial,
               check_connectivity=False, record_every=record_every,
               norm_windows=norm_windows)
+    assert_same_run(system, gmodel, **kw)
+
+
+def assert_same_run(system, gmodel, **kw):
     got = sp.run_solver(system, gmodel, **kw)
     want = run_solver_stepwise(system, gmodel, **kw)
     assert got.converged == want.converged
@@ -141,6 +145,52 @@ def test_run_solver_matches_stepwise_loop(seed, m, variant, n, unknowns,
     assert got.fitted_decay == want.fitted_decay
     assert got.window_norms == want.window_norms
     assert got.exponential_consistent == want.exponential_consistent
+    return want
+
+
+def block_case(window=1):
+    """Three agents, four unknowns and two graphs, drawn so that a run whose
+    tol is just above step k's gap and residual stops at k, for k in 32,
+    33, 64 and 65."""
+    rng = np.random.default_rng(4)
+    system, graph_set = solver_case(rng, 3, 4, 2)
+    return system, sp.GraphSequenceModel(
+        graph_set=graph_set, model=signal(rng, "iid", 2), window=window)
+
+
+@pytest.mark.parametrize("max_iters, record_every, norm_windows, window, cap", [
+    (0, 1, 0, 1, None), (1, 1, 0, 1, None), (31, 1, 0, 1, None),
+    (32, 1, 0, 1, None), (33, 1, 0, 1, None),
+    # rows recorded less often than once a block
+    (33, 50, 0, 1, None), (200, 70, 0, 1, None),
+    # the first draw, 75 windows of 7 * 2 indices, ends inside the block of
+    # steps 1025-1056, so the re-draw happens mid-block
+    (1100, 1, 75, 7, None), (1100, 10, 75, 7, None),
+    # a byte cap that leaves blocks of 3 and of 1 state
+    (10, 1, 0, 1, 3), (5, 2, 0, 1, 1),
+])
+def test_run_solver_block_boundaries(monkeypatch, max_iters, record_every,
+                                     norm_windows, window, cap):
+    system, gmodel = block_case(window=window)
+    if cap is not None:
+        monkeypatch.setattr(equations, "STATE_BYTES",
+                            cap * system.n * system.m * 8)
+    assert_same_run(system, gmodel, max_iters=max_iters, tol=0.0,
+                    check_connectivity=False, record_every=record_every,
+                    norm_windows=norm_windows)
+
+
+@pytest.mark.parametrize("stop", [32, 33, 64, 65])
+@pytest.mark.parametrize("record_every", [1, 10])
+def test_run_solver_stops_on_a_block_edge(stop, record_every):
+    # the last step of a block (32, 64) and the first of the next (33, 65):
+    # the steps computed past the stop leave no trace in the report
+    system, gmodel = block_case()
+    kw = dict(check_connectivity=False, record_every=record_every)
+    trail = run_solver_stepwise(system, gmodel, max_iters=stop, tol=0.0, **kw)
+    tol = float(np.nextafter(max(trail.disagreement, trail.residual), np.inf))
+    want = assert_same_run(system, gmodel, max_iters=1000, tol=tol, **kw)
+    assert want.converged and want.iterations == stop
 
 
 class _ScriptedUniforms:
@@ -253,6 +303,9 @@ def test_simulate_async_matches_per_tick_loop():
        st.sampled_from(["bernoulli", "poisson"]))
 @example(0, 3, 1024, 1025, 0, "bernoulli")
 @example(1, 2, 0, 2049, 2, "poisson")
+@example(2, 4, 1023, 1, 1, "bernoulli")
+@example(3, 4, 0, 1024, 1, "poisson")
+@example(4, 3, 1025, 1023, 0, "poisson")
 @settings(max_examples=40)
 def test_shorter_async_run_is_a_prefix(seed, n, k, length, trial, clock):
     k, length = sorted((k, length))

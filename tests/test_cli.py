@@ -580,6 +580,26 @@ def test_unwritable_output_is_validation_error(tmp_path, capfd, name):
     assert not [f for f in os.listdir(tmp_path / "o") if f.endswith(".tmp")]
 
 
+def test_failed_trace_write_keeps_the_previous_summary(tmp_path, capfd):
+    # both temp files are written before either rename and summary.json is
+    # renamed last, so a trace that cannot be written leaves no new summary
+    cfg = write(tmp_path / "c.json", TINY_CONFIGS["classify"])
+    out = tmp_path / "o"
+    assert run_cli("classify", cfg, out) == 0
+    before = (out / "summary.json").read_bytes()
+    (out / "trace.csv").unlink()
+    (out / "trace.csv").mkdir()
+    assert run_cli("classify", cfg, out, "--seed", "7") == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'trace.csv'}")
+    assert "Traceback" not in err
+    assert (out / "summary.json").read_bytes() == before
+    assert sorted(os.listdir(out)) == ["summary.json", "trace.csv"]
+    (out / "summary.json").unlink()
+    assert run_cli("classify", cfg, out) == 2
+    assert os.listdir(out) == ["trace.csv"]
+
+
 def csv_line(cells):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(cells)
@@ -604,3 +624,25 @@ def test_csv_writes_each_float_as_its_repr(v):
     assert csv_line([3, v]) == want
     assert csv_line([3, np.float64(v)]) == want
     assert csv_line(next(enumerate(np.array([v]), 3))) == want
+
+
+def float_bits(*values):
+    return [int(np.float64(v).view(np.uint64)) for v in values]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+@example(float_bits(0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                    2.2250738585072014e-308, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 1e-05, 9.999999999999999e-05,
+                    1e16, 9999999999999998.0, 1e-300, 1e300))
+def test_trace_floats_format_like_numpy_scalars(bits):
+    # every float64 bit pattern (subnormals, signed zeros, both ends of the
+    # exponent range, inf and nan), converted 7 cells at a time so that the
+    # lists cross chunk boundaries
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "TRACE_CHUNK", 7)
+        got = list(cli._python_floats(values))
+    assert all(type(v) is float for v in got)
+    assert [str(v) for v in got] == [str(np.float64(v)) for v in values]
+    assert [str(float(v)) for v in values] == [str(v) for v in values]
