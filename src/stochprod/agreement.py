@@ -200,7 +200,9 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     ticks never enter.  Events are drawn ``EVENT_BLOCK`` at a time, always
     the same shape, so a run of k steps is a prefix of a longer one; each
     block's spreads are reduced at once after its events.  All agents
-    firing at once apply their rows simultaneously.  Raises
+    firing at once apply their rows simultaneously, in one
+    ``np.dot(w.take(fired, 0), x)``: the BLAS call of ``w[fired] @ x``
+    without the matmul ufunc's dispatch, so the bits are the same.  Raises
     ``InvalidDistribution`` when no agent can fire or ``steps`` is below 0
     or over ``EVENT_LIMIT``.
     """
@@ -232,7 +234,7 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
         ends = np.count_nonzero(block, 1).cumsum().tolist()
         for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
             fired = agents[lo:hi]
-            x[fired] = w[fired] @ x
+            x[fired] = np.dot(w.take(fired, 0), x)
             states[j] = x
         s = states[:len(block)]
         spreads[start:start + len(block)] = (np.maximum.reduce(s, 1)

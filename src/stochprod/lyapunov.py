@@ -35,6 +35,9 @@ __all__ = [
     "monte_carlo_decay",
 ]
 
+HISTORY_LIMIT = 10**7  # V history cells, trials * (steps + 1), of one run
+
+
 @dataclass(frozen=True)
 class SwitchedSystem:
     """Linear modes (arbitrary square matrices) plus a mode-index signal."""
@@ -265,10 +268,15 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
     Trial t draws its switching sequence with the stream-split seed
     ``signal.seed ^ t``, so reports are reproducible and trials independent;
     the trials then advance in lockstep, one batched matmul per step.
+    Raises ``InvalidDistribution`` when ``steps`` or ``trials`` is below 1
+    or the history, ``trials * (steps + 1)`` cells, is over ``HISTORY_LIMIT``.
     """
     steps, trials = int(steps), int(trials)
     if steps < 1 or trials < 1:
         raise InvalidDistribution("steps and trials must be at least 1")
+    if trials * (steps + 1) > HISTORY_LIMIT:
+        raise InvalidDistribution(
+            f"trials * (steps + 1) must be at most {HISTORY_LIMIT} history cells")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dimension,):
         raise DimensionMismatch("x0 needs one entry per state coordinate")

@@ -20,6 +20,7 @@ from . import matrices, sequences
 from .errors import (
     AllBlocksDegenerate,
     InsufficientData,
+    InvalidDistribution,
     NoScramblingWindow,
     NotStationary,
 )
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 TAU_FLOOR = 1e-300
+STEP_LIMIT = 10**7  # steps one ``simulate_product`` run may take
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,19 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     the worst column spread at each checkpoint.
 
     Only the running n-by-n product is kept, never the factor history, and
-    no factor past the last checkpoint is multiplied.
+    no factor past the last checkpoint is multiplied.  Each step is one
+    ``np.dot``, which makes the same BLAS call as ``@`` without the matmul
+    ufunc's dispatch, so the bits are those of ``arrays[i] @ prod``.
+    Raises ``InvalidDistribution`` when ``steps`` is below 1 or over
+    ``STEP_LIMIT``, before any index is drawn.
     """
     fset = model._require_set()
     arrays = fset.entry_arrays()
+    steps = int(steps)
+    if steps < 1:
+        raise InvalidDistribution("steps must be at least 1")
+    if steps > STEP_LIMIT:
+        raise InvalidDistribution(f"steps must be at most {STEP_LIMIT}")
     if checkpoints is None:
         checkpoints = default_checkpoints(steps)
     checkpoints = sorted(set(int(c) for c in checkpoints if 1 <= c <= steps))
@@ -124,7 +135,7 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     done = 0
     for k in checkpoints:
         for i in idx[done:k].tolist():
-            prod = arrays[i] @ prod
+            prod = np.dot(arrays[i], prod)
         done = k
         t = matrices.tau(prod)
         if t < TAU_FLOOR:
@@ -137,7 +148,7 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
         taus=tuple(taus),
         spreads=tuple(spreads),
         seed=sequences.trial_seed(model.seed, trial),
-        steps=int(steps),
+        steps=steps,
     )
 
 
@@ -182,20 +193,26 @@ def block_decay_estimate(model: SequenceModel, window_len: int, blocks: int,
     Samples ``blocks`` non-overlapping windows of ``window_len`` steps from
     one run of a stationary model and averages log tau of the window
     products.  Requires stationarity so that block averages converge to the
-    expectation over a single window.
+    expectation over a single window.  Window products are ``np.dot``
+    steps, bit for bit those of ``@``, as in ``simulate_product``.  Raises
+    ``InvalidDistribution`` when ``window_len`` or ``blocks`` is below 1.
     """
     if not model.is_stationary(tol=1e-9):
         raise NotStationary(
             "block averages need an i.i.d. or stationary Markov-modulated model")
     fset = model._require_set()
     arrays = fset.entry_arrays()
-    idx = sequences.sample(model, int(window_len) * int(blocks), trial=trial)
+    window_len, blocks = int(window_len), int(blocks)
+    if window_len < 1 or blocks < 1:
+        raise InvalidDistribution("window_len and blocks must be at least 1")
+    idx = sequences.sample(model, window_len * blocks, trial=trial).tolist()
     logs = []
     zeros = 0
-    for b in range(int(blocks)):
-        prod = arrays[idx[b * window_len]]
-        for t in range(1, window_len):
-            prod = arrays[idx[b * window_len + t]] @ prod
+    for b in range(blocks):
+        start = b * window_len
+        prod = arrays[idx[start]]
+        for i in idx[start + 1:start + window_len]:
+            prod = np.dot(arrays[i], prod)
         t_val = matrices.tau(prod)
         if t_val <= 0.0:
             zeros += 1
@@ -206,8 +223,8 @@ def block_decay_estimate(model: SequenceModel, window_len: int, blocks: int,
             "every block product was already rank-one; the decay rate is 0")
     per_window = float(np.exp(np.mean(logs)))
     return BlockEstimate(
-        window_len=int(window_len),
-        blocks=int(blocks),
+        window_len=window_len,
+        blocks=blocks,
         per_window=per_window,
         per_step=per_window ** (1.0 / window_len),
         zero_fraction=zeros / blocks,

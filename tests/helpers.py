@@ -295,6 +295,37 @@ def simulate_product_per_step(model, steps, checkpoints=None, trial=0):
                         steps=int(steps))
 
 
+def block_decay_estimate_per_block(model, window_len, blocks, trial=0):
+    """``block_decay_estimate``'s former loop: one ``@`` per step, indexed by
+    numpy scalars."""
+    from stochprod import sequences
+    from stochprod.errors import AllBlocksDegenerate, NotStationary
+    from stochprod.products import BlockEstimate
+
+    if not model.is_stationary(tol=1e-9):
+        raise NotStationary("block averages need a stationary model")
+    arrays = model._require_set().entry_arrays()
+    idx = sequences.sample(model, int(window_len) * int(blocks), trial=trial)
+    logs = []
+    zeros = 0
+    for b in range(int(blocks)):
+        prod = arrays[idx[b * window_len]]
+        for t in range(1, window_len):
+            prod = arrays[idx[b * window_len + t]] @ prod
+        t_val = tau(prod)
+        if t_val <= 0.0:
+            zeros += 1
+        else:
+            logs.append(np.log(t_val))
+    if not logs:
+        raise AllBlocksDegenerate("every block product was already rank-one")
+    per_window = float(np.exp(np.mean(logs)))
+    return BlockEstimate(window_len=int(window_len), blocks=int(blocks),
+                         per_window=per_window,
+                         per_step=per_window ** (1.0 / window_len),
+                         zero_fraction=zeros / blocks)
+
+
 def pattern_power_walk(mask):
     """The library's former pattern-power walk: the boolean powers A, A^2,
     ... walked until one repeats, which must happen because they live in a

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 import stochprod as sp
 from stochprod import agreement, equations
-from stochprod.errors import InvalidDistribution
+from stochprod.errors import AllBlocksDegenerate, InvalidDistribution
 
 from helpers import (
     apply_firing_sets,
+    block_decay_estimate_per_block,
     firing_set_counts,
     markov_indices_stepwise,
     monte_carlo_decay_per_trial,
@@ -335,6 +336,90 @@ def test_simulate_product_matches_per_step_loop(seed, m, n, steps, trial,
     got = sp.simulate_product(model, steps, checkpoints=cps, trial=trial)
     want = simulate_product_per_step(model, steps, checkpoints=cps, trial=trial)
     assert got == want
+
+
+def in_layout(matrix, order):
+    """The matrix again, its entries stored C- or F-ordered; a
+    StochasticMatrix keeps an F-ordered input F-ordered."""
+    out = sp.StochasticMatrix(np.array(matrix.entries, order=order))
+    assert out.entries.flags[f"{order}_CONTIGUOUS"]
+    return out
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 8, 16, 32, 64])
+def test_simulate_product_matches_per_step_loop_at_bench_sizes(n, order):
+    # near-identity factors, as in the benchmark, keep tau above the floor
+    # for all 300 steps
+    rng = np.random.default_rng(n)
+    fset = sp.FiniteMatrixSet(tuple(
+        in_layout(sp.StochasticMatrix(
+            0.9 * np.eye(n) + 0.1 * random_stochastic(rng, n).entries), order)
+        for _ in range(3)))
+    model = sp.IIDModel(weights=[0.5, 0.3, 0.2], seed=n, matrix_set=fset)
+    cps = list(range(25, 301, 25))
+    got = sp.simulate_product(model, 300, checkpoints=cps)
+    assert got == simulate_product_per_step(model, 300, checkpoints=cps)
+    # tau of a 1-by-1 product is 0: the run stops at its first checkpoint
+    assert len(got.checkpoints) == (0 if n == 1 else len(cps))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("clock", ["bernoulli", "poisson"])
+def test_simulate_async_matches_replay_at_bench_size(clock, order):
+    # the benchmark's clocks over 50 agents: Bernoulli rates near 0.3 fire
+    # about 15 agents per event, sparse Poisson ones mostly one (a row of W
+    # times x, BLAS's ddot path)
+    n, steps = 50, 2500
+    rng = np.random.default_rng(7)
+    w = in_layout(random_stochastic(rng, n, density=0.1), order)
+    if clock == "bernoulli":
+        clocks = sp.BernoulliClocks(rates=rng.uniform(0.2, 0.4, n), seed=3)
+    else:
+        clocks = sp.PoissonClocks(rates=rng.uniform(0.004, 0.012, n), seed=4)
+    x0 = rng.normal(size=n)
+    fired = drawn_firing_sets(clocks, steps)
+    sizes = fired.sum(1)
+    if clock == "bernoulli":
+        assert np.median(sizes) >= 10
+    else:
+        assert (sizes == 1).mean() > 0.7
+    trace = sp.simulate_async(w, clocks, x0, steps)
+    spreads, x = apply_firing_sets(w, x0, fired)
+    assert np.array_equal(trace.spreads, spreads)
+    assert np.array_equal(trace.final_x, x)
+
+
+def stationary_markov(rng, m, **kw):
+    """A Markov-modulated model started in its stationary law: a doubly
+    stochastic transition (a mix of permutations) from the uniform start."""
+    mix = rng.dirichlet(np.ones(3))
+    transition = sum(c * np.eye(m)[rng.permutation(m)] for c in mix)
+    return sp.MarkovModulatedModel(initial=np.full(m, 1.0 / m),
+                                   transition=transition, **kw)
+
+
+@given(seeds, symbols, st.sampled_from([1, 2, 4, 8, 16, 32]),
+       st.integers(1, 20), st.integers(1, 60), trials,
+       st.sampled_from(["iid", "markov"]), st.sampled_from(["C", "F"]))
+@settings(max_examples=40)
+def test_block_decay_estimate_matches_per_block_loop(seed, m, n, window_len,
+                                                     blocks, trial, variant,
+                                                     order):
+    rng = np.random.default_rng(seed)
+    fset = sp.FiniteMatrixSet(tuple(
+        in_layout(random_stochastic(rng, n, density=0.4), order)
+        for _ in range(m)))
+    kw = {"seed": int(rng.integers(2**31)), "matrix_set": fset}
+    model = (sp.IIDModel(weights=rng.dirichlet(np.ones(m)), **kw)
+             if variant == "iid" else stationary_markov(rng, m, **kw))
+    try:
+        want = block_decay_estimate_per_block(model, window_len, blocks, trial)
+    except AllBlocksDegenerate:
+        with pytest.raises(AllBlocksDegenerate):
+            sp.block_decay_estimate(model, window_len, blocks, trial)
+        return
+    assert sp.block_decay_estimate(model, window_len, blocks, trial) == want
 
 
 def test_async_negative_steps_rejected():

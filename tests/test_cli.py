@@ -328,6 +328,8 @@ BAD_FIELDS = {
     "certify-steps-0-markov": ("certify", {"steps": 0, "signal": MARKOV_SIGNAL},
                                "steps and trials"),
     "certify-trials-0": ("certify", {"trials": 0}, "steps and trials"),
+    "certify-history-over-cap": ("certify", {"steps": 10**6, "trials": 10},
+                                 "trials * (steps + 1) must be at most 10000000"),
     "certify-steps-text": ("certify", {"steps": "abc"},
                            "'steps': bad value 'abc'"),
     "certify-x0-text": ("certify", {"x0": "abc"}, "'x0': bad value 'abc'"),
@@ -391,6 +393,9 @@ BAD_FIELDS = {
     "lineq-graph_model-seed-fraction": ("lineq", {"graph_model": {
         **TINY_CONFIGS["lineq"]["graph_model"], "seed": 0.5}},
                                         "'seed': bad value 0.5"),
+    "product-steps-0": ("product", {"steps": 0}, "steps must be at least 1"),
+    "product-steps-over-cap": ("product", {"steps": 10**10},
+                               "steps must be at most 10000000"),
     "product-steps-fraction": ("product", {"steps": 2.5},
                                "'steps': bad value 2.5"),
     "product-window-fraction": ("product", {"window": 1.5},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod import sequences
+from stochprod import lyapunov, sequences
 from stochprod.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -211,6 +211,22 @@ class TestMonteCarlo:
             with pytest.raises(InvalidDistribution):
                 sp.monte_carlo_decay(damped_system, sp.inf_norm(), [1.0, 1.0],
                                      **{"steps": 3, "trials": 2, **kw})
+
+    def test_history_capped_before_any_draw(self, damped_system, monkeypatch):
+        monkeypatch.setattr(lyapunov, "HISTORY_LIMIT", 12)
+        report = sp.monte_carlo_decay(damped_system, sp.inf_norm(), [1.0, 1.0],
+                                      steps=3, trials=3)
+        assert report.history.shape == (3, 4)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew indices for a run over the cap")
+
+        monkeypatch.setattr(sequences, "sample", no_draw)
+        for steps, trials in ((4, 3), (3, 4), (12, 1)):
+            with pytest.raises(InvalidDistribution, match=(
+                    r"trials \* \(steps \+ 1\) must be at most 12 history")):
+                sp.monte_carlo_decay(damped_system, sp.inf_norm(), [1.0, 1.0],
+                                     steps=steps, trials=trials)
 
     def test_zero_initial_state(self):
         system = single_mode_system(0.5 * np.eye(2))

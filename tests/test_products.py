@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import stochprod as sp
+from stochprod import products, sequences
 from stochprod.errors import (
     AllBlocksDegenerate,
     InsufficientData,
+    InvalidDistribution,
     NoScramblingWindow,
     NotStationary,
 )
@@ -79,6 +81,21 @@ class TestSimulateProduct:
         model = constant_model(SCRAM)
         trace = sp.simulate_product(model, steps=10, checkpoints=[1, 5, 10])
         assert trace.checkpoints == (1, 5, 10)
+
+    def test_steps_capped_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(products, "STEP_LIMIT", 5)
+        model = constant_model(SCRAM)
+        assert sp.simulate_product(model, steps=5).steps == 5
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew indices for a run outside the cap")
+
+        monkeypatch.setattr(sequences, "sample", no_draw)
+        for steps, message in ((0, "at least 1"), (-2, "at least 1"),
+                               (6, "at most 5")):
+            with pytest.raises(InvalidDistribution,
+                               match=f"steps must be {message}"):
+                sp.simulate_product(model, steps=steps)
 
 
 class TestWindowRateBound:
@@ -155,6 +172,13 @@ class TestBlockEstimate:
         identical = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])  # tau = 0
         with pytest.raises(AllBlocksDegenerate):
             sp.block_decay_estimate(constant_model(identical), 1, 50)
+
+    def test_counts_below_one_rejected(self):
+        # two negative counts multiply to a positive draw length
+        for window_len, blocks in ((0, 5), (3, 0), (-1, -1), (-2, -3)):
+            with pytest.raises(InvalidDistribution,
+                               match="window_len and blocks must be at least 1"):
+                sp.block_decay_estimate(constant_model(SCRAM), window_len, blocks)
 
     def test_requires_stationary(self):
         fset = sp.FiniteMatrixSet((SCRAM, EYE2))
