@@ -70,14 +70,13 @@ from .matrices import (
     validate,
 )
 from .products import (
-    BlockEstimate,
     ProductTrace,
     RateReport,
-    block_decay_estimate,
     default_checkpoints,
     find_scrambling_window,
     fit_empirical_rate,
     simulate_product,
+    window_log_rate,
     window_rate_bound,
 )
 from .sequences import (
@@ -116,9 +115,9 @@ __all__ = [
     "graph_of", "is_markov", "is_scrambling", "is_sia", "pattern_period",
     "same_type", "scrambling_index", "spread", "tau", "validate",
     # products
-    "BlockEstimate", "ProductTrace", "RateReport", "block_decay_estimate",
-    "default_checkpoints", "find_scrambling_window", "fit_empirical_rate",
-    "simulate_product", "window_rate_bound",
+    "ProductTrace", "RateReport", "default_checkpoints",
+    "find_scrambling_window", "fit_empirical_rate", "simulate_product",
+    "window_log_rate", "window_rate_bound",
     # sequences
     "FiniteMatrixSet", "IIDModel", "MarkovModulatedModel", "ScriptedModel",
     "min_positive_entry", "sample", "stationary_distribution", "trial_seed",

@@ -49,11 +49,6 @@ class Reducible(StochprodError):
     """The transition matrix is reducible; no unique stationary distribution."""
 
 
-class NotStationary(StochprodError):
-    """The model must be stationary (i.i.d., or Markov-modulated with a
-    stationary initial distribution)."""
-
-
 class NoCertificate(StochprodError):
     """No contraction horizon up to the requested maximum certifies decay."""
 
@@ -68,11 +63,6 @@ class NoScramblingWindow(StochprodError):
 
 class NoConnectedWindow(StochprodError):
     """The window composition is strongly connected with probability zero."""
-
-
-class AllBlocksDegenerate(StochprodError):
-    """Every sampled block had a zero ergodicity coefficient; the product is
-    already rank-one and the decay estimate is 0 by convention."""
 
 
 class InsufficientData(StochprodError):

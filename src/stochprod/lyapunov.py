@@ -154,7 +154,7 @@ class SphereGrid:
 class FiniteStepCertificate:
     """Witness that V contracts in conditional expectation after ``horizon``
     steps by the factor ``1 - alpha``, worst case over grid states and
-    current modes."""
+    current modes; alpha = 1 means V is 0 after ``horizon`` steps."""
 
     horizon: int
     alpha: float
@@ -162,8 +162,8 @@ class FiniteStepCertificate:
     grid_resolution: int
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidDistribution("alpha must lie strictly between 0 and 1")
+        if not (0.0 < self.alpha <= 1.0):
+            raise InvalidDistribution("alpha must lie in (0, 1]")
 
     @property
     def rate(self) -> float:
@@ -174,7 +174,10 @@ class FiniteStepCertificate:
 def _start_state(system: SwitchedSystem, mode: int):
     """``sequences.advance`` state of the empty continuation from the current
     mode; advancing it h steps gives every length-h continuation's operator
-    (later modes on the left) and its probability given the mode."""
+    (later modes on the left) and its probability given the mode.  Raises
+    ``InvalidDistribution`` for a mode the signal never takes."""
+    if not 0 <= int(mode) < system.signal.num_symbols:
+        raise InvalidDistribution(f"mode {mode} is outside the signal's symbols")
     return np.array([int(mode)]), np.eye(system.dimension)[None], np.ones((1, 1))
 
 
@@ -217,12 +220,13 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
     keep = vx > 0
     pts, vx = pts[keep], vx[keep]
     # per current mode, the continuations of the horizon reached so far
-    states = [_start_state(system, mode) for mode in range(system.num_modes)]
+    modes = range(system.signal.num_symbols)
+    states = [_start_state(system, mode) for mode in modes]
     supermartingale_ok = None
     for horizon in range(1, int(horizon_max) + 1):
         # worst ratio E[V after horizon] / V(x) over current modes and grid
         beta = -np.inf
-        for mode in range(system.num_modes):
+        for mode in modes:
             states[mode] = sequences.advance(system.signal, system.modes,
                                              *states[mode], 1)
             _, ops, probs = states[mode]

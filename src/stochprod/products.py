@@ -5,9 +5,9 @@ The running product ``W(k, 0) = W(k) ... W(2) W(1)`` contracts toward a
 rank-one matrix whenever scrambling window products keep appearing; the
 module records the ergodicity coefficient along sampled runs, computes the
 guaranteed geometric rate ``(1 - p * alpha^h)^(1/h)`` from the exact window
-scrambling probability p and the entry floor alpha, and estimates the
-realized rate from block averages of ``log tau`` over non-overlapping
-windows (valid for stationary models by the ergodic theorem).
+scrambling probability p and the entry floor alpha, and computes the exact
+window rate ``exp(E[log tau(W(h))] / h)``, which by Kingman's subadditive
+ergodic theorem bounds the almost-sure per-step decay of tau from above.
 """
 
 from __future__ import annotations
@@ -17,25 +17,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matrices, sequences
-from .errors import (
-    AllBlocksDegenerate,
-    InsufficientData,
-    InvalidDistribution,
-    NoScramblingWindow,
-    NotStationary,
-)
+from .errors import InsufficientData, InvalidDistribution, NoScramblingWindow
 from .sequences import SequenceModel
 
 __all__ = [
     "TAU_FLOOR",
     "ProductTrace",
     "RateReport",
-    "BlockEstimate",
     "default_checkpoints",
     "simulate_product",
     "window_rate_bound",
     "find_scrambling_window",
-    "block_decay_estimate",
+    "window_log_rate",
     "fit_empirical_rate",
 ]
 
@@ -77,23 +70,6 @@ class RateReport:
 
     def with_empirical(self, rate: float) -> "RateReport":
         return replace(self, empirical_rate=rate)
-
-
-@dataclass(frozen=True)
-class BlockEstimate:
-    """Block average of log tau over non-overlapping windows.
-
-    ``per_window`` estimates E[tau-decay over one window] geometrically;
-    ``per_step`` is its window-length root.  Blocks with tau exactly 0 are
-    excluded from the average and reported as ``zero_fraction``: any such
-    block certifies finite-time rank-one convergence.
-    """
-
-    window_len: int
-    blocks: int
-    per_window: float
-    per_step: float
-    zero_fraction: float
 
 
 def default_checkpoints(steps: int) -> tuple:
@@ -186,49 +162,29 @@ def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
     raise NoScramblingWindow(f"no scrambling window up to length {h_max}")
 
 
-def block_decay_estimate(model: SequenceModel, window_len: int, blocks: int,
-                         trial: int = 0) -> BlockEstimate:
-    """Ergodic-average estimate of the per-window tau decay.
+def window_log_rate(model: SequenceModel, h: int) -> float:
+    """Exact per-step rate ``exp(E[log tau(W(h))] / h)`` of the length-h
+    window product, worst over ``sequences.window_starts(model)``.
 
-    Samples ``blocks`` non-overlapping windows of ``window_len`` steps from
-    one run of a stationary model and averages log tau of the window
-    products.  Requires stationarity so that block averages converge to the
-    expectation over a single window.  Window products are ``np.dot``
-    steps, bit for bit those of ``@``, as in ``simulate_product``.  Raises
-    ``InvalidDistribution`` when ``window_len`` or ``blocks`` is below 1.
+    log tau is subadditive, so by Kingman's subadditive ergodic theorem
+    every h bounds the almost-sure per-step decay of tau from above, and the
+    bounds tighten toward it as h grows.  A start whose window has tau = 0
+    with positive probability has E log tau = -inf: the rate is 0.0 when
+    every start has one.  Raises ``InvalidDistribution`` when h is below 1
+    or the model is scripted, ``EnumerationTooLarge`` past ``STATE_LIMIT``.
     """
-    if not model.is_stationary(tol=1e-9):
-        raise NotStationary(
-            "block averages need an i.i.d. or stationary Markov-modulated model")
     fset = model._require_set()
-    arrays = fset.entry_arrays()
-    window_len, blocks = int(window_len), int(blocks)
-    if window_len < 1 or blocks < 1:
-        raise InvalidDistribution("window_len and blocks must be at least 1")
-    idx = sequences.sample(model, window_len * blocks, trial=trial).tolist()
-    logs = []
-    zeros = 0
-    for b in range(blocks):
-        start = b * window_len
-        prod = arrays[idx[start]]
-        for i in idx[start + 1:start + window_len]:
-            prod = np.dot(arrays[i], prod)
-        t_val = matrices.tau(prod)
-        if t_val <= 0.0:
-            zeros += 1
-        else:
-            logs.append(np.log(t_val))
-    if not logs:
-        raise AllBlocksDegenerate(
-            "every block product was already rank-one; the decay rate is 0")
-    per_window = float(np.exp(np.mean(logs)))
-    return BlockEstimate(
-        window_len=window_len,
-        blocks=blocks,
-        per_window=per_window,
-        per_step=per_window ** (1.0 / window_len),
-        zero_fraction=zeros / blocks,
-    )
+    prods, weights = sequences._window_words(model, fset.entry_arrays(), h)
+    taus = np.array([matrices.tau(p) for p in prods])
+    # rows of an h-factor product carry about h * n ulps of rounding, so a
+    # tau within that of 0 is a rank-one product whose log would be noise
+    pos = taus > h * fset.dimension * np.finfo(float).eps
+    zero_mass = weights[~pos].sum(axis=0)
+    q = (weights[pos] * np.log(taus[pos])[:, None]).sum(axis=0)
+    laws = [model.start_distribution(s) for s in sequences.window_starts(model)]
+    best = max((law @ q for law in laws if law @ zero_mass <= 0.0),
+               default=-np.inf)
+    return float(np.exp(best / h))
 
 
 def _log_linear_rate(steps, values, min_points: int) -> float | None:

@@ -142,10 +142,6 @@ class SequenceModel:
     def step_distribution(self, prev: int) -> np.ndarray:
         raise NotImplementedError
 
-    def is_stationary(self, tol: float = 1e-9) -> bool:
-        """Whether the index process law is invariant under time shift."""
-        raise NotImplementedError
-
     def _require_set(self) -> FiniteMatrixSet:
         if self.matrix_set is None:
             raise InvalidDistribution("this model carries no matrix set")
@@ -181,9 +177,6 @@ class IIDModel(SequenceModel):
 
     def step_distribution(self, prev):
         return self.weights
-
-    def is_stationary(self, tol: float = 1e-9) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -288,9 +281,6 @@ class ScriptedModel(SequenceModel):
         raise InvalidDistribution(
             "a scripted model has position-dependent steps; query whole windows")
 
-    def is_stationary(self, tol: float = 1e-9) -> bool:
-        return len(set(self.indices)) == 1
-
 
 def sample(model: SequenceModel, length: int, trial: int = 0) -> np.ndarray:
     """Draw a length-``length`` index sequence as a read-only array; the same
@@ -334,21 +324,32 @@ def advance(model: SequenceModel, factors, last, prods, weights, steps: int):
     return last, prods, weights
 
 
+def _window_words(model: SequenceModel, factors, h: int):
+    """``(prods, weights)``: every length-h window's backward product of
+    ``factors``, merged by ``advance``, and ``weights[w, s]``, the
+    probability of product w given first index s."""
+    if h < 1:
+        raise InvalidDistribution("window length must be at least 1")
+    m = model.num_symbols
+    factors = np.asarray(factors)[:m]
+    _, prods, weights = advance(model, factors, np.arange(m), factors,
+                                np.eye(m), h - 1)
+    return prods, weights
+
+
 def window_probability(model: SequenceModel, patterns, h: int, test,
                        starts=None) -> np.ndarray:
     """Exact probability, at each window start, that the boolean backward
     product of the patterns along the h window positions passes ``test``.
 
-    One run of ``advance`` with weight rows indexed by the window's first
-    index gives q[s], the probability of passing given first index s; start
-    k then costs one dot product with the law of its first index.  Starts
-    default to ``window_starts(model)``.
+    ``_window_words`` gives q[s], the probability of passing given first
+    index s; start k then costs one dot product with the law of its first
+    index.  Starts default to ``window_starts(model)``.
     """
     if h < 1:
         raise InvalidDistribution("window length must be at least 1")
     starts = window_starts(model) if starts is None else starts
-    m = model.num_symbols
-    pats = np.asarray(patterns, dtype=bool)[:m]
+    pats = np.asarray(patterns, dtype=bool)[:model.num_symbols]
     if isinstance(model, ScriptedModel):
         hits = []
         for start in starts:
@@ -358,7 +359,7 @@ def window_probability(model: SequenceModel, patterns, h: int, test,
                 prod = pats[idx] @ prod
             hits.append(1.0 if test(prod) else 0.0)
         return np.array(hits)
-    _, prods, weights = advance(model, pats, np.arange(m), pats, np.eye(m), h - 1)
+    prods, weights = _window_words(model, pats, h)
     q = weights[np.array([bool(test(p)) for p in prods])].sum(axis=0)
     return np.array([model.start_distribution(start) @ q for start in starts])
 

@@ -171,11 +171,11 @@ def test_criterion_4_stationary_sia_convergence():
         converged += hit
         rates.append(sp.fit_empirical_rate(trace))
     fitted = float(np.exp(np.mean(np.log(rates))))
-    block = sp.block_decay_estimate(model, window_len=16, blocks=2000)
-    rel = abs(block.per_step - fitted) / fitted
-    ok = (p_sia > 0 and converged >= 99 and block.per_step < 1.0 and rel < 0.10)
+    exact = sp.window_log_rate(model, 16)
+    rel = abs(exact - fitted) / fitted
+    ok = (p_sia > 0 and converged >= 99 and exact < 1.0 and rel < 0.10)
     report(4, ok, (f"P(sia window)={p_sia:.4f} exactly; {converged}/100 seeds "
-                   f"below 1e-8; block rate {block.per_step:.4f} vs fitted "
+                   f"below 1e-8; exact rate {exact:.4f} vs fitted "
                    f"{fitted:.4f} ({100 * rel:.1f}% apart)"))
 
 

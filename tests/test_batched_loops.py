@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 import stochprod as sp
 from stochprod import agreement, equations
-from stochprod.errors import AllBlocksDegenerate, InvalidDistribution
+from stochprod.errors import InvalidDistribution
 
 from helpers import (
     apply_firing_sets,
-    block_decay_estimate_per_block,
     firing_set_counts,
     markov_indices_stepwise,
     monte_carlo_decay_per_trial,
@@ -388,38 +387,6 @@ def test_simulate_async_matches_replay_at_bench_size(clock, order):
     spreads, x = apply_firing_sets(w, x0, fired)
     assert np.array_equal(trace.spreads, spreads)
     assert np.array_equal(trace.final_x, x)
-
-
-def stationary_markov(rng, m, **kw):
-    """A Markov-modulated model started in its stationary law: a doubly
-    stochastic transition (a mix of permutations) from the uniform start."""
-    mix = rng.dirichlet(np.ones(3))
-    transition = sum(c * np.eye(m)[rng.permutation(m)] for c in mix)
-    return sp.MarkovModulatedModel(initial=np.full(m, 1.0 / m),
-                                   transition=transition, **kw)
-
-
-@given(seeds, symbols, st.sampled_from([1, 2, 4, 8, 16, 32]),
-       st.integers(1, 20), st.integers(1, 60), trials,
-       st.sampled_from(["iid", "markov"]), st.sampled_from(["C", "F"]))
-@settings(max_examples=40)
-def test_block_decay_estimate_matches_per_block_loop(seed, m, n, window_len,
-                                                     blocks, trial, variant,
-                                                     order):
-    rng = np.random.default_rng(seed)
-    fset = sp.FiniteMatrixSet(tuple(
-        in_layout(random_stochastic(rng, n, density=0.4), order)
-        for _ in range(m)))
-    kw = {"seed": int(rng.integers(2**31)), "matrix_set": fset}
-    model = (sp.IIDModel(weights=rng.dirichlet(np.ones(m)), **kw)
-             if variant == "iid" else stationary_markov(rng, m, **kw))
-    try:
-        want = block_decay_estimate_per_block(model, window_len, blocks, trial)
-    except AllBlocksDegenerate:
-        with pytest.raises(AllBlocksDegenerate):
-            sp.block_decay_estimate(model, window_len, blocks, trial)
-        return
-    assert sp.block_decay_estimate(model, window_len, blocks, trial) == want
 
 
 def test_async_negative_steps_rejected():

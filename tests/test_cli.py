@@ -81,6 +81,28 @@ class TestCertify:
         assert len(lines) == 42  # header + steps + initial row
 
 
+    def test_signal_with_fewer_symbols_than_modes(self, tmp_path, capfd):
+        # only mode 0, diag(0.6, 1), is ever taken: no horizon contracts
+        with open(os.path.join(DATA, "certify_markov", "config.json")) as fh:
+            cfg = json.load(fh)
+        cfg["signal"] = {"variant": "iid", "weights": [1.0]}
+        out = tmp_path / "out"
+        assert run_cli("certify", write(tmp_path / "c.json", cfg), out) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: no contraction certificate up to horizon 4")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_zero_modes_certify_with_alpha_one(self, tmp_path):
+        cfg = write(tmp_path / "c.json", {
+            "modes": [[[0, 0], [0, 0]]], "signal": {"variant": "iid",
+                                                    "weights": [1.0]},
+            "horizon_max": 2, "steps": 5, "trials": 3})
+        out = tmp_path / "out"
+        assert run_cli("certify", cfg, out) == 0
+        cert = read_outputs(out)[0]["results"]["certificate"]
+        assert (cert["T"], cert["alpha"], cert["rate"]) == (1, 1.0, 0.0)
+
+
 class TestProduct:
     def test_converging_product(self, tmp_path):
         cfg = write(tmp_path / "c.json", {

@@ -76,6 +76,13 @@ class TestExpectedLyapunov:
         got = sp.expected_lyapunov(system, sp.inf_norm(), [1, 0], 0, 7)
         assert got == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", [-1, 1, 3])
+    def test_mode_outside_signal_rejected(self, mode):
+        # three modes, but the signal only ever takes mode 0
+        system = sp.SwitchedSystem(modes=MODES, signal=sp.IIDModel(weights=[1.0]))
+        with pytest.raises(InvalidDistribution, match=f"mode {mode} is outside"):
+            sp.expected_lyapunov(system, sp.inf_norm(), [1, 0], mode, 1)
+
     def test_non_finite_mode_rejected(self):
         with pytest.raises(NonFiniteEntry):
             single_mode_system([[0.5, np.nan], [0.0, 0.5]])
@@ -119,6 +126,21 @@ class TestCertify:
                                       grid=sp.SphereGrid(seed=1))
         assert cert.horizon == n
         assert cert.alpha > 1e-6
+
+    def test_zero_modes_certify_with_alpha_one(self):
+        # every mode maps to 0, so V is 0 after one step: alpha = 1, rate 0
+        signal = sp.IIDModel(weights=[0.5, 0.5])
+        system = sp.SwitchedSystem(modes=(np.zeros((2, 2)),) * 2, signal=signal)
+        cert = sp.certify_contraction(system, sp.inf_norm(), horizon_max=3)
+        assert (cert.horizon, cert.alpha, cert.rate) == (1, 1.0, 0.0)
+        assert cert.supermartingale_ok
+
+    def test_certifies_only_the_signals_modes(self):
+        # the signal takes mode 0 alone, diag(0.2, 1): the second axis is
+        # never damped, whatever the unused modes would do
+        system = sp.SwitchedSystem(modes=MODES, signal=sp.IIDModel(weights=[1.0]))
+        with pytest.raises(NoCertificate):
+            sp.certify_contraction(system, sp.inf_norm(), horizon_max=4)
 
     def test_identity_mode_never_certifies(self):
         system = single_mode_system(np.eye(2))

@@ -1,14 +1,16 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod import products, sequences
+from stochprod import jsonio, products, sequences
 from stochprod.errors import (
-    AllBlocksDegenerate,
+    EnumerationTooLarge,
     InsufficientData,
     InvalidDistribution,
     NoScramblingWindow,
-    NotStationary,
 )
 
 from helpers import random_stochastic
@@ -17,6 +19,7 @@ SCRAM = sp.StochasticMatrix([[0.2, 0.8], [0.5, 0.5]])   # tau = 0.3
 EYE2 = sp.StochasticMatrix(np.eye(2))
 ROT3 = sp.StochasticMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 MIX3 = sp.StochasticMatrix([[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]])
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def constant_model(matrix, seed=0):
@@ -147,45 +150,64 @@ class TestWindowRateBound:
         assert np.all(rates <= report.bound + 3 * sigma)
 
 
-class TestBlockEstimate:
+class TestWindowLogRate:
     def test_constant_model_exact(self):
-        model = constant_model(SCRAM)
-        est = sp.block_decay_estimate(model, window_len=3, blocks=10)
-        expected = sp.tau(sp.backward_product([SCRAM] * 3))
-        assert est.per_window == pytest.approx(expected, rel=1e-12)
-        assert est.zero_fraction == 0.0
+        expected = sp.tau(sp.backward_product([SCRAM] * 3)) ** (1 / 3)
+        assert sp.window_log_rate(constant_model(SCRAM), 3) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_two_outcome_closed_form(self):
-        fset = sp.FiniteMatrixSet((SCRAM, EYE2))
-        model = sp.IIDModel(weights=[0.5, 0.5], seed=17, matrix_set=fset)
-        est = sp.block_decay_estimate(model, window_len=1, blocks=20000)
         # E log tau over the two outcomes: 0.5 log tau(S) + 0.5 log 1
-        target = np.sqrt(sp.tau(SCRAM))
-        # the estimate is tau(S)**freq(S); 3 standard errors on freq
-        se = 3 * 0.5 / np.sqrt(20000)
-        lo = sp.tau(SCRAM) ** (0.5 + se)
-        hi = sp.tau(SCRAM) ** (0.5 - se)
-        assert lo <= est.per_window <= hi
-        assert est.per_window == pytest.approx(target, rel=0.05)
-
-    def test_degenerate_blocks_raise(self):
-        identical = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])  # tau = 0
-        with pytest.raises(AllBlocksDegenerate):
-            sp.block_decay_estimate(constant_model(identical), 1, 50)
-
-    def test_counts_below_one_rejected(self):
-        # two negative counts multiply to a positive draw length
-        for window_len, blocks in ((0, 5), (3, 0), (-1, -1), (-2, -3)):
-            with pytest.raises(InvalidDistribution,
-                               match="window_len and blocks must be at least 1"):
-                sp.block_decay_estimate(constant_model(SCRAM), window_len, blocks)
-
-    def test_requires_stationary(self):
         fset = sp.FiniteMatrixSet((SCRAM, EYE2))
-        nonstat = sp.MarkovModulatedModel(
-            initial=[1, 0], transition=[[0.1, 0.9], [0.9, 0.1]], matrix_set=fset)
-        with pytest.raises(NotStationary):
-            sp.block_decay_estimate(nonstat, 2, 10)
+        model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
+        assert sp.window_log_rate(model, 1) == pytest.approx(
+            np.sqrt(sp.tau(SCRAM)), rel=1e-12)
+
+    def test_readme_product_model(self):
+        # 2x2 tau is multiplicative, so every window gives the true rate
+        with open(os.path.join(DATA, "readme_product", "config.json")) as fh:
+            model = jsonio.model_from_json(json.load(fh)["model"])
+        for h in range(1, 9):
+            assert sp.window_log_rate(model, h) == pytest.approx(
+                np.sqrt(0.3), rel=1e-12)
+
+    def test_zero_tau_window_gives_zero(self):
+        identical = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])  # tau = 0
+        assert sp.window_log_rate(constant_model(identical), 1) == 0.0
+        fset = sp.FiniteMatrixSet((identical, EYE2))
+        model = sp.IIDModel(weights=[0.01, 0.99], matrix_set=fset)
+        for h in (1, 2, 5):
+            assert sp.window_log_rate(model, h) == 0.0
+
+    def test_window_below_one_rejected(self):
+        for h in (0, -1):
+            with pytest.raises(InvalidDistribution,
+                               match="window length must be at least 1"):
+                sp.window_log_rate(constant_model(SCRAM), h)
+
+    def test_non_stationary_takes_worst_start(self):
+        # the alternating chain puts SCRAM at even starts and EYE2 at odd
+        # ones: a single factor decays only from the even starts, while
+        # every window of two holds one SCRAM
+        fset = sp.FiniteMatrixSet((SCRAM, EYE2))
+        model = sp.MarkovModulatedModel(
+            initial=[1, 0], transition=[[0, 1], [1, 0]], matrix_set=fset)
+        assert sp.window_log_rate(model, 1) == 1.0
+        assert sp.window_log_rate(model, 2) == pytest.approx(
+            np.sqrt(sp.tau(SCRAM)), rel=1e-12)
+
+    def test_scripted_model_rejected(self):
+        model = sp.ScriptedModel(indices=(0, 1),
+                                 matrix_set=sp.FiniteMatrixSet((SCRAM, EYE2)))
+        with pytest.raises(InvalidDistribution, match="scripted"):
+            sp.window_log_rate(model, 2)
+
+    def test_enumeration_budget(self, monkeypatch):
+        monkeypatch.setattr(sequences, "STATE_LIMIT", 3)
+        fset = sp.FiniteMatrixSet((SCRAM, EYE2))
+        model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
+        with pytest.raises(EnumerationTooLarge):
+            sp.window_log_rate(model, 2)
 
 
 class TestFitEmpiricalRate:

@@ -1,6 +1,6 @@
 """Differential tests of the merged-state word-law engine against the
-brute-force word oracle in ``helpers``: exact window probabilities and
-conditional expectations must agree within 1e-12."""
+brute-force word oracle in ``helpers``: exact window probabilities,
+conditional expectations and window log rates must agree within 1e-12."""
 
 from functools import reduce
 
@@ -13,9 +13,15 @@ import stochprod as sp
 from stochprod import sequences
 from stochprod.errors import EnumerationTooLarge
 
-from helpers import positive_words, random_stochastic, window_words
+from helpers import (
+    positive_words,
+    random_stochastic,
+    stationary_markov,
+    window_words,
+)
 
 TOL = 1e-12
+EPS = np.finfo(float).eps
 PREDICATES = {"scrambling": sp.is_scrambling, "sia": sp.is_sia,
               "markov": sp.is_markov}
 
@@ -40,6 +46,8 @@ def index_model(rng, variant, m, **kw):
         return sp.MarkovModulatedModel(
             initial=sparse_law(rng, m),
             transition=np.array([sparse_law(rng, m) for _ in range(m)]), **kw)
+    if variant == "stationary":
+        return stationary_markov(rng, m, **kw)
     script = rng.integers(m, size=int(rng.integers(1, 5)))
     return sp.ScriptedModel(indices=tuple(script.tolist()), **kw)
 
@@ -104,3 +112,54 @@ def test_expected_lyapunov_matches_word_oracle(seed, m, n, h, variant):
                                           signal.step_distribution, h))
     got = sp.expected_lyapunov(system, v, x, mode, h)
     assert abs(got - want) <= TOL, (got, want)
+
+
+def log_rate_oracle(model, mats, h):
+    """``window_log_rate`` by trying all m**h words at every window start,
+    with the engine's rounding floor h * n * eps for tau = 0; also returns
+    the smallest tau above the floor."""
+    floor = h * mats[0].n * EPS
+    best, tau_min = -np.inf, np.inf
+    for start in sequences.window_starts(model):
+        taus = [(p, sp.tau(sp.backward_product([mats[i] for i in w])))
+                for w, p in window_words(model, start, h)]
+        tau_min = min([tau_min] + [t for _, t in taus if t > floor])
+        if all(t > floor for _, t in taus):
+            best = max(best, sum(p * np.log(t) for p, t in taus))
+    return float(np.exp(best / h)), tau_min
+
+
+@given(seeds, symbols, dims, st.integers(1, 4),
+       st.sampled_from(["iid", "stationary", "markov"]))
+def test_window_log_rate_matches_word_oracle(seed, m, n, h, variant):
+    rng = np.random.default_rng(seed)
+    mats = tuple(random_stochastic(rng, n, density=0.4) for _ in range(m))
+    model = index_model(rng, variant, m, matrix_set=sp.FiniteMatrixSet(mats))
+    try:
+        want, _ = log_rate_oracle(model, mats, h)
+    except EnumerationTooLarge:
+        with pytest.raises(EnumerationTooLarge):
+            sp.window_log_rate(model, h)
+        return
+    got = sp.window_log_rate(model, h)
+    assert abs(got - want) <= TOL, (got, want)
+
+
+@given(seeds, symbols, dims, st.integers(1, 2),
+       st.sampled_from(["iid", "stationary"]))
+def test_window_log_rate_tightens_with_doubled_window(seed, m, n, h, variant):
+    # log tau is subadditive, so on a stationary model E log tau(W(2h)) is at
+    # most 2 E log tau(W(h)); each computed tau is within h * n * eps of the
+    # exact one, which moves E log tau by at most that over the least tau
+    rng = np.random.default_rng(seed)
+    mats = tuple(random_stochastic(rng, n, density=0.4) for _ in range(m))
+    model = index_model(rng, variant, m, matrix_set=sp.FiniteMatrixSet(mats))
+    once, twice = sp.window_log_rate(model, h), sp.window_log_rate(model, 2 * h)
+    if once == 0.0:
+        assert twice == 0.0
+        return
+    _, tau_once = log_rate_oracle(model, mats, h)
+    _, tau_twice = log_rate_oracle(model, mats, 2 * h)
+    slack = (2 * h * n * EPS / tau_once + 2 * h * n * EPS / tau_twice
+             + TOL)
+    assert twice == 0.0 or 2 * h * np.log(twice) <= 2 * h * np.log(once) + slack
