@@ -7,9 +7,12 @@ steps ahead contracts: ``E[V(x_{k+T}) | x_k, y_k] <= (1 - alpha) V(x_k)``
 for every state and every current mode.  The conditional expectation is
 computed exactly by enumerating mode continuations; for positively
 homogeneous V and linear modes the worst case over all states reduces to a
-grid on the unit sup-norm sphere.  A certificate (T, alpha) guarantees decay
-of V at per-step rate ``(1 - alpha)**(1/T)``, which Monte Carlo runs can
-then be checked against.
+grid on the unit sup-norm sphere.  One enumeration serves every current
+mode at once: its weight columns hold each mode's continuation law, so each
+continuation operator meets the grid once per horizon, and the images it
+makes are bounded by ``IMAGE_LIMIT``.  A certificate (T, alpha) guarantees
+decay of V at per-step rate ``(1 - alpha)**(1/T)``, which Monte Carlo runs
+can then be checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrices, sequences
-from .errors import DimensionMismatch, InvalidDistribution, NoCertificate
+from .errors import (
+    DimensionMismatch,
+    EnumerationTooLarge,
+    InvalidDistribution,
+    NoCertificate,
+)
 from .products import _log_linear_rate
 from .sequences import SequenceModel
 
@@ -36,6 +44,10 @@ __all__ = [
 ]
 
 HISTORY_LIMIT = 10**7  # V history cells, trials * (steps + 1), of one run
+# image cells, states * grid points * n summed over the horizons of one
+# certificate search (at most 400 MB of float64 images in all, one horizon's
+# held at a time)
+IMAGE_LIMIT = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -87,10 +99,23 @@ class LyapunovFunction:
         return self.fn(np.asarray(x, dtype=float))
 
 
+def _sup_norm(x: np.ndarray):
+    """``np.abs(x).max(axis=-1)``, bit for bit (max is exact in any order).
+    numpy's reduce over a last axis of up to 8 is slow, so there it takes one
+    ``np.maximum`` per coordinate and makes no ``abs`` copy of x; over a
+    longer axis the reduce is the faster of the two."""
+    if x.shape[-1] > 8:
+        return np.abs(x).max(axis=-1)
+    out, scratch = np.empty(x.shape[:-1]), np.empty(x.shape[:-1])
+    np.abs(x[..., 0], out=out)
+    for i in range(1, x.shape[-1]):
+        np.maximum(out, np.abs(x[..., i], out=scratch), out=out)
+    return out[()]
+
+
 def inf_norm() -> LyapunovFunction:
     """The sup norm, the workhorse certificate for averaging dynamics."""
-    return LyapunovFunction(
-        fn=lambda x: np.abs(x).max(axis=-1), name="sup-norm", degree=1.0)
+    return LyapunovFunction(fn=_sup_norm, name="sup-norm", degree=1.0)
 
 
 def _check_function(V: LyapunovFunction, n: int, probes: np.ndarray):
@@ -201,10 +226,20 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
     that is exactly 1 can come out an ulp short of it, because continuation
     probabilities that sum to 1 need not do so in floating point.
 
+    One ``sequences.advance`` enumeration serves every current mode s: the
+    continuations of all modes share its states, weight column s holds the
+    probability given mode s, and column m + s, reset to 1 after each
+    horizon, marks the states mode s reaches even where a weight underflows
+    to 0.  Each horizon's operators meet the grid and V once; each mode then
+    takes its expectation over its own states.  A state shared by several
+    modes counts once against ``sequences.STATE_LIMIT``.
+
     Requires a positively homogeneous V (so the worst case over all states
     equals the worst case over the unit sphere) and an i.i.d. or
     Markov-modulated signal.  Raises ``NoCertificate`` when no horizon up to
-    ``horizon_max`` contracts on the grid.
+    ``horizon_max`` contracts on the grid, and ``EnumerationTooLarge`` before
+    the images of states x grid points x n cells, summed over the horizons
+    searched, would pass ``IMAGE_LIMIT``.
     """
     if V.degree is None:
         raise InvalidDistribution(
@@ -214,24 +249,35 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
             "certificates condition on the current mode; use an i.i.d. or "
             "Markov-modulated signal")
     grid = grid or SphereGrid()
-    pts = grid.points(system.dimension)
-    _check_function(V, system.dimension, pts)
+    n = system.dimension
+    pts = grid.points(n)
+    _check_function(V, n, pts)
     vx = np.asarray(V(pts), dtype=float)
     keep = vx > 0
     pts, vx = pts[keep], vx[keep]
-    # per current mode, the continuations of the horizon reached so far
-    modes = range(system.signal.num_symbols)
-    states = [_start_state(system, mode) for mode in modes]
+    m = system.signal.num_symbols
+    # the empty continuation of each current mode; weights [probability | reached]
+    state = (np.arange(m), np.tile(np.eye(n), (m, 1, 1)),
+             np.eye(m, 2 * m) + np.eye(m, 2 * m, m))
+    cells = 0
     supermartingale_ok = None
     for horizon in range(1, int(horizon_max) + 1):
-        # worst ratio E[V after horizon] / V(x) over current modes and grid
+        state = sequences.advance(system.signal, system.modes, *state, 1)
+        _, ops, weights = state
+        reached = weights[:, m:] > 0
+        weights[:, m:] = reached
+        cells += ops.shape[0] * pts.shape[0] * n
+        if cells > IMAGE_LIMIT:
+            raise EnumerationTooLarge(
+                f"{cells} image cells up to horizon {horizon} exceed {IMAGE_LIMIT}")
+        values = np.asarray(V(np.einsum("wij,gj->wgi", ops, pts)), dtype=float)
+        # worst ratio E[V after horizon] / V(x) over current modes and grid;
+        # each mode's dot takes contiguous row copies, as a strided weight
+        # column can round differently
         beta = -np.inf
-        for mode in modes:
-            states[mode] = sequences.advance(system.signal, system.modes,
-                                             *states[mode], 1)
-            _, ops, probs = states[mode]
-            images = np.einsum("wij,gj->wgi", ops, pts)
-            exp_v = probs[:, 0] @ np.asarray(V(images), dtype=float)
+        for mode in range(m):
+            rows = reached[:, mode]
+            exp_v = weights[rows, mode] @ values[rows]
             beta = max(beta, float((exp_v / vx).max()))
         if horizon == 1:
             supermartingale_ok = beta <= 1.0 + 1e-12

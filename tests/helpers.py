@@ -110,6 +110,14 @@ def uniform_weights(graph):
     return StochasticMatrix(w)
 
 
+def sparse_law(rng, size):
+    """A probability vector with some entries zeroed, so words get pruned."""
+    w = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.7)
+    if not w.any():
+        w[rng.integers(size)] = 1.0
+    return w / w.sum()
+
+
 def positive_words(first, step, h):
     """Brute-force word law: every length-h index word of positive
     probability, with that probability, found by trying all m**h words.
@@ -200,6 +208,40 @@ def monte_carlo_decay_per_trial(system, V, x0, steps, trials, tol=1e-8):
         trials=trials,
         history=history,
     )
+
+
+def certify_contraction_per_mode(system, V, horizon_max, grid=None):
+    """``certify_contraction`` one current mode at a time: each mode
+    advances its own continuations and pushes its own operators through the
+    grid, and its expectation is one dot with its weight column."""
+    from stochprod import lyapunov, sequences
+    from stochprod.errors import NoCertificate
+
+    grid = grid or lyapunov.SphereGrid()
+    pts = grid.points(system.dimension)
+    vx = np.asarray(V(pts), dtype=float)
+    keep = vx > 0
+    pts, vx = pts[keep], vx[keep]
+    modes = range(system.signal.num_symbols)
+    states = [lyapunov._start_state(system, mode) for mode in modes]
+    supermartingale_ok = None
+    for horizon in range(1, int(horizon_max) + 1):
+        beta = -np.inf
+        for mode in modes:
+            states[mode] = sequences.advance(system.signal, system.modes,
+                                             *states[mode], 1)
+            _, ops, probs = states[mode]
+            images = np.einsum("wij,gj->wgi", ops, pts)
+            exp_v = probs[:, 0] @ np.asarray(V(images), dtype=float)
+            beta = max(beta, float((exp_v / vx).max()))
+        if horizon == 1:
+            supermartingale_ok = beta <= 1.0 + 1e-12
+        if beta < 1.0 - 1e-12:
+            return lyapunov.FiniteStepCertificate(
+                horizon=horizon, alpha=1.0 - beta,
+                supermartingale_ok=bool(supermartingale_ok),
+                grid_resolution=grid.resolution)
+    raise NoCertificate(int(horizon_max))
 
 
 def apply_firing_sets(W, x0, fired):

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import stochprod as sp
-from stochprod import cli, jsonio
+from stochprod import cli, jsonio, lyapunov
 from stochprod.errors import ConfigParse
 
 CHAIN3 = [[0.0, 0.4, 0.6], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
@@ -90,6 +90,16 @@ class TestCertify:
         assert run_cli("certify", write(tmp_path / "c.json", cfg), out) == 2
         err = capfd.readouterr().err
         assert err.startswith("error: no contraction certificate up to horizon 4")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_search_over_the_image_budget(self, tmp_path, capfd, monkeypatch):
+        # the golden certifies at T = 2 after (3 + 8) states x 88 points x 2
+        monkeypatch.setattr(lyapunov, "IMAGE_LIMIT", 1935)
+        cfg = os.path.join(DATA, "certify_markov", "config.json")
+        out = tmp_path / "out"
+        assert run_cli("certify", cfg, out) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: 1936 image cells up to horizon 2 exceed 1935")
         assert "Traceback" not in err and not out.exists()
 
     def test_zero_modes_certify_with_alpha_one(self, tmp_path):

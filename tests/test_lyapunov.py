@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import stochprod as sp
 from stochprod import lyapunov, sequences
@@ -10,6 +12,8 @@ from stochprod.errors import (
     NoCertificate,
     NonFiniteEntry,
 )
+
+from helpers import certify_contraction_per_mode, sparse_law
 
 # three diagonal modes driven by a two-phase modulating chain: mode 0 damps
 # the first coordinate, modes 1 and 2 damp the second by 0.8 / 0.6
@@ -28,6 +32,43 @@ def damped_system():
 def single_mode_system(matrix, seed=0):
     return sp.SwitchedSystem(modes=(np.asarray(matrix, dtype=float),),
                              signal=sp.IIDModel(weights=[1.0], seed=seed))
+
+
+def reduce_sup_norm():
+    """The sup norm by numpy's reduce over the last axis."""
+    return sp.LyapunovFunction(fn=lambda x: np.abs(x).max(axis=-1), degree=1.0)
+
+
+def search_outcome(search, system, v, horizon_max, grid=None):
+    try:
+        return search(system, v, horizon_max, grid=grid)
+    except NoCertificate as exc:
+        return str(exc)
+
+
+class TestInfNorm:
+    @pytest.mark.parametrize("shape", [(1,), (4,), (6, 1), (6, 5), (3, 4, 1),
+                                       (3, 4, 5), (8,), (6, 8), (9,), (6, 12)])
+    def test_equals_reduce_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        flat = x.reshape(-1)
+        picks = rng.random(flat.size) < 0.4
+        flat[picks] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+                                 size=picks.sum())
+        got = sp.inf_norm()(x)
+        want = np.abs(x).max(axis=-1)
+        assert type(got) is type(want)
+        assert np.shape(got) == want.shape
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_special_entries(self, entry, n):
+        for x in (np.full(n, entry), np.r_[np.full(n - 1, -1.0), entry],
+                  np.full((2, 3, n), entry)):
+            got = np.asarray(sp.inf_norm()(x))
+            assert got.tobytes() == np.abs(x).max(axis=-1).tobytes()
 
 
 class TestExpectedLyapunov:
@@ -185,6 +226,72 @@ class TestCertify:
             if h < cert.horizon:
                 assert worst >= 1.0 - 1e-12 - 1e-13
         assert cert.alpha == pytest.approx(1.0 - worst, rel=0, abs=1e-13)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
+           st.sampled_from(["iid", "markov"]), st.integers(1, 3))
+    def test_matches_per_mode_search(self, seed, n, m, variant, horizon_max):
+        # one enumeration for all current modes against one per mode: the
+        # same certificate, alpha bit for bit, or the same NoCertificate
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.3, 1.2)
+        modes = tuple(scale * rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.7)
+                      for _ in range(m))
+        if variant == "iid":
+            signal = sp.IIDModel(weights=sparse_law(rng, m))
+        else:
+            signal = sp.MarkovModulatedModel(
+                initial=sparse_law(rng, m),
+                transition=np.array([sparse_law(rng, m) for _ in range(m)]))
+        system = sp.SwitchedSystem(modes, signal)
+        grid = sp.SphereGrid(resolution=21, points_per_face=32, seed=seed % 8)
+        got = search_outcome(sp.certify_contraction, system, sp.inf_norm(),
+                             horizon_max, grid)
+        want = search_outcome(certify_contraction_per_mode, system,
+                              reduce_sup_norm(), horizon_max, grid)
+        assert got == want
+
+    def test_benchmark_size_system_matches_per_mode_search(self):
+        # n = 5 damp-and-shift / shift / identity under a chain with dyadic
+        # rows: every mode holds the same 3^h continuations, and below T = 5
+        # the worst ratio is exactly 1
+        n = 5
+        shift = np.roll(np.eye(n), 1, axis=0)
+        modes = (shift @ np.diag([0.4375] + [1.0] * (n - 1)), shift, np.eye(n))
+        transition = np.array([[6, 5, 5], [3, 10, 3], [4, 4, 8]]) / 16
+        system = sp.SwitchedSystem(modes, sp.MarkovModulatedModel(
+            initial=[1, 0, 0], transition=transition))
+        cert = sp.certify_contraction(system, sp.inf_norm(), horizon_max=6)
+        assert cert.horizon == 5
+        assert cert == certify_contraction_per_mode(system, reduce_sup_norm(), 6)
+
+    @pytest.mark.parametrize("limit, horizon", [(5711, 2), (2447, 1)])
+    def test_image_budget(self, damped_system, monkeypatch, limit, horizon):
+        # 408 grid points in 2-D; 3 states at horizon 1 (2,448 cells) and 4
+        # at horizon 2 (3,264 more, 5,712 in all), where the search certifies
+        image_calls = []
+
+        def counted(x):
+            image_calls.append(x.ndim == 3)
+            return np.abs(x).max(axis=-1)
+
+        v = sp.LyapunovFunction(fn=counted, degree=1.0)
+        monkeypatch.setattr(lyapunov, "IMAGE_LIMIT", 5712)
+        assert sp.certify_contraction(damped_system, v, horizon_max=4).horizon == 2
+        image_calls.clear()
+        monkeypatch.setattr(lyapunov, "IMAGE_LIMIT", limit)
+        with pytest.raises(EnumerationTooLarge,
+                           match=f"up to horizon {horizon} exceed {limit}"):
+            sp.certify_contraction(damped_system, v, horizon_max=4)
+        # the budget is checked before the over-budget images are made
+        assert image_calls.count(True) == horizon - 1
+
+    def test_image_budget_bounds_a_search_that_never_grows(self, monkeypatch):
+        # one identity mode: one state per horizon, so STATE_LIMIT never
+        # trips, but each horizon spends 816 image cells of the budget
+        monkeypatch.setattr(lyapunov, "IMAGE_LIMIT", 10**5)
+        with pytest.raises(EnumerationTooLarge, match="up to horizon 123 exceed"):
+            sp.certify_contraction(single_mode_system(np.eye(2)), sp.inf_norm(),
+                                   horizon_max=10**9)
 
     def test_scripted_signal_rejected(self):
         system = sp.SwitchedSystem(

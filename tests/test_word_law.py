@@ -16,6 +16,7 @@ from stochprod.errors import EnumerationTooLarge
 from helpers import (
     positive_words,
     random_stochastic,
+    sparse_law,
     stationary_markov,
     window_words,
 )
@@ -29,14 +30,6 @@ seeds = st.integers(0, 2**32 - 1)
 symbols = st.integers(1, 3)
 dims = st.integers(2, 4)
 lengths = st.integers(1, 5)
-
-
-def sparse_law(rng, size):
-    """A probability vector with some entries zeroed, so words get pruned."""
-    w = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.7)
-    if not w.any():
-        w[rng.integers(size)] = 1.0
-    return w / w.sum()
 
 
 def index_model(rng, variant, m, **kw):
