@@ -46,8 +46,11 @@ __all__ = [
 HISTORY_LIMIT = 10**7  # V history cells, trials * (steps + 1), of one run
 # image cells, states * grid points * n summed over the horizons of one
 # certificate search (at most 400 MB of float64 images in all, one horizon's
-# held at a time)
+# held at a time); each horizon is charged at least HORIZON_CELLS, about
+# what its fixed cost would buy in image cells, so a search whose layers
+# never grow still ends
 IMAGE_LIMIT = 5 * 10**7
+HORIZON_CELLS = 2000
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,9 @@ class LyapunovFunction:
 
 
 def _sup_norm(x: np.ndarray):
-    """``np.abs(x).max(axis=-1)``, bit for bit (max is exact in any order).
-    numpy's reduce over a last axis of up to 8 is slow, so there it takes one
-    ``np.maximum`` per coordinate and makes no ``abs`` copy of x; over a
-    longer axis the reduce is the faster of the two."""
-    if x.shape[-1] > 8:
-        return np.abs(x).max(axis=-1)
+    """``np.abs(x).max(axis=-1)``, bit for bit (max is exact in any order),
+    by one ``np.maximum`` per coordinate: numpy's reduce over a short last
+    axis is slow, and this makes no ``abs`` copy of x."""
     out, scratch = np.empty(x.shape[:-1]), np.empty(x.shape[:-1])
     np.abs(x[..., 0], out=out)
     for i in range(1, x.shape[-1]):
@@ -217,6 +217,25 @@ def expected_lyapunov(system: SwitchedSystem, V: LyapunovFunction, x,
     return float(probs[:, 0] @ values)
 
 
+def _continuation_layers(system: SwitchedSystem, horizon_max: int):
+    """Yield ``(ops, weights, reached)`` for horizons 1 .. horizon_max from
+    one ``sequences.advance`` enumeration over all current modes s: ``ops``
+    are the continuation operators, ``weights[:, s]`` their probabilities
+    given s, and ``reached[:, s]`` marks the states s reaches, the same ones
+    (same order, same weights) a separate enumeration from s holds.  Column
+    m + s of the enumeration, reset to 1 after each horizon, keeps that mark
+    where a weight underflows to 0."""
+    m, n = system.signal.num_symbols, system.dimension
+    state = (np.arange(m), np.tile(np.eye(n), (m, 1, 1)),
+             np.eye(m, 2 * m) + np.eye(m, 2 * m, m))
+    for _ in range(int(horizon_max)):
+        state = sequences.advance(system.signal, system.modes, *state, 1)
+        _, ops, weights = state
+        reached = weights[:, m:] > 0
+        weights[:, m:] = reached
+        yield ops, weights[:, :m], reached
+
+
 def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
                         horizon_max: int, grid: SphereGrid | None = None
                         ) -> FiniteStepCertificate:
@@ -226,20 +245,19 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
     that is exactly 1 can come out an ulp short of it, because continuation
     probabilities that sum to 1 need not do so in floating point.
 
-    One ``sequences.advance`` enumeration serves every current mode s: the
-    continuations of all modes share its states, weight column s holds the
-    probability given mode s, and column m + s, reset to 1 after each
-    horizon, marks the states mode s reaches even where a weight underflows
-    to 0.  Each horizon's operators meet the grid and V once; each mode then
-    takes its expectation over its own states.  A state shared by several
-    modes counts once against ``sequences.STATE_LIMIT``.
+    One enumeration (``_continuation_layers``) serves every current mode:
+    each horizon's operators meet the grid and V once, and each mode then
+    takes its expectation over the states it reaches, even where a weight
+    underflows to 0.  A state shared by several modes counts once against
+    ``sequences.STATE_LIMIT``.
 
     Requires a positively homogeneous V (so the worst case over all states
     equals the worst case over the unit sphere) and an i.i.d. or
     Markov-modulated signal.  Raises ``NoCertificate`` when no horizon up to
     ``horizon_max`` contracts on the grid, and ``EnumerationTooLarge`` before
     the images of states x grid points x n cells, summed over the horizons
-    searched, would pass ``IMAGE_LIMIT``.
+    searched with each horizon charged at least ``HORIZON_CELLS``, would
+    pass ``IMAGE_LIMIT``.
     """
     if V.degree is None:
         raise InvalidDistribution(
@@ -255,18 +273,11 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
     vx = np.asarray(V(pts), dtype=float)
     keep = vx > 0
     pts, vx = pts[keep], vx[keep]
-    m = system.signal.num_symbols
-    # the empty continuation of each current mode; weights [probability | reached]
-    state = (np.arange(m), np.tile(np.eye(n), (m, 1, 1)),
-             np.eye(m, 2 * m) + np.eye(m, 2 * m, m))
     cells = 0
     supermartingale_ok = None
-    for horizon in range(1, int(horizon_max) + 1):
-        state = sequences.advance(system.signal, system.modes, *state, 1)
-        _, ops, weights = state
-        reached = weights[:, m:] > 0
-        weights[:, m:] = reached
-        cells += ops.shape[0] * pts.shape[0] * n
+    for horizon, (ops, weights, reached) in enumerate(
+            _continuation_layers(system, horizon_max), start=1):
+        cells += max(ops.shape[0] * pts.shape[0] * n, HORIZON_CELLS)
         if cells > IMAGE_LIMIT:
             raise EnumerationTooLarge(
                 f"{cells} image cells up to horizon {horizon} exceed {IMAGE_LIMIT}")
@@ -275,7 +286,7 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
         # each mode's dot takes contiguous row copies, as a strided weight
         # column can round differently
         beta = -np.inf
-        for mode in range(m):
+        for mode in range(reached.shape[1]):
             rows = reached[:, mode]
             exp_v = weights[rows, mode] @ values[rows]
             beta = max(beta, float((exp_v / vx).max()))

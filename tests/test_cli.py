@@ -93,13 +93,16 @@ class TestCertify:
         assert "Traceback" not in err and not out.exists()
 
     def test_search_over_the_image_budget(self, tmp_path, capfd, monkeypatch):
-        # the golden certifies at T = 2 after (3 + 8) states x 88 points x 2
-        monkeypatch.setattr(lyapunov, "IMAGE_LIMIT", 1935)
+        # the golden certifies at T = 2: 3 and 8 states x 88 points x 2 are
+        # each below HORIZON_CELLS, so each horizon is charged that floor
+        limit = 2 * lyapunov.HORIZON_CELLS - 1
+        monkeypatch.setattr(lyapunov, "IMAGE_LIMIT", limit)
         cfg = os.path.join(DATA, "certify_markov", "config.json")
         out = tmp_path / "out"
         assert run_cli("certify", cfg, out) == 2
         err = capfd.readouterr().err
-        assert err.startswith("error: 1936 image cells up to horizon 2 exceed 1935")
+        assert err.startswith(
+            f"error: {limit + 1} image cells up to horizon 2 exceed {limit}")
         assert "Traceback" not in err and not out.exists()
 
     def test_zero_modes_certify_with_alpha_one(self, tmp_path):

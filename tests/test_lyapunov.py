@@ -285,13 +285,48 @@ class TestCertify:
         # the budget is checked before the over-budget images are made
         assert image_calls.count(True) == horizon - 1
 
-    def test_image_budget_bounds_a_search_that_never_grows(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_image_budget_bounds_a_search_that_never_grows(self, n):
         # one identity mode: one state per horizon, so STATE_LIMIT never
-        # trips, but each horizon spends 816 image cells of the budget
-        monkeypatch.setattr(lyapunov, "IMAGE_LIMIT", 10**5)
-        with pytest.raises(EnumerationTooLarge, match="up to horizon 123 exceed"):
-            sp.certify_contraction(single_mode_system(np.eye(2)), sp.inf_norm(),
+        # trips, and its 2 * n * 2 * n image cells are below the floor, so
+        # each horizon is charged HORIZON_CELLS
+        limit = lyapunov.IMAGE_LIMIT
+        horizon = limit // lyapunov.HORIZON_CELLS + 1
+        with pytest.raises(EnumerationTooLarge,
+                           match=f"up to horizon {horizon} exceed {limit}"):
+            sp.certify_contraction(single_mode_system(np.eye(n)), sp.inf_norm(),
                                    horizon_max=10**9)
+
+    def test_underflowed_weights_keep_their_states(self):
+        # P(i -> 1) = 1e-200 for every i, so from current mode 0 the
+        # continuation 1, 1 has probability 1e-400, which is 0.0; the
+        # per-mode search still holds that state and adds its zero term, and
+        # dropping such rows can regroup the dot and move alpha's last bits
+        rng = np.random.default_rng(9)
+        n, m = 2, 3
+        modes = tuple(rng.uniform(0.4, 1.0) * rng.uniform(-1, 1, (n, n))
+                      for _ in range(m))
+        transition = rng.dirichlet(np.ones(m), size=m)
+        transition[:, 1] = 1e-200
+        transition /= transition.sum(axis=1, keepdims=True)
+        system = sp.SwitchedSystem(modes, sp.MarkovModulatedModel(
+            initial=[1, 0, 0], transition=transition))
+        states = [lyapunov._start_state(system, mode) for mode in range(m)]
+        zero_weights = 0
+        for ops, weights, reached in lyapunov._continuation_layers(system, 3):
+            for mode in range(m):
+                states[mode] = sequences.advance(system.signal, system.modes,
+                                                 *states[mode], 1)
+                _, own_ops, own_probs = states[mode]
+                rows = reached[:, mode]
+                assert ops[rows].tobytes() == own_ops.tobytes()
+                assert weights[rows, mode].tobytes() == own_probs[:, 0].tobytes()
+                zero_weights += int((own_probs == 0).sum())
+        assert zero_weights > 0
+        grid = sp.SphereGrid(resolution=21, points_per_face=32)
+        cert = sp.certify_contraction(system, sp.inf_norm(), 4, grid)
+        assert cert.horizon == 2
+        assert cert == certify_contraction_per_mode(system, reduce_sup_norm(), 4, grid)
 
     def test_scripted_signal_rejected(self):
         system = sp.SwitchedSystem(
