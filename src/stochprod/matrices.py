@@ -41,6 +41,7 @@ __all__ = [
     "graph_of",
     "pattern_of",
     "tau",
+    "row_diameter",
     "spread",
     "is_scrambling",
     "is_markov",
@@ -176,6 +177,21 @@ def tau(matrix) -> float:
         overlaps = np.minimum(a[i], a[i + 1:]).sum(axis=1)
         worst = min(worst, float(overlaps.min()))
     return min(max(1.0 - worst, 0.0), 1.0)
+
+
+def row_diameter(rows: np.ndarray) -> float:
+    """Half the largest l1 distance between two rows, at most 1.
+
+    On a stochastic matrix this is ``tau``.  On its row differences against
+    the last row with a zero row appended, ``[E W; 0]``, it is ``tau(W)``
+    too, with relative precision however small tau gets (Seneta,
+    *Non-negative Matrices and Markov Chains*, section 3.1).
+    """
+    worst = 0.0
+    for i in range(rows.shape[0] - 1):
+        dist = np.abs(rows[i] - rows[i + 1:]).sum(axis=1)
+        worst = max(worst, float(dist.max()))
+    return min(worst / 2.0, 1.0)
 
 
 def spread(x) -> float:

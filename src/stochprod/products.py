@@ -17,7 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matrices, sequences
-from .errors import InsufficientData, InvalidDistribution, NoScramblingWindow
+from .errors import (
+    EnumerationTooLarge,
+    InsufficientData,
+    InvalidDistribution,
+    NoScramblingWindow,
+)
 from .sequences import SequenceModel
 
 __all__ = [
@@ -34,6 +39,13 @@ __all__ = [
 
 TAU_FLOOR = 1e-300
 STEP_LIMIT = 10**7  # steps one ``simulate_product`` run may take
+# bytes of reduced factors one ``simulate_product`` chunk stacks: a larger
+# chunk makes fewer Python-level calls but holds larger temporary stacks
+CHUNK_BYTES = 2**18
+# enumeration layers one ``find_scrambling_window`` search may run, summed
+# over its window lengths (length h runs h - 1): window_max up to 200 fits,
+# about a second when every layer holds one state
+WINDOW_LAYERS = 2 * 10**4
 
 
 @dataclass(frozen=True)
@@ -42,7 +54,9 @@ class ProductTrace:
 
     ``taus[t]`` is tau of the running product at step ``checkpoints[t]`` and
     ``spreads[t]`` the worst column spread (the largest disagreement any
-    probe vector can still produce).  Recording stops once tau falls below
+    probe vector can still produce), both read from the product's row
+    differences, so they keep relative precision as the product nears rank
+    one.  Recording stops at the first checkpoint whose tau is below
     ``TAU_FLOOR``; both series are non-increasing.
     """
 
@@ -83,20 +97,37 @@ def default_checkpoints(steps: int) -> tuple:
     return tuple(ks)
 
 
+def _tree_product(stack: np.ndarray) -> np.ndarray:
+    """Backward product ``stack[-1] ... stack[1] stack[0]`` as a pairwise
+    tree: each level multiplies neighbours with one stacked ``np.matmul``,
+    the later factor on the left, and carries an odd leftover up."""
+    while stack.shape[0] > 1:
+        even = stack.shape[0] & ~1
+        pairs = np.matmul(stack[1:even:2], stack[0:even:2])
+        stack = (pairs if even == stack.shape[0]
+                 else np.concatenate([pairs, stack[even:]]))
+    return stack[0]
+
+
 def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
                      trial: int = 0) -> ProductTrace:
     """Accumulate the backward product of a sampled run, recording tau and
     the worst column spread at each checkpoint.
 
-    Only the running n-by-n product is kept, never the factor history, and
-    no factor past the last checkpoint is multiplied.  Each step is one
-    ``np.dot``, which makes the same BLAS call as ``@`` without the matmul
-    ufunc's dispatch, so the bits are those of ``arrays[i] @ prod``.
-    Raises ``InvalidDistribution`` when ``steps`` is below 1 or over
+    The run carries the row differences ``D(k) = E W(k)`` (rows ``w_i -
+    w_n``) instead of ``W(k)``: for stochastic A, ``E A = A_hat E`` with
+    ``A_hat = (A[:-1] - A[-1])[:, :-1]``, so ``D(k) = A_hat(k) D(k-1)`` from
+    ``D(0) = [I | -1]``.  D keeps relative precision as the product nears
+    rank one, where the rows of W agree to rounding and tau(W) would stall
+    near 1e-14.  Tau and the spread are read from the rows of ``[D; 0]``.
+    Each checkpoint segment is multiplied in chunks of at most
+    ``CHUNK_BYTES`` of reduced factors, each reduced by ``_tree_product``
+    and then applied to D with one ``np.dot``; no chunk crosses a checkpoint
+    and no factor past the last checkpoint is multiplied.  Raises
+    ``InvalidDistribution`` when ``steps`` is below 1 or over
     ``STEP_LIMIT``, before any index is drawn.
     """
     fset = model._require_set()
-    arrays = fset.entry_arrays()
     steps = int(steps)
     if steps < 1:
         raise InvalidDistribution("steps must be at least 1")
@@ -106,19 +137,24 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
         checkpoints = default_checkpoints(steps)
     checkpoints = sorted(set(int(c) for c in checkpoints if 1 <= c <= steps))
     idx = sequences.sample(model, steps, trial=trial)
-    prod = np.eye(fset.dimension)
+    a = np.asarray(fset.entry_arrays())
+    hats = a[:, :-1, :-1] - a[:, -1:, :-1]
+    n = fset.dimension
+    chunk = max(1, CHUNK_BYTES // max(hats[0].nbytes, 1))
+    d = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
     recorded_k, taus, spreads = [], [], []
     done = 0
     for k in checkpoints:
-        for i in idx[done:k].tolist():
-            prod = np.dot(arrays[i], prod)
+        for lo in range(done, k, chunk):
+            d = np.dot(_tree_product(hats[idx[lo:min(lo + chunk, k)]]), d)
         done = k
-        t = matrices.tau(prod)
+        rows = np.vstack([d, np.zeros((1, n))])
+        t = matrices.row_diameter(rows)
         if t < TAU_FLOOR:
             break
         recorded_k.append(k)
         taus.append(t)
-        spreads.append(matrices._max_column_spread(prod))
+        spreads.append(matrices._max_column_spread(rows))
     return ProductTrace(
         checkpoints=tuple(recorded_k),
         taus=tuple(taus),
@@ -153,8 +189,18 @@ def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
 
     The guarantee only asks that *some* window length works; time-homogeneous
     models that pass here satisfy the recurring-window premise at every start.
+    Each length h is enumerated afresh in h - 1 layers; raises
+    ``EnumerationTooLarge`` before the layers summed over the lengths tried
+    would pass ``WINDOW_LAYERS``, and ``NoScramblingWindow`` when no length
+    up to h_max scrambles.
     """
+    layers = 0
     for h in range(1, int(h_max) + 1):
+        layers += h - 1
+        if layers > WINDOW_LAYERS:
+            raise EnumerationTooLarge(
+                f"{layers} enumeration layers up to window length {h} "
+                f"exceed {WINDOW_LAYERS}")
         try:
             return window_rate_bound(model, h)
         except NoScramblingWindow:

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 STATE_LIMIT = 10**6  # states one layer of ``advance`` may expand
+SAMPLE_BLOCK = 2**14  # draws the Markov sampler looks up and walks at once
 START_HORIZON = 128  # marginal steps ``window_starts`` tracks before giving up
 DIST_TOL = 1e-12
 
@@ -208,19 +209,26 @@ class MarkovModulatedModel(SequenceModel):
     def sample_indices(self, length, trial=0):
         rng = np.random.default_rng(trial_seed(self.seed, trial))
         length, last = int(length), self.num_symbols - 1
-        u = rng.random(length)
-        # step k moves from state s to nxt[s * length + k]: every row's
-        # inverse-CDF lookup of every draw at once, then a plain-int walk
-        nxt = np.minimum([np.searchsorted(row, u, side="right")
-                          for row in np.cumsum(self.transition, axis=1)],
-                         last).ravel().tolist()
-        state = min(int(np.searchsorted(np.cumsum(self.initial), u[0],
-                                        side="right")), last)
-        out = [state]
-        for k in range(1, length):
-            state = nxt[state * length + k]
-            out.append(state)
-        return np.array(out, dtype=np.int64)
+        cum_rows = np.cumsum(self.transition, axis=1)
+        out = np.empty(length, dtype=np.int64)
+        # blocks of draws equal one draw of them all; per block, step k moves
+        # from state s to nxt[s * size + k]: every row's inverse-CDF lookup
+        # of every draw at once, then a plain-int walk
+        for lo in range(0, length, SAMPLE_BLOCK):
+            size = min(SAMPLE_BLOCK, length - lo)
+            u = rng.random(size)
+            nxt = np.minimum([np.searchsorted(row, u, side="right")
+                              for row in cum_rows], last).ravel().tolist()
+            walk = []
+            if lo == 0:
+                state = min(int(np.searchsorted(np.cumsum(self.initial), u[0],
+                                                side="right")), last)
+                walk.append(state)
+            for k in range(len(walk), size):
+                state = nxt[state * size + k]
+                walk.append(state)
+            out[lo:lo + size] = walk
+        return out
 
     def marginal(self, k: int) -> np.ndarray:
         """Law of the index at position k+1 (k steps after the initial)."""

@@ -317,35 +317,82 @@ def two_sample_chi_square_p(a, b):
     return stats.chi2_contingency(table, correction=False).pvalue
 
 
-def simulate_product_per_step(model, steps, checkpoints=None, trial=0):
-    """``simulate_product`` with a checkpoint compare at every step."""
+def _reduced_product_run(model, steps, checkpoints, trial, carry, measure):
+    """The checkpoint walk the product oracles share.  ``carry(d, hats,
+    segment)`` takes the row differences D = E W across one checkpoint
+    segment of indices, and ``measure(rows)`` reads (tau, spread) from
+    ``rows = [D; 0]``; the walk stops at the first tau below ``TAU_FLOOR``."""
     from stochprod import sequences
-    from stochprod.matrices import _max_column_spread
     from stochprod.products import TAU_FLOOR, ProductTrace, default_checkpoints
 
-    fset = model._require_set()
-    arrays = fset.entry_arrays()
+    hats = [a[:-1, :-1] - a[-1, :-1]
+            for a in model._require_set().entry_arrays()]
+    n = model.matrix_set.dimension
     if checkpoints is None:
         checkpoints = default_checkpoints(steps)
     checkpoints = sorted(set(int(c) for c in checkpoints if 1 <= c <= steps))
-    idx = sequences.sample(model, steps, trial=trial)
-    prod = np.eye(fset.dimension)
+    idx = sequences.sample(model, steps, trial=trial).tolist()
+    d = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
     recorded_k, taus, spreads = [], [], []
-    next_cp = 0
-    for k in range(1, steps + 1):
-        prod = arrays[idx[k - 1]] @ prod
-        if next_cp < len(checkpoints) and k == checkpoints[next_cp]:
-            next_cp += 1
-            t = tau(prod)
-            if t < TAU_FLOOR:
-                break
-            recorded_k.append(k)
-            taus.append(t)
-            spreads.append(_max_column_spread(prod))
+    done = 0
+    for k in checkpoints:
+        d = carry(d, hats, idx[done:k])
+        done = k
+        t, s = measure(np.vstack([d, np.zeros((1, n))]))
+        if t < TAU_FLOOR:
+            break
+        recorded_k.append(k)
+        taus.append(t)
+        spreads.append(s)
     return ProductTrace(checkpoints=tuple(recorded_k), taus=tuple(taus),
                         spreads=tuple(spreads),
                         seed=sequences.trial_seed(model.seed, trial),
                         steps=int(steps))
+
+
+def simulate_product_pairwise(model, steps, checkpoints=None, trial=0):
+    """``simulate_product`` with each product of its pairwise trees made by
+    its own ``np.dot``: every checkpoint segment is cut into chunks of
+    ``products.CHUNK_BYTES`` of reduced factors, each chunk's level multiplies
+    neighbours (later on the left) and carries an odd leftover up, and the
+    chunk's product is applied to D."""
+    from stochprod import products
+    from stochprod.matrices import _max_column_spread, row_diameter
+
+    def carry(d, hats, segment):
+        chunk = max(1, products.CHUNK_BYTES // max(hats[0].nbytes, 1))
+        for lo in range(0, len(segment), chunk):
+            level = [hats[i] for i in segment[lo:lo + chunk]]
+            while len(level) > 1:
+                level = ([np.dot(level[j + 1], level[j])
+                          for j in range(0, len(level) - 1, 2)]
+                         + level[len(level) & ~1:])
+            d = np.dot(level[0], d)
+        return d
+
+    return _reduced_product_run(
+        model, steps, checkpoints, trial, carry,
+        lambda rows: (row_diameter(rows), _max_column_spread(rows)))
+
+
+def simulate_product_per_step(model, steps, checkpoints=None, trial=0):
+    """``simulate_product`` by the reduced recurrence one step at a time,
+    ``D <- A_hat D``, with tau as half the largest l1 distance over every
+    row pair of [D; 0] and the spread as the largest column range."""
+
+    def carry(d, hats, segment):
+        for i in segment:
+            d = hats[i] @ d
+        return d
+
+    def measure(rows):
+        dists = [np.abs(u - v).sum()
+                 for u, v in itertools.combinations(rows, 2)]
+        spread = (rows.max(axis=0) - rows.min(axis=0)).max()
+        return min(float(max(dists, default=0.0)) / 2, 1.0), float(spread)
+
+    return _reduced_product_run(model, steps, checkpoints, trial, carry,
+                                measure)
 
 
 def pattern_power_walk(mask):

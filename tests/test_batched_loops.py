@@ -3,7 +3,9 @@ the step-at-a-time reference loops in ``helpers``: every output must agree
 bit for bit (``np.array_equal`` and exact equality, no tolerance).  The
 asynchronous runs draw their events from a law, not a tick stream, so they
 agree with the tick loop in law (a two-sample chi-square test) and with a
-replay of their own event stream bit for bit."""
+replay of their own event stream bit for bit.  Products are multiplied as
+pairwise trees: they agree bit for bit with an oracle that forms the same
+pairs, and with the per-step recurrence to a relative 1e-9."""
 
 import time
 
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochprod as sp
-from stochprod import agreement, equations
+from stochprod import agreement, equations, products, sequences
 from stochprod.errors import InvalidDistribution
 
 from helpers import (
@@ -24,6 +26,7 @@ from helpers import (
     random_stochastic,
     run_solver_stepwise,
     simulate_async_per_tick,
+    simulate_product_pairwise,
     simulate_product_per_step,
     two_sample_chi_square_p,
 )
@@ -79,6 +82,26 @@ def test_markov_sampler_matches_stepwise(seed, m, length, trial):
     got = model.sample_indices(length, trial=trial)
     want = markov_indices_stepwise(model, length, trial=trial)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@given(seeds, symbols, st.integers(1, 60), st.integers(1, 7), trials)
+def test_markov_sampler_blocks_do_not_change_the_draws(seed, m, length, block,
+                                                       trial):
+    # small blocks put many block edges inside one run
+    model = markov_model(np.random.default_rng(seed), m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "SAMPLE_BLOCK", block)
+        got = model.sample_indices(length, trial=trial)
+    assert np.array_equal(got, markov_indices_stepwise(model, length,
+                                                       trial=trial))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, sequences.SAMPLE_BLOCK + 1])
+def test_markov_sampler_across_the_block_edge(offset):
+    model = markov_model(np.random.default_rng(offset + 2), 3)
+    length = sequences.SAMPLE_BLOCK + offset
+    assert np.array_equal(model.sample_indices(length),
+                          markov_indices_stepwise(model, length))
 
 
 @given(seeds, symbols, st.sampled_from(["iid", "markov", "scripted"]),
@@ -321,20 +344,58 @@ def test_shorter_async_run_is_a_prefix(seed, n, k, length, trial, clock):
     assert short.seed == long.seed == sp.trial_seed(clocks.seed, trial)
 
 
-@given(seeds, symbols, dims, st.integers(1, 300), trials,
-       st.sampled_from(["iid", "markov", "scripted"]), st.booleans())
-def test_simulate_product_matches_per_step_loop(seed, m, n, steps, trial,
-                                                variant, custom):
-    rng = np.random.default_rng(seed)
-    fset = sp.FiniteMatrixSet(tuple(random_stochastic(rng, n, density=0.4)
+def product_case(rng, m, n, variant, steps, custom, density=0.4):
+    """A random product model and checkpoint list; custom checkpoints may
+    repeat, fall outside 1..steps, or stop early."""
+    fset = sp.FiniteMatrixSet(tuple(random_stochastic(rng, n, density=density)
                                     for _ in range(m)))
     model = signal(rng, variant, m, matrix_set=fset)
-    # custom checkpoints may repeat, fall outside 1..steps, or stop early
     cps = (rng.integers(-2, steps + 3, size=int(rng.integers(0, 8))).tolist()
            if custom else None)
-    got = sp.simulate_product(model, steps, checkpoints=cps, trial=trial)
-    want = simulate_product_per_step(model, steps, checkpoints=cps, trial=trial)
+    return model, cps
+
+
+# the chunk cap in bytes: the shipped cap, or one small enough that chunks
+# of one to a few factors end inside the segments
+chunk_bytes = st.one_of(st.just(products.CHUNK_BYTES), st.integers(1, 2000))
+
+
+@given(seeds, symbols, dims, st.integers(1, 300), trials,
+       st.sampled_from(["iid", "markov", "scripted"]), st.booleans(),
+       chunk_bytes)
+def test_simulate_product_matches_per_step_loop(seed, m, n, steps, trial,
+                                                variant, custom, cap):
+    # the oracle forms the same chunks and tree pairs, one np.dot per pair
+    model, cps = product_case(np.random.default_rng(seed), m, n, variant,
+                              steps, custom)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "CHUNK_BYTES", cap)
+        got = sp.simulate_product(model, steps, checkpoints=cps, trial=trial)
+        want = simulate_product_pairwise(model, steps, checkpoints=cps,
+                                         trial=trial)
     assert got == want
+
+
+@given(seeds, symbols, dims, st.one_of(st.integers(1, 300),
+                                       st.integers(1000, 4000)),
+       trials, st.sampled_from(["iid", "markov", "scripted"]), st.booleans(),
+       chunk_bytes)
+def test_simulate_product_tracks_reduced_recurrence(seed, m, n, steps, trial,
+                                                    variant, custom, cap):
+    # the trees reassociate the reduced recurrence: tau and the spread move
+    # in their last digits, the checkpoints and the stop do not.  Factors
+    # are positive: sparse ones can make a product rank one exactly, where
+    # each association leaves its own rounding residue in place of 0
+    model, cps = product_case(np.random.default_rng(seed), m, n, variant,
+                              steps, custom, density=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "CHUNK_BYTES", cap)
+        got = sp.simulate_product(model, steps, checkpoints=cps, trial=trial)
+    want = simulate_product_per_step(model, steps, checkpoints=cps, trial=trial)
+    assert got.checkpoints == want.checkpoints
+    assert (got.seed, got.steps) == (want.seed, want.steps)
+    np.testing.assert_allclose(got.taus, want.taus, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got.spreads, want.spreads, rtol=1e-9, atol=0)
 
 
 def in_layout(matrix, order):
@@ -358,7 +419,7 @@ def test_simulate_product_matches_per_step_loop_at_bench_sizes(n, order):
     model = sp.IIDModel(weights=[0.5, 0.3, 0.2], seed=n, matrix_set=fset)
     cps = list(range(25, 301, 25))
     got = sp.simulate_product(model, 300, checkpoints=cps)
-    assert got == simulate_product_per_step(model, 300, checkpoints=cps)
+    assert got == simulate_product_pairwise(model, 300, checkpoints=cps)
     # tau of a 1-by-1 product is 0: the run stops at its first checkpoint
     assert len(got.checkpoints) == (0 if n == 1 else len(cps))
 

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import stochprod as sp
-from stochprod import cli, jsonio, lyapunov
+from stochprod import cli, jsonio, lyapunov, products
 from stochprod.errors import ConfigParse
 
 CHAIN3 = [[0.0, 0.4, 0.6], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
@@ -139,6 +139,23 @@ class TestProduct:
                               {"n": 2, "rows": [[1, 0], [0, 1]]}]},
             "steps": 8, "seed": 2})
         assert run_cli("product", cfg, tmp_path / "out") == 3
+
+
+    def test_window_search_over_the_layer_budget(self, tmp_path, capfd,
+                                                 monkeypatch):
+        # an identity set never scrambles, so a huge window_max would run
+        # its quadratic search to the end; lengths 1-5 run 10 layers
+        monkeypatch.setattr(products, "WINDOW_LAYERS", 10)
+        cfg = write(tmp_path / "c.json", {
+            "model": {"variant": "iid", "weights": [1.0],
+                      "set": [{"n": 2, "rows": [[1, 0], [0, 1]]}]},
+            "window_max": 10**9, "steps": 10})
+        out = tmp_path / "out"
+        assert run_cli("product", cfg, out) == 2
+        err = capfd.readouterr().err
+        assert err.startswith(
+            "error: 15 enumeration layers up to window length 6 exceed 10")
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestAsync:
@@ -298,7 +315,9 @@ def test_golden_outputs(tmp_path, name, kind):
     # lineq run over a Markov graph signal (window 2, two norm windows)
     # converging after 2,958 iterations, past the solver's 1,024- and
     # 2,048-index draws, before those draws became lazy.  The two async runs
-    # were re-recorded when runs began drawing events instead of clock ticks
+    # were re-recorded when runs began drawing events instead of clock
+    # ticks, and the two product runs when the product began carrying its
+    # row differences, whose tau has no rounding floor near 1e-14
     case = os.path.join(DATA, name)
     code = run_cli(kind, os.path.join(case, "config.json"), tmp_path)
     assert code == (3 if name == "lineq_exhausted" else 0)

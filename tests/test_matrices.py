@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochprod as sp
+from stochprod import matrices
 from stochprod.errors import (
     DimensionMismatch,
     EmptySequence,
@@ -70,6 +71,19 @@ class TestTau:
 
     def test_one_by_one(self):
         assert sp.tau(sp.StochasticMatrix([[1.0]])) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_row_diameter_of_the_row_differences(self, n):
+        # half the largest l1 row distance is tau, of W itself and of its
+        # row differences against the last row with a zero row appended
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            w = random_stochastic(rng, n, density=0.5).entries
+            rows = np.vstack([w[:-1] - w[-1], np.zeros((1, n))])
+            assert matrices.row_diameter(w) == pytest.approx(sp.tau(w),
+                                                             abs=1e-15)
+            assert matrices.row_diameter(rows) == pytest.approx(sp.tau(w),
+                                                                abs=1e-15)
 
 
 class TestClasses:

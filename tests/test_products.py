@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod import jsonio, products, sequences
+from stochprod import jsonio, matrices, products, sequences
 from stochprod.errors import (
     EnumerationTooLarge,
     InsufficientData,
@@ -13,7 +13,7 @@ from stochprod.errors import (
     NoScramblingWindow,
 )
 
-from helpers import random_stochastic
+from helpers import random_stochastic, simulate_product_per_step
 
 SCRAM = sp.StochasticMatrix([[0.2, 0.8], [0.5, 0.5]])   # tau = 0.3
 EYE2 = sp.StochasticMatrix(np.eye(2))
@@ -25,6 +25,11 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 def constant_model(matrix, seed=0):
     return sp.IIDModel(weights=[1.0], seed=seed,
                        matrix_set=sp.FiniteMatrixSet((matrix,)))
+
+
+def golden_model(name):
+    with open(os.path.join(DATA, name, "config.json")) as fh:
+        return jsonio.model_from_json(json.load(fh)["model"])
 
 
 def product_of_run(model, steps, trial=0):
@@ -79,6 +84,61 @@ class TestSimulateProduct:
             xi = prod.mean(axis=0)
             assert np.abs(prod - xi).max() < 1e-8
             assert abs(xi.sum() - 1.0) < 1e-10
+
+    def test_tau_passes_the_rounding_floor_of_the_full_product(self):
+        # the rows of the explicit product agree to rounding by step 2048,
+        # so its tau stalls near 1e-14; the row differences keep contracting
+        model = golden_model("product_markov")
+        assert 1e-16 < sp.tau(product_of_run(model, 3000)) < 1e-12
+        trace = sp.simulate_product(model, steps=3000)
+        assert trace.checkpoints[-1] == 3000
+        assert trace.taus[-1] < 1e-30 and trace.spreads[-1] < 1e-30
+
+    @pytest.mark.parametrize("case", ["product_markov", "readme_product",
+                                      "rotation", "positive"])
+    def test_reduced_tau_and_spread_match_the_explicit_product(self, case):
+        rng = np.random.default_rng(7)
+        if case == "rotation":
+            model = sp.IIDModel(weights=[0.5, 0.5], seed=33,
+                                matrix_set=sp.FiniteMatrixSet((ROT3, MIX3)))
+        elif case == "positive":
+            fset = sp.FiniteMatrixSet(tuple(
+                random_stochastic(rng, 6, density=1.0) for _ in range(3)))
+            model = sp.IIDModel(weights=[0.2, 0.3, 0.5], seed=7,
+                                matrix_set=fset)
+        else:
+            model = golden_model(case)
+        # a checkpoint at every step, so the explicit product advances one
+        # factor per checkpoint
+        trace = sp.simulate_product(model, 3000, checkpoints=range(1, 3001))
+        arrays = model.matrix_set.entry_arrays()
+        prod = np.eye(arrays[0].shape[0])
+        idx = sp.sample(model, 3000).tolist()
+        compared = 0
+        for k, t, s in zip(trace.checkpoints, trace.taus, trace.spreads):
+            if t <= 1e-10:
+                break
+            prod = arrays[idx[k - 1]] @ prod
+            assert abs(t - sp.tau(prod)) <= 1e-12
+            assert abs(s - matrices._max_column_spread(prod)) <= 1e-12
+            compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("case", ["constant", "readme_product",
+                                      "product_markov"])
+    def test_floor_crossing_stops_with_the_per_step_recurrence(self, case):
+        # tau falls past TAU_FLOOR between two checkpoints ten steps apart;
+        # the run stops there, as the per-step recurrence does
+        steps = 40000 if case == "product_markov" else 2000
+        model = (constant_model(SCRAM) if case == "constant"
+                 else golden_model(case))
+        cps = range(10, steps + 1, 10)
+        got = sp.simulate_product(model, steps, checkpoints=cps)
+        want = simulate_product_per_step(model, steps, checkpoints=cps)
+        assert got.checkpoints == want.checkpoints
+        assert got.checkpoints[-1] < steps
+        assert got.taus[-1] < 1e-290
+        np.testing.assert_allclose(got.taus, want.taus, rtol=1e-9, atol=0)
 
     def test_custom_checkpoints(self):
         model = constant_model(SCRAM)
@@ -136,6 +196,25 @@ class TestWindowRateBound:
         assert report.window_len == 2  # single factors never scramble here
         with pytest.raises(NoScramblingWindow):
             sp.find_scrambling_window(constant_model(EYE2), h_max=4)
+
+    def test_window_search_budget(self, monkeypatch):
+        # lengths 1, 2, 3 run 0 + 1 + 2 layers; length 4 would bring 6
+        fset = sp.FiniteMatrixSet((ROT3, MIX3))
+        model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
+        monkeypatch.setattr(products, "WINDOW_LAYERS", 3)
+        assert sp.find_scrambling_window(model, h_max=3).window_len == 1
+        with pytest.raises(EnumerationTooLarge,
+                           match="6 enumeration layers up to window length 4 "
+                                 "exceed 3"):
+            sp.find_scrambling_window(constant_model(EYE2), h_max=10)
+        with pytest.raises(NoScramblingWindow):
+            sp.find_scrambling_window(constant_model(EYE2), h_max=3)
+
+    def test_unbounded_window_search_ends(self):
+        # a one-matrix identity set never scrambles: every window length up
+        # to the budget is tried, each a chain of one-state layers
+        with pytest.raises(EnumerationTooLarge, match="window length 201 "):
+            sp.find_scrambling_window(constant_model(EYE2), h_max=10**9)
 
     def test_bound_validity_ensemble(self):
         fset = sp.FiniteMatrixSet((SCRAM, EYE2))
