@@ -57,6 +57,7 @@ RANK_CUTOFF = 1e-12
 CONSISTENCY_TOL = 1e-8
 SOLVER_BLOCK = 32  # solver steps whose spreads ``run_solver`` reduces at once
 STATE_BYTES = 2**20  # cap on the bytes of those steps' states
+ITER_LIMIT = 10**7  # iterations one ``run_solver`` run may take
 
 
 @dataclass(frozen=True)
@@ -185,11 +186,22 @@ def _in_weights(graph: DirectedGraph):
     return incoming, incoming.sum(axis=1)[:, None]
 
 
-def _step(x, incoming, degrees, ps):
+def _step(x, incoming, degrees, ps, out=None, scratch=None):
     """``step`` on a graph's prebuilt ``_in_weights`` and the projection
-    stack ``ps``: the one arithmetic path of ``step`` and ``run_solver``."""
-    corrections = degrees * x - incoming @ x
-    return x - np.einsum("ijk,ik->ij", ps, corrections) / degrees
+    stack ``ps``: the one arithmetic path of ``step`` and ``run_solver``.
+
+    Writes the new state into ``out`` and the corrections into ``scratch``,
+    (n, m) arrays allocated when not given; ``out`` may be ``x`` itself.
+    Each operation is that of ``x - einsum(ps, degrees * x - incoming @ x)
+    / degrees``, so the bits do not depend on the buffers.
+    """
+    buf = np.empty_like(x) if out is None or out is x else out
+    np.matmul(incoming, x, out=buf)
+    corrections = np.multiply(degrees, x, out=scratch)
+    np.subtract(corrections, buf, out=corrections)
+    np.einsum("ijk,ik->ij", ps, corrections, out=buf)
+    np.divide(buf, degrees, out=buf)
+    return np.subtract(x, buf, out=buf if out is None else out)
 
 
 def step(x: np.ndarray, graph: DirectedGraph,
@@ -317,17 +329,23 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     computed only for recorded rows (every ``record_every``-th iteration,
     and every one whose gap is below ``tol``) and for the report.  The steps
     run in blocks of up to ``SOLVER_BLOCK`` (fewer past ``STATE_BYTES`` of
-    states) whose gaps are reduced at once; steps past the stop are computed
-    and discarded, so the report is bit for bit that of a per-step loop.
+    states): each step writes its state straight into the block's buffer,
+    then the block's gaps are reduced at once and the residuals of all its
+    recorded rows are taken at once.  Steps past the stop are computed and
+    discarded, so the report is bit for bit that of a per-step loop.
     With ``norm_windows`` > 0 the first windows of the sampled sequence also
     get their error-transition mixed norms computed, giving a contraction
-    estimate the fitted decay can be compared against.
+    estimate the fitted decay can be compared against.  Raises
+    ``InvalidDistribution`` when ``max_iters`` is over ``ITER_LIMIT``,
+    before any index is drawn.
     """
     if gmodel.n != system.n:
         raise DimensionMismatch("one graph vertex per agent")
     if record_every < 1 or max_iters < 0 or norm_windows < 0:
         raise InvalidDistribution(
             "need record_every >= 1, max_iters >= 0 and norm_windows >= 0")
+    if max_iters > ITER_LIMIT:
+        raise InvalidDistribution(f"max_iters must be at most {ITER_LIMIT}")
     if check_connectivity and window_connectivity_probability(gmodel) <= 0.0:
         raise NoConnectedWindow(
             f"no strongly connected window of length {gmodel.window}")
@@ -343,40 +361,45 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
         return (sequences.sample(gmodel.model, length, trial=trial).tolist()
                 if length else [])
 
-    def residual(x):
-        mean = np.add.reduce(x, 0) / system.n
-        return float(np.maximum.reduce(np.abs(a_full @ mean - b_full)))
+    def residuals(s):
+        # one gemv per state of the (count, n, m) stack s, as ``a_full @
+        # mean`` makes for one state
+        means = np.add.reduce(s, 1) / system.n
+        fits = np.matmul(a_full, means[:, :, None])[:, :, 0]
+        return np.maximum.reduce(np.abs(fits - b_full), 1).tolist()
 
     indices = draw(min(max_iters, max(1024, norm_windows * width)))
-    dis, res = matrices._max_column_spread(x), residual(x)
+    dis, res = matrices._max_column_spread(x), residuals(x[None])[0]
     history = [(0, dis, res)]
     converged = dis < tol and res < tol
     states = np.empty((max(1, min(SOLVER_BLOCK, STATE_BYTES // x.nbytes)),)
                       + x.shape)
+    slots, scratch = list(states), np.empty_like(x)
     k = 0
     while not converged and k < max_iters:
         count = min(len(states), max_iters - k)
         if k + count > len(indices):
             indices = draw(min(max_iters, 2 * k))
-        for j, g in enumerate(indices[k:k + count]):
-            x = states[j] = _step(x, *weights[g], ps)
+        for out, g in zip(slots, indices[k:k + count]):
+            x = _step(x, *weights[g], ps, out, scratch)
         s = states[:count]
         spreads = np.maximum.reduce(
             np.maximum.reduce(s, 1) - np.minimum.reduce(s, 1), 1).tolist()
         first = k + 1
         k += count
         dis = spreads[-1]
-        for i, (state, d) in enumerate(zip(states, spreads), first):
-            if i % record_every == 0 or d < tol:
-                res = residual(state)
-                history.append((i, d, res))
-                converged = d < tol and res < tol
-                if converged:
-                    # the block's steps past the stop are dropped
-                    k, dis, x = i, d, state
-                    break
+        rows = [j for j, d in enumerate(spreads)
+                if (first + j) % record_every == 0 or d < tol]
+        for j, res in zip(rows, residuals(s[rows])):
+            d = spreads[j]
+            history.append((first + j, d, res))
+            converged = d < tol and res < tol
+            if converged:
+                # the block's steps past the stop are dropped
+                k, dis, x = first + j, d, slots[j]
+                break
     if history[-1][0] != k:
-        res = residual(x)
+        res = residuals(x[None])[0]
 
     window_norms = []
     for w in range(norm_windows):

@@ -42,10 +42,6 @@ STEP_LIMIT = 10**7  # steps one ``simulate_product`` run may take
 # bytes of reduced factors one ``simulate_product`` chunk stacks: a larger
 # chunk makes fewer Python-level calls but holds larger temporary stacks
 CHUNK_BYTES = 2**18
-# enumeration layers one ``find_scrambling_window`` search may run, summed
-# over its window lengths (length h runs h - 1): window_max up to 200 fits,
-# about a second when every layer holds one state
-WINDOW_LAYERS = 2 * 10**4
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,8 @@ def window_rate_bound(model: SequenceModel, h: int) -> RateReport:
     ``p`` is the minimum over one period of window starts of the exact
     probability that the length-h window product is scrambling; ``alpha`` is
     the entry floor of the matrix set.  Raises ``NoScramblingWindow`` when
-    p = 0, i.e. no length-h window ever scrambles.
+    p = 0, i.e. no length-h window ever scrambles, and
+    ``EnumerationTooLarge`` when h - 1 passes ``sequences.WINDOW_LAYERS``.
     """
     fset = model._require_set()
     p = float(sequences.window_probability(
@@ -191,16 +188,16 @@ def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
     models that pass here satisfy the recurring-window premise at every start.
     Each length h is enumerated afresh in h - 1 layers; raises
     ``EnumerationTooLarge`` before the layers summed over the lengths tried
-    would pass ``WINDOW_LAYERS``, and ``NoScramblingWindow`` when no length
-    up to h_max scrambles.
+    would pass ``sequences.WINDOW_LAYERS`` (window_max up to 200 fits), and
+    ``NoScramblingWindow`` when no length up to h_max scrambles.
     """
     layers = 0
     for h in range(1, int(h_max) + 1):
         layers += h - 1
-        if layers > WINDOW_LAYERS:
+        if layers > sequences.WINDOW_LAYERS:
             raise EnumerationTooLarge(
                 f"{layers} enumeration layers up to window length {h} "
-                f"exceed {WINDOW_LAYERS}")
+                f"exceed {sequences.WINDOW_LAYERS}")
         try:
             return window_rate_bound(model, h)
         except NoScramblingWindow:
@@ -217,7 +214,8 @@ def window_log_rate(model: SequenceModel, h: int) -> float:
     bounds tighten toward it as h grows.  A start whose window has tau = 0
     with positive probability has E log tau = -inf: the rate is 0.0 when
     every start has one.  Raises ``InvalidDistribution`` when h is below 1
-    or the model is scripted, ``EnumerationTooLarge`` past ``STATE_LIMIT``.
+    or the model is scripted, ``EnumerationTooLarge`` past ``STATE_LIMIT``
+    or ``sequences.WINDOW_LAYERS``.
     """
     fset = model._require_set()
     prods, weights = sequences._window_words(model, fset.entry_arrays(), h)

@@ -48,6 +48,10 @@ __all__ = [
 STATE_LIMIT = 10**6  # states one layer of ``advance`` may expand
 SAMPLE_BLOCK = 2**14  # draws the Markov sampler looks up and walks at once
 START_HORIZON = 128  # marginal steps ``window_starts`` tracks before giving up
+# enumeration layers one window may run (length h runs h - 1), and one
+# ``products.find_scrambling_window`` search summed over its lengths: about
+# a second when every layer holds one state
+WINDOW_LAYERS = 2 * 10**4
 DIST_TOL = 1e-12
 
 _PATTERN_TESTS = {
@@ -332,12 +336,22 @@ def advance(model: SequenceModel, factors, last, prods, weights, steps: int):
     return last, prods, weights
 
 
+def _check_window(h: int):
+    """Refuse a window length below 1 or one whose h - 1 layers pass
+    ``WINDOW_LAYERS``, before any layer runs."""
+    if h < 1:
+        raise InvalidDistribution("window length must be at least 1")
+    if h - 1 > WINDOW_LAYERS:
+        raise EnumerationTooLarge(
+            f"{h - 1} enumeration layers of window length {h} "
+            f"exceed {WINDOW_LAYERS}")
+
+
 def _window_words(model: SequenceModel, factors, h: int):
     """``(prods, weights)``: every length-h window's backward product of
     ``factors``, merged by ``advance``, and ``weights[w, s]``, the
     probability of product w given first index s."""
-    if h < 1:
-        raise InvalidDistribution("window length must be at least 1")
+    _check_window(h)
     m = model.num_symbols
     factors = np.asarray(factors)[:m]
     _, prods, weights = advance(model, factors, np.arange(m), factors,
@@ -352,10 +366,11 @@ def window_probability(model: SequenceModel, patterns, h: int, test,
 
     ``_window_words`` gives q[s], the probability of passing given first
     index s; start k then costs one dot product with the law of its first
-    index.  Starts default to ``window_starts(model)``.
+    index.  Starts default to ``window_starts(model)``.  Raises
+    ``EnumerationTooLarge`` before the first layer when h - 1 passes
+    ``WINDOW_LAYERS``.
     """
-    if h < 1:
-        raise InvalidDistribution("window length must be at least 1")
+    _check_window(h)
     starts = window_starts(model) if starts is None else starts
     pats = np.asarray(patterns, dtype=bool)[:model.num_symbols]
     if isinstance(model, ScriptedModel):

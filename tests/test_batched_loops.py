@@ -216,6 +216,52 @@ def test_run_solver_stops_on_a_block_edge(stop, record_every):
     assert want.converged and want.iterations == stop
 
 
+def bench_case(seed, n, m, rows):
+    """A benchmark-size instance: n agents with ``rows`` rows each over m
+    unknowns (an overdetermined system with a planted solution), one
+    complete graph and two random ones with every self-arc, drawn i.i.d."""
+    rng = np.random.default_rng(seed)
+    x_star = rng.normal(size=m)
+    blocks = []
+    for _ in range(n):
+        a = rng.normal(size=(rows, m))
+        blocks.append((a, a @ x_star))
+    graph_set = [sp.DirectedGraph(n, frozenset(
+        (i, j) for i in range(n) for j in range(n)))]
+    for _ in range(2):
+        mask = rng.random((n, n)) < 0.35
+        np.fill_diagonal(mask, True)
+        graph_set.append(sp.DirectedGraph(n, frozenset(
+            zip(*(v.tolist() for v in np.nonzero(mask))))))
+    model = sp.IIDModel(weights=[1 / 3] * 3, seed=seed)
+    return (sp.PartitionedLinearSystem(blocks=tuple(blocks)),
+            sp.GraphSequenceModel(graph_set=tuple(graph_set), model=model))
+
+
+@pytest.mark.parametrize("n, m, record_every, norm_windows", [
+    (5, 20, 1, 2), (5, 20, 10, 2), (10, 40, 10, 1)])
+def test_run_solver_matches_stepwise_loop_at_bench_sizes(n, m, record_every,
+                                                         norm_windows):
+    # the in-place steps and the stacked residuals at the sizes the
+    # benchmark's solver workload runs, to the 1e-8 stop
+    system, gmodel = bench_case(3, n, m, 6)
+    want = assert_same_run(system, gmodel, max_iters=100000, tol=1e-8,
+                           record_every=record_every,
+                           norm_windows=norm_windows)
+    assert want.converged
+
+
+def test_run_solver_stops_mid_block_at_bench_size():
+    # the stop falls inside a block, so the block's later residuals are
+    # taken with the rest and dropped
+    system, gmodel = bench_case(4, 5, 20, 6)
+    kw = dict(check_connectivity=False, record_every=1)
+    trail = run_solver_stepwise(system, gmodel, max_iters=45, tol=0.0, **kw)
+    tol = float(np.nextafter(max(trail.disagreement, trail.residual), np.inf))
+    want = assert_same_run(system, gmodel, max_iters=1000, tol=tol, **kw)
+    assert want.converged and want.iterations == 45  # 13th of steps 33-64
+
+
 class _ScriptedUniforms:
     def __init__(self, u):
         self.u = u

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import stochprod as sp
-from stochprod import cli, jsonio, lyapunov, products
+from stochprod import cli, jsonio, lyapunov, sequences
 from stochprod.errors import ConfigParse
 
 CHAIN3 = [[0.0, 0.4, 0.6], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
@@ -145,7 +145,7 @@ class TestProduct:
                                                  monkeypatch):
         # an identity set never scrambles, so a huge window_max would run
         # its quadratic search to the end; lengths 1-5 run 10 layers
-        monkeypatch.setattr(products, "WINDOW_LAYERS", 10)
+        monkeypatch.setattr(sequences, "WINDOW_LAYERS", 10)
         cfg = write(tmp_path / "c.json", {
             "model": {"variant": "iid", "weights": [1.0],
                       "set": [{"n": 2, "rows": [[1, 0], [0, 1]]}]},
@@ -377,6 +377,15 @@ BAD_FIELDS = {
                                 "'norm_windows': bad value 'x'"),
     "lineq-norm_windows-negative": ("lineq", {"norm_windows": -2},
                                     "norm_windows >= 0"),
+    "lineq-max_iters-over-cap": ("lineq", {"max_iters": 10**9},
+                                 "max_iters must be at most 10000000"),
+    # one window's enumeration layers are bounded before the first one runs
+    "lineq-window-over-budget": ("lineq", {"window": 10**9},
+                                 "999999999 enumeration layers of window "
+                                 "length 1000000000 exceed 20000"),
+    "product-window-over-budget": ("product", {"window": 1e308},
+                                   "enumeration layers of window length "
+                                   "10000000000000000"),
     "certify-grid_resolution-negative": ("certify", {"grid_resolution": -1},
                                          "grid sizes must be at least 1"),
     "certify-steps-0-markov": ("certify", {"steps": 0, "signal": MARKOV_SIGNAL},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stochprod as sp
+from stochprod import equations, sequences
 from stochprod.errors import (
     DimensionMismatch,
     InconsistentBlock,
@@ -175,6 +176,28 @@ class TestStep:
             x = sp.step(x, g, projs)
             for (a, b), xi in zip(system.blocks, x):
                 assert np.abs(a @ xi - b).max() < 1e-8
+
+    def test_buffered_step_matches_the_public_step(self):
+        # 100 chained steps at a benchmark size: the fresh arrays of
+        # ``step`` and the buffers ``run_solver`` hands ``_step``, ping-pong
+        # and in place (out is x), give the same bytes at every step
+        rng = np.random.default_rng(7)
+        system, _ = random_partitioned_system(rng, 5, 20, 6)
+        projs = sp.kernel_projections(system)
+        gmodel = random_connected_gmodel(rng, 5, seed=3)
+        fresh = sp.initial_state(system)
+        buffers = np.empty((2,) + fresh.shape)
+        scratch = np.empty_like(fresh)
+        ping, inplace = fresh, fresh.copy()
+        for k, g in enumerate(gmodel.sample_graphs(100)):
+            weights = equations._in_weights(g)
+            fresh = sp.step(fresh, g, projs)
+            ping = equations._step(ping, *weights, projs.projections,
+                                   buffers[k % 2], scratch)
+            out = equations._step(inplace, *weights, projs.projections,
+                                  inplace, scratch)
+            assert out is inplace
+            assert fresh.tobytes() == ping.tobytes() == inplace.tobytes()
 
 
 class TestMixedNorm:
@@ -393,6 +416,21 @@ class TestRunSolver:
         assert (report.disagreement, report.residual) == (1.0, 0.5)
         assert report.window_norms == ()
         np.testing.assert_array_equal(report.solution, [0.5, 0.5])
+
+    def test_max_iters_cap_raises_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew indices for a run over the cap")
+
+        gmodel = sp.GraphSequenceModel(
+            graph_set=(complete_graph(2),), model=sp.IIDModel(weights=[1.0]),
+            window=1)
+        monkeypatch.setattr(equations, "ITER_LIMIT", 5)
+        monkeypatch.setattr(sequences, "sample", no_draw)
+        with pytest.raises(InvalidDistribution,
+                           match="max_iters must be at most 5"):
+            sp.run_solver(HAND_SYSTEM, gmodel, max_iters=6)
+        with pytest.raises(AssertionError, match="drew indices"):
+            sp.run_solver(HAND_SYSTEM, gmodel, max_iters=5)
 
     def test_fitted_decay_needs_three_points(self):
         gmodel = sp.GraphSequenceModel(

@@ -201,7 +201,7 @@ class TestWindowRateBound:
         # lengths 1, 2, 3 run 0 + 1 + 2 layers; length 4 would bring 6
         fset = sp.FiniteMatrixSet((ROT3, MIX3))
         model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
-        monkeypatch.setattr(products, "WINDOW_LAYERS", 3)
+        monkeypatch.setattr(sequences, "WINDOW_LAYERS", 3)
         assert sp.find_scrambling_window(model, h_max=3).window_len == 1
         with pytest.raises(EnumerationTooLarge,
                            match="6 enumeration layers up to window length 4 "

@@ -193,6 +193,27 @@ class TestWindowProbability:
         with pytest.raises(EnumerationTooLarge):
             sp.window_class_probability(model, 0, 40, "scrambling")
 
+    @pytest.mark.parametrize("scripted", [False, True])
+    def test_window_over_the_layer_budget(self, monkeypatch, two_set,
+                                          scripted):
+        # length 4 runs the 3 layers the budget allows; length 5 is refused
+        # before its first, for the merged engine and the scripted word walk
+        model = (sp.ScriptedModel(indices=(0, 1), matrix_set=two_set)
+                 if scripted else
+                 sp.IIDModel(weights=[0.5, 0.5], matrix_set=two_set))
+        monkeypatch.setattr(sequences, "WINDOW_LAYERS", 3)
+        assert sp.window_class_probability(model, 0, 4, "scrambling") > 0.0
+
+        def no_layer(*args):
+            raise AssertionError("ran a layer over the budget")
+
+        monkeypatch.setattr(sequences, "advance", no_layer)
+        monkeypatch.setattr(sp.ScriptedModel, "scripted_word", no_layer)
+        with pytest.raises(EnumerationTooLarge,
+                           match="4 enumeration layers of window length 5 "
+                                 "exceed 3"):
+            sp.window_class_probability(model, 0, 5, "scrambling")
+
     def test_merged_patterns_make_long_windows_exact(self, two_set):
         # 2^40 words, but only the patterns {I, positive} per last index:
         # the window scrambles unless every factor is the identity
