@@ -15,6 +15,7 @@ be written, 3 budget exhausted without convergence (product and lineq kinds).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__, jsonio
 from . import agreement, equations, graphs, lyapunov, matrices, products
-from .errors import ConfigParse, StochprodError
+from .errors import ConfigParse, InsufficientData, StochprodError
 from .jsonio import _array, _boolean, _field, _integer, _list, _number, _string
 
 __all__ = ["ExperimentConfig", "run", "main"]
@@ -202,10 +203,8 @@ def _run_product(config: ExperimentConfig):
         report = products.find_scrambling_window(
             model, _field(p, "window_max", _integer, 8))
     trace = products.simulate_product(model, steps=steps)
-    try:
+    with contextlib.suppress(InsufficientData):
         report = report.with_empirical(products.fit_empirical_rate(trace))
-    except StochprodError:
-        pass
     final_tau = trace.taus[-1] if trace.taus else 0.0
     stopped_early = not trace.checkpoints or trace.checkpoints[-1] < trace.steps
     converged = stopped_early or final_tau < tol

@@ -368,7 +368,8 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
         fits = np.matmul(a_full, means[:, :, None])[:, :, 0]
         return np.maximum.reduce(np.abs(fits - b_full), 1).tolist()
 
-    indices = draw(min(max_iters, max(1024, norm_windows * width)))
+    filled = min(norm_windows, max_iters // width) * width
+    indices = draw(min(max_iters, max(1024, filled)))
     dis, res = matrices._max_column_spread(x), residuals(x[None])[0]
     history = [(0, dis, res)]
     converged = dis < tol and res < tol

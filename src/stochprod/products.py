@@ -18,12 +18,11 @@ import numpy as np
 
 from . import matrices, sequences
 from .errors import (
-    EnumerationTooLarge,
     InsufficientData,
     InvalidDistribution,
     NoScramblingWindow,
 )
-from .sequences import SequenceModel
+from .sequences import ScriptedModel, SequenceModel
 
 __all__ = [
     "TAU_FLOOR",
@@ -160,18 +159,9 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     )
 
 
-def window_rate_bound(model: SequenceModel, h: int) -> RateReport:
-    """Guaranteed decay from the exact window scrambling probability.
-
-    ``p`` is the minimum over one period of window starts of the exact
-    probability that the length-h window product is scrambling; ``alpha`` is
-    the entry floor of the matrix set.  Raises ``NoScramblingWindow`` when
-    p = 0, i.e. no length-h window ever scrambles, and
-    ``EnumerationTooLarge`` when h - 1 passes ``sequences.WINDOW_LAYERS``.
-    """
-    fset = model._require_set()
-    p = float(sequences.window_probability(
-        model, fset.patterns(), h, matrices.pattern_is_scrambling).min())
+def _rate_report(fset, h: int, probs) -> RateReport:
+    """Report of length h from its per-start scrambling probabilities."""
+    p = float(probs.min())
     if p <= 0.0:
         raise NoScramblingWindow(f"no scrambling window of length {h}")
     alpha = sequences.min_positive_entry(fset)
@@ -180,28 +170,38 @@ def window_rate_bound(model: SequenceModel, h: int) -> RateReport:
                       min_entry=float(alpha), bound=float(bound))
 
 
+def window_rate_bound(model: SequenceModel, h: int) -> RateReport:
+    """Guaranteed decay from the exact window scrambling probability.
+
+    ``p`` is the minimum over one period of window starts of the exact
+    probability that the length-h window product is scrambling; ``alpha`` is
+    the entry floor of the matrix set.  Raises ``NoScramblingWindow`` when
+    p = 0, i.e. no length-h window ever scrambles, and
+    ``EnumerationTooLarge`` when h - 1 passes the window layer budget.
+    """
+    fset = model._require_set()
+    return _rate_report(fset, h, sequences.window_probability(
+        model, fset.patterns(), h, matrices.pattern_is_scrambling))
+
+
 def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
     """Search window lengths 1..h_max for the first with a scrambling window
     of positive probability and return its rate report.
 
     The guarantee only asks that *some* window length works; time-homogeneous
     models that pass here satisfy the recurring-window premise at every start.
-    Each length h is enumerated afresh in h - 1 layers; raises
-    ``EnumerationTooLarge`` before the layers summed over the lengths tried
-    would pass ``sequences.WINDOW_LAYERS`` (window_max up to 200 fits), and
-    ``NoScramblingWindow`` when no length up to h_max scrambles.
+    One walk reaches length h in h - 1 layers; raises ``EnumerationTooLarge``
+    when its next layer would pass the window layer budget (window_max up to
+    20,001 fits), and ``NoScramblingWindow`` when no length up to h_max does.
     """
-    layers = 0
-    for h in range(1, int(h_max) + 1):
-        layers += h - 1
-        if layers > sequences.WINDOW_LAYERS:
-            raise EnumerationTooLarge(
-                f"{layers} enumeration layers up to window length {h} "
-                f"exceed {sequences.WINDOW_LAYERS}")
-        try:
-            return window_rate_bound(model, h)
-        except NoScramblingWindow:
-            continue
+    fset = model._require_set()
+    starts = sequences.window_starts(model)
+    walk = sequences._window_walk(model, fset.patterns())
+    for h, words in zip(range(1, int(h_max) + 1), walk):
+        probs = sequences._passing(model, starts,
+                                   matrices.pattern_is_scrambling, *words)
+        if probs.min() > 0.0:
+            return _rate_report(fset, h, probs)
     raise NoScramblingWindow(f"no scrambling window up to length {h_max}")
 
 
@@ -215,9 +215,12 @@ def window_log_rate(model: SequenceModel, h: int) -> float:
     with positive probability has E log tau = -inf: the rate is 0.0 when
     every start has one.  Raises ``InvalidDistribution`` when h is below 1
     or the model is scripted, ``EnumerationTooLarge`` past ``STATE_LIMIT``
-    or ``sequences.WINDOW_LAYERS``.
+    or the window layer budget.
     """
     fset = model._require_set()
+    if isinstance(model, ScriptedModel):
+        raise InvalidDistribution(
+            "a scripted model has position-dependent steps; query whole windows")
     prods, weights = sequences._window_words(model, fset.entry_arrays(), h)
     taus = np.array([matrices.tau(p) for p in prods])
     # rows of an h-factor product carry about h * n ulps of rounding, so a

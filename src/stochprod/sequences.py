@@ -16,6 +16,7 @@ index with the same pattern, which form a finite semigroup.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,8 @@ __all__ = [
 STATE_LIMIT = 10**6  # states one layer of ``advance`` may expand
 SAMPLE_BLOCK = 2**14  # draws the Markov sampler looks up and walks at once
 START_HORIZON = 128  # marginal steps ``window_starts`` tracks before giving up
-# enumeration layers one window may run (length h runs h - 1), and one
-# ``products.find_scrambling_window`` search summed over its lengths: about
-# a second when every layer holds one state
+# enumeration layers one window walk may run: length h, alone or at the end
+# of a search, takes h - 1; about 1.5 s when every layer holds one state
 WINDOW_LAYERS = 2 * 10**4
 DIST_TOL = 1e-12
 
@@ -128,7 +128,8 @@ class SequenceModel:
     Subclasses implement ``num_symbols``, ``sample_indices`` and the two
     distribution hooks used for exact enumeration: ``start_distribution(k)``
     (law of the index at position k+1) and ``step_distribution(prev)`` (law
-    of the next index given the previous one).
+    of the next index given the previous one).  A scripted model's windows
+    are walked start by start instead, and its step hook refuses.
     """
 
     seed: int
@@ -281,14 +282,6 @@ class ScriptedModel(SequenceModel):
         reps = -(-length // len(self.indices))
         return np.tile(np.asarray(self.indices, dtype=np.int64), reps)[:length]
 
-    def scripted_word(self, start: int, h: int) -> tuple:
-        return tuple(self.indices[(start + t) % len(self.indices)] for t in range(h))
-
-    def start_distribution(self, start):
-        d = np.zeros(self.num_symbols)
-        d[self.indices[int(start) % len(self.indices)]] = 1.0
-        return d
-
     def step_distribution(self, prev):
         raise InvalidDistribution(
             "a scripted model has position-dependent steps; query whole windows")
@@ -336,55 +329,63 @@ def advance(model: SequenceModel, factors, last, prods, weights, steps: int):
     return last, prods, weights
 
 
-def _check_window(h: int):
-    """Refuse a window length below 1 or one whose h - 1 layers pass
-    ``WINDOW_LAYERS``, before any layer runs."""
+def _check_window(h: int, layers: str = "of"):
+    """Refuse a window length below 1 or past ``WINDOW_LAYERS``."""
     if h < 1:
         raise InvalidDistribution("window length must be at least 1")
     if h - 1 > WINDOW_LAYERS:
         raise EnumerationTooLarge(
-            f"{h - 1} enumeration layers of window length {h} "
+            f"{h - 1} enumeration layers {layers} window length {h} "
             f"exceed {WINDOW_LAYERS}")
 
 
+def _window_walk(model: SequenceModel, factors):
+    """Yield ``(prods, weights)`` for window lengths h = 1, 2, ...: the
+    length-h backward products of ``factors`` merged by ``advance``, with
+    ``weights[w, s]`` the probability of product w given first index s (for
+    a scripted model, one product per start s of the period).  Each length
+    takes one more layer, charged to ``WINDOW_LAYERS`` as it runs."""
+    factors = np.asarray(factors)[:model.num_symbols]
+    scripted = isinstance(model, ScriptedModel)
+    if scripted:
+        factors = factors[list(model.indices)]
+    last = np.arange(len(factors))
+    prods, weights = factors, np.eye(len(factors))
+    for h in itertools.count(2):
+        yield prods, weights
+        _check_window(h, "up to")
+        if scripted:
+            prods = np.roll(factors, 1 - h, axis=0) @ prods
+        else:
+            last, prods, weights = advance(model, factors, last, prods,
+                                           weights, 1)
+
+
 def _window_words(model: SequenceModel, factors, h: int):
-    """``(prods, weights)``: every length-h window's backward product of
-    ``factors``, merged by ``advance``, and ``weights[w, s]``, the
-    probability of product w given first index s."""
+    """The length-h step of ``_window_walk``, checked before its first."""
     _check_window(h)
-    m = model.num_symbols
-    factors = np.asarray(factors)[:m]
-    _, prods, weights = advance(model, factors, np.arange(m), factors,
-                                np.eye(m), h - 1)
-    return prods, weights
+    return next(itertools.islice(_window_walk(model, factors), h - 1, None))
+
+
+def _passing(model: SequenceModel, starts, test, prods, weights):
+    """Per start, the probability that the window product passes ``test``:
+    the passing weights q[s] summed under the law of the start's column s."""
+    q = weights[np.array([bool(test(p)) for p in prods])].sum(axis=0)
+    if isinstance(model, ScriptedModel):
+        return q[np.asarray(starts, dtype=int) % model.period]
+    return np.array([model.start_distribution(start) @ q for start in starts])
 
 
 def window_probability(model: SequenceModel, patterns, h: int, test,
                        starts=None) -> np.ndarray:
-    """Exact probability, at each window start, that the boolean backward
-    product of the patterns along the h window positions passes ``test``.
-
-    ``_window_words`` gives q[s], the probability of passing given first
-    index s; start k then costs one dot product with the law of its first
-    index.  Starts default to ``window_starts(model)``.  Raises
-    ``EnumerationTooLarge`` before the first layer when h - 1 passes
-    ``WINDOW_LAYERS``.
-    """
+    """Exact probability, at each window start (by default
+    ``window_starts(model)``), that the boolean backward product of the
+    patterns along the h window positions passes ``test``.  Raises
+    ``EnumerationTooLarge`` before the first layer past ``WINDOW_LAYERS``."""
     _check_window(h)
     starts = window_starts(model) if starts is None else starts
-    pats = np.asarray(patterns, dtype=bool)[:model.num_symbols]
-    if isinstance(model, ScriptedModel):
-        hits = []
-        for start in starts:
-            word = model.scripted_word(start, h)
-            prod = pats[word[0]]
-            for idx in word[1:]:
-                prod = pats[idx] @ prod
-            hits.append(1.0 if test(prod) else 0.0)
-        return np.array(hits)
-    prods, weights = _window_words(model, pats, h)
-    q = weights[np.array([bool(test(p)) for p in prods])].sum(axis=0)
-    return np.array([model.start_distribution(start) @ q for start in starts])
+    words = _window_words(model, np.asarray(patterns, dtype=bool), h)
+    return _passing(model, starts, test, *words)
 
 
 def window_class_probability(model: SequenceModel, start: int, h: int,
@@ -416,14 +417,12 @@ def window_starts(model: SequenceModel) -> list:
         return list(range(model.period))
     if isinstance(model, MarkovModulatedModel) and not model.is_stationary(1e-12):
         seen = [model.initial]
-        starts = [0]
         v = model.initial
         for k in range(1, START_HORIZON + 1):
             v = v @ model.transition
             if any(np.abs(v - u).max() < 1e-13 for u in seen):
-                return starts
+                return list(range(k))
             seen.append(v)
-            starts.append(k)
         raise EnumerationTooLarge(
             f"the marginals neither repeat nor settle within {START_HORIZON} steps")
     return [0]
@@ -451,10 +450,7 @@ def stationary_distribution(transition) -> np.ndarray:
 
 
 def min_positive_entry(fset: FiniteMatrixSet) -> float:
-    """Uniform lower bound over all positive entries of all set members."""
-    best = np.inf
-    for a in fset.entry_arrays():
-        pos = a[a > 0]
-        if pos.size:
-            best = min(best, float(pos.min()))
-    return best if np.isfinite(best) else 1.0
+    """Uniform lower bound over all positive entries of all set members
+    (every stochastic row has one)."""
+    a = np.asarray(fset.entry_arrays())
+    return float(a[a > 0].min())

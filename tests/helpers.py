@@ -132,14 +132,63 @@ def positive_words(first, step, h):
             yield word, p
 
 
+def scripted_word(model, start, h):
+    """The h script indices at positions start+1 .. start+h."""
+    return tuple(model.indices[(start + t) % model.period] for t in range(h))
+
+
 def window_words(model, start, h):
     """Brute-force law of the h indices at positions start+1 .. start+h."""
     from stochprod.sequences import ScriptedModel
 
     if isinstance(model, ScriptedModel):
-        return [(model.scripted_word(start, h), 1.0)]
+        return [(scripted_word(model, start, h), 1.0)]
     return list(positive_words(model.start_distribution(start),
                                model.step_distribution, h))
+
+
+# The library's former window search, kept as the oracle of its one-walk
+# search: every length enumerated afresh in one ``advance`` call, and a
+# scripted window multiplied out word by word at each start.
+
+def window_probability_restart(model, patterns, h, test, starts=None):
+    """``window_probability`` of length h, enumerated from scratch."""
+    from stochprod import sequences
+
+    starts = sequences.window_starts(model) if starts is None else starts
+    pats = np.asarray(patterns, dtype=bool)[:model.num_symbols]
+    if isinstance(model, sequences.ScriptedModel):
+        hits = []
+        for start in starts:
+            word = scripted_word(model, start, h)
+            prod = pats[word[0]]
+            for idx in word[1:]:
+                prod = pats[idx] @ prod
+            hits.append(1.0 if test(prod) else 0.0)
+        return np.array(hits)
+    m = model.num_symbols
+    _, prods, weights = sequences.advance(model, pats, np.arange(m), pats,
+                                          np.eye(m), h - 1)
+    q = weights[np.array([bool(test(p)) for p in prods])].sum(axis=0)
+    return np.array([model.start_distribution(start) @ q for start in starts])
+
+
+def find_scrambling_window_restart(model, h_max):
+    """``find_scrambling_window`` trying each length h = 1..h_max afresh."""
+    from stochprod import matrices, sequences
+    from stochprod.errors import NoScramblingWindow
+    from stochprod.products import RateReport
+
+    fset = model._require_set()
+    for h in range(1, h_max + 1):
+        p = float(window_probability_restart(
+            model, fset.patterns(), h, matrices.pattern_is_scrambling).min())
+        if p > 0.0:
+            alpha = sequences.min_positive_entry(fset)
+            return RateReport(window_len=h, scrambling_prob=p,
+                              min_entry=float(alpha),
+                              bound=float((1.0 - p * alpha**h) ** (1.0 / h)))
+    raise NoScramblingWindow(f"no scrambling window up to length {h_max}")
 
 
 def stationary_markov(rng, m, **kw):

@@ -8,6 +8,7 @@ pairwise trees: they agree bit for bit with an oracle that forms the same
 pairs, and with the per-step recurrence to a relative 1e-9."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,32 @@ def test_run_solver_stops_mid_block_at_bench_size():
     tol = float(np.nextafter(max(trail.disagreement, trail.residual), np.inf))
     want = assert_same_run(system, gmodel, max_iters=1000, tol=tol, **kw)
     assert want.converged and want.iterations == 45  # 13th of steps 33-64
+
+
+@pytest.mark.parametrize("window, norm_windows, max_iters, first_draw", [
+    (10**9, 1, 10**5, 1024), (300, 3, 2500, 2400)])
+def test_run_solver_draws_only_norm_windows_that_fill(
+        monkeypatch, window, norm_windows, max_iters, first_draw):
+    # a norm window wider than max_iters never fills, so the first draw
+    # covers the first 1,024 steps only; of three windows of width 1,200,
+    # two fill within 2,500 iterations and are drawn up front
+    system, gmodel = bench_case(4, 5, 20, 6)
+    gmodel = replace(gmodel, window=window)
+    kw = dict(check_connectivity=False, norm_windows=norm_windows,
+              max_iters=max_iters)
+    want = assert_same_run(system, gmodel, **kw)
+    assert len(want.window_norms) == min(norm_windows,
+                                         max_iters // (4 * window))
+    lengths, real = [], sequences.sample
+
+    def spy(model, length, trial=0):
+        lengths.append(length)
+        return real(model, length, trial=trial)
+
+    monkeypatch.setattr(sequences, "sample", spy)
+    sp.run_solver(system, gmodel, **kw)
+    assert lengths[0] == first_draw
+    assert max(lengths) <= max(first_draw, 2 * want.iterations)
 
 
 class _ScriptedUniforms:

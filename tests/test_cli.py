@@ -144,7 +144,7 @@ class TestProduct:
     def test_window_search_over_the_layer_budget(self, tmp_path, capfd,
                                                  monkeypatch):
         # an identity set never scrambles, so a huge window_max would run
-        # its quadratic search to the end; lengths 1-5 run 10 layers
+        # its walk to the end; lengths 1-11 run 10 layers
         monkeypatch.setattr(sequences, "WINDOW_LAYERS", 10)
         cfg = write(tmp_path / "c.json", {
             "model": {"variant": "iid", "weights": [1.0],
@@ -154,7 +154,7 @@ class TestProduct:
         assert run_cli("product", cfg, out) == 2
         err = capfd.readouterr().err
         assert err.startswith(
-            "error: 15 enumeration layers up to window length 6 exceed 10")
+            "error: 11 enumeration layers up to window length 12 exceed 10")
         assert "Traceback" not in err and not out.exists()
 
 

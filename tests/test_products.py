@@ -198,13 +198,13 @@ class TestWindowRateBound:
             sp.find_scrambling_window(constant_model(EYE2), h_max=4)
 
     def test_window_search_budget(self, monkeypatch):
-        # lengths 1, 2, 3 run 0 + 1 + 2 layers; length 4 would bring 6
+        # one walk reaches lengths 1-4 in 3 layers; length 5 needs a fourth
         fset = sp.FiniteMatrixSet((ROT3, MIX3))
         model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
         monkeypatch.setattr(sequences, "WINDOW_LAYERS", 3)
         assert sp.find_scrambling_window(model, h_max=3).window_len == 1
         with pytest.raises(EnumerationTooLarge,
-                           match="6 enumeration layers up to window length 4 "
+                           match="4 enumeration layers up to window length 5 "
                                  "exceed 3"):
             sp.find_scrambling_window(constant_model(EYE2), h_max=10)
         with pytest.raises(NoScramblingWindow):
@@ -212,8 +212,8 @@ class TestWindowRateBound:
 
     def test_unbounded_window_search_ends(self):
         # a one-matrix identity set never scrambles: every window length up
-        # to the budget is tried, each a chain of one-state layers
-        with pytest.raises(EnumerationTooLarge, match="window length 201 "):
+        # to the budget is tried, each one more one-state layer of the walk
+        with pytest.raises(EnumerationTooLarge, match="window length 20002 "):
             sp.find_scrambling_window(constant_model(EYE2), h_max=10**9)
 
     def test_bound_validity_ensemble(self):

@@ -197,7 +197,7 @@ class TestWindowProbability:
     def test_window_over_the_layer_budget(self, monkeypatch, two_set,
                                           scripted):
         # length 4 runs the 3 layers the budget allows; length 5 is refused
-        # before its first, for the merged engine and the scripted word walk
+        # before its first, for the merged engine and the scripted walk
         model = (sp.ScriptedModel(indices=(0, 1), matrix_set=two_set)
                  if scripted else
                  sp.IIDModel(weights=[0.5, 0.5], matrix_set=two_set))
@@ -208,7 +208,7 @@ class TestWindowProbability:
             raise AssertionError("ran a layer over the budget")
 
         monkeypatch.setattr(sequences, "advance", no_layer)
-        monkeypatch.setattr(sp.ScriptedModel, "scripted_word", no_layer)
+        monkeypatch.setattr(sequences, "_window_walk", no_layer)
         with pytest.raises(EnumerationTooLarge,
                            match="4 enumeration layers of window length 5 "
                                  "exceed 3"):

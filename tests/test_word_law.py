@@ -1,6 +1,8 @@
 """Differential tests of the merged-state word-law engine against the
 brute-force word oracle in ``helpers``: exact window probabilities,
-conditional expectations and window log rates must agree within 1e-12."""
+conditional expectations and window log rates must agree within 1e-12.
+The one-walk window search must agree bit for bit with the restart search
+of ``helpers``, which enumerates every length afresh."""
 
 from functools import reduce
 
@@ -10,14 +12,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stochprod as sp
-from stochprod import sequences
-from stochprod.errors import EnumerationTooLarge
+from stochprod import matrices, sequences
+from stochprod.errors import EnumerationTooLarge, NoScramblingWindow
 
 from helpers import (
+    find_scrambling_window_restart,
     positive_words,
     random_stochastic,
     sparse_law,
     stationary_markov,
+    window_probability_restart,
     window_words,
 )
 
@@ -156,3 +160,64 @@ def test_window_log_rate_tightens_with_doubled_window(seed, m, n, h, variant):
     slack = (2 * h * n * EPS / tau_once + 2 * h * n * EPS / tau_twice
              + TOL)
     assert twice == 0.0 or 2 * h * np.log(twice) <= 2 * h * np.log(once) + slack
+
+
+def search_outcome(search, model, h_max):
+    try:
+        return search(model, h_max)
+    except (NoScramblingWindow, EnumerationTooLarge) as exc:
+        return type(exc)
+
+
+@given(seeds, symbols, dims, st.integers(1, 8), st.sampled_from([0.2, 0.4]),
+       st.sampled_from(["iid", "stationary", "markov", "scripted"]))
+def test_window_search_matches_restart_search(seed, m, n, h_max, density,
+                                              variant):
+    # sparse factors keep the first scrambling length past 1 most of the time
+    rng = np.random.default_rng(seed)
+    mats = tuple(random_stochastic(rng, n, density=density) for _ in range(m))
+    model = index_model(rng, variant, m, matrix_set=sp.FiniteMatrixSet(mats))
+    assert (search_outcome(sp.find_scrambling_window, model, h_max)
+            == search_outcome(find_scrambling_window_restart, model, h_max))
+
+
+@given(seeds, symbols, dims, lengths)
+def test_scripted_window_probability_past_one_period(seed, m, n, h):
+    rng = np.random.default_rng(seed)
+    mats = tuple(random_stochastic(rng, n, density=0.3) for _ in range(m))
+    model = index_model(rng, "scripted", m)
+    starts = list(range(3 * model.period + 1))
+    pats = [a.pattern() for a in mats]
+    for test in (matrices.pattern_is_scrambling, matrices.pattern_is_sia):
+        assert np.array_equal(
+            sequences.window_probability(model, pats, h, test, starts),
+            window_probability_restart(model, pats, h, test, starts))
+
+
+def cerny(n):
+    """The Cerny automaton's cyclic shift and merge as 0/1 matrices: its
+    shortest synchronizing word, and so its first scrambling window, has
+    length (n - 1)^2."""
+    shift, merge = np.zeros((n, n)), np.eye(n)
+    shift[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    merge[0] = np.eye(n)[1]
+    return sp.FiniteMatrixSet((shift, merge))
+
+
+@pytest.mark.parametrize("h_max, found", [(16, 9), (8, None)])
+def test_window_search_runs_one_layer_per_length(monkeypatch, h_max, found):
+    # reaching length h runs h - 1 layers, found or not
+    model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=cerny(4))
+    layers, real = [], sequences.advance
+
+    def spy(*args):
+        layers.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(sequences, "advance", spy)
+    if found is None:
+        with pytest.raises(NoScramblingWindow):
+            sp.find_scrambling_window(model, h_max)
+    else:
+        assert sp.find_scrambling_window(model, h_max).window_len == found
+    assert sum(layers) == (found or h_max) - 1
