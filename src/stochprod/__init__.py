@@ -23,7 +23,6 @@ from .equations import (
     PartitionedLinearSystem,
     ProjectionSet,
     SolverReport,
-    averaging_matrix,
     error_transition,
     initial_estimate,
     initial_state,
@@ -35,13 +34,7 @@ from .equations import (
     step,
     window_connectivity_probability,
 )
-from .graphs import (
-    DirectedGraph,
-    compose,
-    is_rooted,
-    is_strongly_connected,
-    roots,
-)
+from .graphs import DirectedGraph, is_rooted, roots
 from .lyapunov import (
     DecayReport,
     FiniteStepCertificate,
@@ -63,11 +56,9 @@ from .matrices import (
     is_scrambling,
     is_sia,
     pattern_period,
-    same_type,
     scrambling_index,
     spread,
     tau,
-    validate,
 )
 from .products import (
     ProductTrace,
@@ -100,12 +91,12 @@ __all__ = [
     "simulate_async",
     # equations
     "GraphSequenceModel", "PartitionedLinearSystem", "ProjectionSet",
-    "SolverReport", "averaging_matrix", "error_transition", "initial_estimate",
-    "initial_state", "kernel_projection", "kernel_projections",
-    "mixed_matrix_norm", "run_solver", "smallest_contracting_window", "step",
+    "SolverReport", "error_transition", "initial_estimate", "initial_state",
+    "kernel_projection", "kernel_projections", "mixed_matrix_norm",
+    "run_solver", "smallest_contracting_window", "step",
     "window_connectivity_probability",
     # graphs
-    "DirectedGraph", "compose", "is_rooted", "is_strongly_connected", "roots",
+    "DirectedGraph", "is_rooted", "roots",
     # lyapunov
     "DecayReport", "FiniteStepCertificate", "LyapunovFunction", "SphereGrid",
     "SwitchedSystem", "certify_contraction", "expected_lyapunov", "inf_norm",
@@ -113,7 +104,7 @@ __all__ = [
     # matrices
     "MatrixClass", "StochasticMatrix", "backward_product", "classify",
     "graph_of", "is_markov", "is_scrambling", "is_sia", "pattern_period",
-    "same_type", "scrambling_index", "spread", "tau", "validate",
+    "scrambling_index", "spread", "tau",
     # products
     "ProductTrace", "RateReport", "default_checkpoints",
     "find_scrambling_window", "fit_empirical_rate", "simulate_product",

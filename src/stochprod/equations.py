@@ -44,7 +44,6 @@ __all__ = [
     "kernel_projections",
     "initial_estimate",
     "initial_state",
-    "averaging_matrix",
     "step",
     "mixed_matrix_norm",
     "error_transition",
@@ -172,23 +171,10 @@ def _check_self_arcs(graph: DirectedGraph):
         raise MissingSelfArc("solver graphs must contain every self-arc")
 
 
-def averaging_matrix(graph: DirectedGraph) -> np.ndarray:
-    """Row-stochastic neighbor-averaging matrix of a solver graph: row i
-    spreads weight 1/d_i over i's in-neighbors (self included)."""
-    _check_self_arcs(graph)
-    return graphlib.averaging_weights(graph)
-
-
-def _in_weights(graph: DirectedGraph):
-    """The float in-adjacency (row i marks i's in-neighbors) and the (n, 1)
-    in-degree column of a solver graph."""
-    incoming = graph.adj.T.astype(float)
-    return incoming, incoming.sum(axis=1)[:, None]
-
-
 def _step(x, incoming, degrees, ps, out=None, scratch=None):
-    """``step`` on a graph's prebuilt ``_in_weights`` and the projection
-    stack ``ps``: the one arithmetic path of ``step`` and ``run_solver``.
+    """``step`` on a graph's prebuilt ``graphs._in_weights`` and the
+    projection stack ``ps``: the one arithmetic path of ``step`` and
+    ``run_solver``.
 
     Writes the new state into ``out`` and the corrections into ``scratch``,
     (n, m) arrays allocated when not given; ``out`` may be ``x`` itself.
@@ -209,7 +195,7 @@ def step(x: np.ndarray, graph: DirectedGraph,
     """One synchronous round of the projected-averaging update: maps the
     (n, m) estimates ``x`` (row i is agent i's x_i) to the next ones."""
     _check_self_arcs(graph)
-    return _step(x, *_in_weights(graph), projections.projections)
+    return _step(x, *graphlib._in_weights(graph), projections.projections)
 
 
 def mixed_matrix_norm(q: np.ndarray, block_size: int) -> float:
@@ -234,8 +220,10 @@ def _error_products(graph_seq, projections: ProjectionSet):
     n, m = ps.shape[:2]
     phi = np.eye(n * m).reshape(n, m, n * m)
     for g in graph_seq:
+        _check_self_arcs(g)
         phi = ps @ phi
-        phi = (averaging_matrix(g) @ phi.reshape(n, -1)).reshape(n, m, -1)
+        w = graphlib.averaging_weights(g)
+        phi = (w @ phi.reshape(n, -1)).reshape(n, m, -1)
         phi = ps @ phi
         yield phi.reshape(n * m, n * m)
 
@@ -298,7 +286,7 @@ def window_connectivity_probability(gmodel: GraphSequenceModel,
     # the engine multiplies later factors on the left, so it builds the
     # transpose of the composition; strong connectivity ignores transposes
     probs = sequences.window_probability(
-        gmodel.model, adjs, int(window or gmodel.window),
+        gmodel.model, adjs, gmodel.window if window is None else int(window),
         lambda adj: graphlib.strongly_connected_components(adj)[0] == 1)
     return float(probs.min())
 
@@ -351,7 +339,7 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
             f"no strongly connected window of length {gmodel.window}")
     projections = kernel_projections(system)
     ps = projections.projections
-    weights = [_in_weights(g) for g in gmodel.graph_set]
+    weights = [graphlib._in_weights(g) for g in gmodel.graph_set]
     a_full, b_full = system.stacked()
     x = initial_state(system)
     width = gmodel.window * max(1, min(gmodel.n - 1, 8))

@@ -18,8 +18,6 @@ from .errors import DimensionMismatch, NoInNeighbor
 __all__ = [
     "DirectedGraph",
     "averaging_weights",
-    "compose",
-    "is_strongly_connected",
     "is_rooted",
     "roots",
     "strongly_connected_components",
@@ -69,25 +67,22 @@ class DirectedGraph:
         return np.nonzero(self.adj[:, j])[0].tolist()
 
 
+def _in_weights(graph: DirectedGraph):
+    """The float in-adjacency (row i marks i's in-neighbors) and the (n, 1)
+    in-degree column.  Raises ``NoInNeighbor`` when some vertex has none."""
+    incoming = graph.adj.T.astype(float)  # incoming[i, j]: j feeds i
+    degrees = incoming.sum(axis=1)[:, None]
+    if not degrees.all():  # argmin is then the first vertex without one
+        raise NoInNeighbor(f"vertex {degrees.argmin()} has no in-neighbor")
+    return incoming, degrees
+
+
 def averaging_weights(graph: DirectedGraph) -> np.ndarray:
     """Row-stochastic neighbor-averaging matrix: row i spreads weight 1/d_i
     over i's d_i in-neighbors.  Raises ``NoInNeighbor`` when some vertex has
     none."""
-    incoming = graph.adj.T.astype(float)  # incoming[i, j]: j feeds i
-    degrees = incoming.sum(axis=1)
-    if not degrees.all():  # argmin is then the first vertex without one
-        raise NoInNeighbor(f"vertex {degrees.argmin()} has no in-neighbor")
-    return incoming / degrees[:, None]
-
-
-def compose(g2: DirectedGraph, g1: DirectedGraph) -> DirectedGraph:
-    """Two-step composition: edge (i, j) when some i1 has (i, i1) in g1 and
-    (i1, j) in g2."""
-    if g1.n != g2.n:
-        raise DimensionMismatch("composition needs equal vertex counts")
-    # float32 path counts are exact (at most n < 2**24) and go through BLAS
-    prod = g1.adj.astype(np.float32) @ g2.adj.astype(np.float32)
-    return DirectedGraph.from_adjacency(prod > 0)
+    incoming, degrees = _in_weights(graph)
+    return incoming / degrees
 
 
 def strongly_connected_components(adj: np.ndarray):
@@ -187,11 +182,6 @@ def component_period(adj: np.ndarray, vertices) -> int:
     level = bfs_levels(sub, 0)
     ii, jj = np.nonzero(sub)
     return int(np.gcd.reduce(level[ii] + 1 - level[jj])) or 1
-
-
-def is_strongly_connected(graph: DirectedGraph) -> bool:
-    count, _ = strongly_connected_components(graph.adj)
-    return count <= 1
 
 
 def roots(graph: DirectedGraph) -> list:

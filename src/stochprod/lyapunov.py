@@ -196,40 +196,39 @@ class FiniteStepCertificate:
         return (1.0 - self.alpha) ** (1.0 / self.horizon)
 
 
-def _start_state(system: SwitchedSystem, mode: int):
-    """``sequences.advance`` state of the empty continuation from the current
-    mode; advancing it h steps gives every length-h continuation's operator
-    (later modes on the left) and its probability given the mode.  Raises
-    ``InvalidDistribution`` for a mode the signal never takes."""
-    if not 0 <= int(mode) < system.signal.num_symbols:
-        raise InvalidDistribution(f"mode {mode} is outside the signal's symbols")
-    return np.array([int(mode)]), np.eye(system.dimension)[None], np.ones((1, 1))
-
-
 def expected_lyapunov(system: SwitchedSystem, V: LyapunovFunction, x,
                       mode: int, horizon: int) -> float:
-    """Exact ``E[V(x_{k+horizon}) | x_k = x, y_k = mode]`` by enumerating
-    positive-probability mode continuations."""
-    x = np.asarray(x, dtype=float)
-    _, ops, probs = sequences.advance(system.signal, system.modes,
-                                      *_start_state(system, mode), horizon)
-    values = np.asarray(V(ops @ x), dtype=float)
-    return float(probs[:, 0] @ values)
+    """Exact ``E[V(x_{k+horizon}) | x_k = x, y_k = mode]`` over the
+    positive-probability mode continuations, read from the certificate's
+    enumeration (``_continuation_layers``) started at ``mode`` alone.
+    Raises ``InvalidDistribution`` for a mode the signal never takes or a
+    horizon below 1."""
+    if not 0 <= int(mode) < system.signal.num_symbols:
+        raise InvalidDistribution(f"mode {mode} is outside the signal's symbols")
+    if horizon < 1:
+        raise InvalidDistribution("horizon must be at least 1")
+    for ops, weights, _ in _continuation_layers(system, horizon, [int(mode)]):
+        pass
+    values = np.asarray(V(ops @ np.asarray(x, dtype=float)), dtype=float)
+    # a strided weight column can round the dot differently
+    return float(np.ascontiguousarray(weights[:, 0]) @ values)
 
 
-def _continuation_layers(system: SwitchedSystem, horizon_max: int):
+def _continuation_layers(system: SwitchedSystem, horizon_max: int, starts):
     """Yield ``(ops, weights, reached)`` for horizons 1 .. horizon_max from
-    one ``sequences.advance`` enumeration over all current modes s: ``ops``
-    are the continuation operators, ``weights[:, s]`` their probabilities
-    given s, and ``reached[:, s]`` marks the states s reaches, the same ones
-    (same order, same weights) a separate enumeration from s holds.  Column
-    m + s of the enumeration, reset to 1 after each horizon, keeps that mark
-    where a weight underflows to 0."""
-    m, n = system.signal.num_symbols, system.dimension
-    state = (np.arange(m), np.tile(np.eye(n), (m, 1, 1)),
+    one ``sequences.advance`` enumeration over the current modes ``starts``:
+    ``ops`` are the continuation operators, ``weights[:, s]`` their
+    probabilities given ``starts[s]``, and ``reached[:, s]`` marks the
+    states ``starts[s]`` reaches, the same ones (same order, same weights) a
+    separate enumeration from it holds.  Column m + s of the enumeration,
+    reset to 1 after each horizon, keeps that mark where a weight underflows
+    to 0."""
+    m, n = len(starts), system.dimension
+    law = sequences._step_law(system.signal)
+    state = (np.asarray(starts), np.tile(np.eye(n), (m, 1, 1)),
              np.eye(m, 2 * m) + np.eye(m, 2 * m, m))
     for _ in range(int(horizon_max)):
-        state = sequences.advance(system.signal, system.modes, *state, 1)
+        state = sequences.advance(law, system.modes, *state)
         _, ops, weights = state
         reached = weights[:, m:] > 0
         weights[:, m:] = reached
@@ -275,8 +274,9 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
     pts, vx = pts[keep], vx[keep]
     cells = 0
     supermartingale_ok = None
-    for horizon, (ops, weights, reached) in enumerate(
-            _continuation_layers(system, horizon_max), start=1):
+    layers = _continuation_layers(system, horizon_max,
+                                  range(system.signal.num_symbols))
+    for horizon, (ops, weights, reached) in enumerate(layers, start=1):
         cells += max(ops.shape[0] * pts.shape[0] * n, HORIZON_CELLS)
         if cells > IMAGE_LIMIT:
             raise EnumerationTooLarge(

@@ -36,7 +36,6 @@ __all__ = [
     "ROW_SUM_TOL",
     "StochasticMatrix",
     "MatrixClass",
-    "validate",
     "entries_of",
     "graph_of",
     "pattern_of",
@@ -48,7 +47,6 @@ __all__ = [
     "is_sia",
     "pattern_period",
     "scrambling_index",
-    "same_type",
     "classify",
     "backward_product",
     "pattern_is_scrambling",
@@ -61,9 +59,9 @@ ROW_SUM_TOL = 1e-12
 
 
 def _check_finite(a: np.ndarray):
-    bad = np.argwhere(~np.isfinite(a))
-    if len(bad):
-        i, j = map(int, bad[0])
+    finite = np.isfinite(a)
+    if not finite.all():
+        i, j = map(int, np.argwhere(~finite)[0])
         raise NonFiniteEntry(i, j, float(a[i, j]))
 
 
@@ -124,18 +122,12 @@ class StochasticMatrix:
         return hash(self.entries.tobytes())
 
 
-def validate(entries) -> StochasticMatrix:
-    """Validate a square array as a stochastic matrix.
-
-    Raises ``NonFiniteEntry``, ``NegativeEntry`` or ``RowSumViolation`` with
-    the offending index.
-    """
-    return StochasticMatrix(entries)
-
-
 def entries_of(matrix) -> np.ndarray:
-    """Raw entry array of a StochasticMatrix or any array-like."""
-    return np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    """Raw entry array of a StochasticMatrix or any array-like; raises
+    ``NonFiniteEntry`` on a NaN or infinite entry."""
+    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    _check_finite(a)
+    return a
 
 
 def graph_of(matrix) -> graphs.DirectedGraph:
@@ -288,14 +280,6 @@ def scrambling_index(matrix):
     while not pattern_is_scrambling(power):
         power, k = (power.astype(np.float32) @ base) > 0, k + 1
     return k
-
-
-def same_type(a, b) -> bool:
-    """True when two matrices have zero entries in the same positions."""
-    pa, pb = pattern_of(a), pattern_of(b)
-    if pa.shape != pb.shape:
-        raise DimensionMismatch(f"patterns of shape {pa.shape} vs {pb.shape}")
-    return bool(np.all(pa == pb))
 
 
 def classify(matrix) -> MatrixClass:

@@ -299,34 +299,36 @@ def sample(model: SequenceModel, length: int, trial: int = 0) -> np.ndarray:
     return idx
 
 
-def advance(model: SequenceModel, factors, last, prods, weights, steps: int):
-    """Extend states (last index, backward product, weight row) by ``steps``
-    indices: each layer follows every positive step probability, multiplies
-    the new index's factor on the left and scales the weight row, then
-    merges states with equal last index and bit-identical product by adding
-    their weight rows.  Returns ``(last, prods, weights)``; raises
-    ``EnumerationTooLarge`` when a layer expands over ``STATE_LIMIT`` states.
+def _step_law(model: SequenceModel) -> np.ndarray:
+    """The (symbols, symbols) table whose row s is the law of the next
+    index given s, built once per enumeration; a scripted model refuses."""
+    return np.array([model.step_distribution(s)
+                     for s in range(model.num_symbols)])
+
+
+def advance(law, factors, last, prods, weights):
+    """Extend states (last index, backward product, weight row) by one
+    index: follow every positive ``law`` (``_step_law``) probability,
+    multiply the new index's factor on the left and scale the weight row,
+    then merge states with equal last index and bit-identical product by
+    adding their weight rows.  Returns ``(last, prods, weights)``; raises
+    ``EnumerationTooLarge`` when the layer expands over ``STATE_LIMIT``
+    states.
     """
-    factors = np.asarray(factors)
-    steps_law = np.array([model.step_distribution(s)
-                          for s in range(model.num_symbols)])
-    for _ in range(int(steps)):
-        src, nxt = np.nonzero(steps_law[last] > 0)
-        if src.size > STATE_LIMIT:
-            raise EnumerationTooLarge(
-                f"{src.size} states in one layer exceed {STATE_LIMIT}")
-        prods = factors[nxt] @ prods[src]
-        weights = weights[src] * steps_law[last[src], nxt][:, None]
-        keys = np.concatenate([nxt[:, None].view(np.uint8),
-                               prods.reshape(src.size, -1).view(np.uint8)], axis=1)
-        # one opaque key per row: np.unique(axis=0) is an order slower
-        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True,
-                                      return_inverse=True)
-        merged = np.zeros((first.size, weights.shape[1]))
-        np.add.at(merged, inverse.ravel(), weights)
-        last, prods, weights = nxt[first], prods[first], merged
-    return last, prods, weights
+    src, nxt = np.nonzero(law[last] > 0)
+    if src.size > STATE_LIMIT:
+        raise EnumerationTooLarge(
+            f"{src.size} states in one layer exceed {STATE_LIMIT}")
+    prods = np.asarray(factors)[nxt] @ prods[src]
+    weights = weights[src] * law[last[src], nxt][:, None]
+    keys = np.concatenate([nxt[:, None].view(np.uint8),
+                           prods.reshape(src.size, -1).view(np.uint8)], axis=1)
+    # one opaque key per row: np.unique(axis=0) is an order slower
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    merged = np.zeros((first.size, weights.shape[1]))
+    np.add.at(merged, inverse.ravel(), weights)
+    return nxt[first], prods[first], merged
 
 
 def _check_window(h: int, layers: str = "of"):
@@ -349,6 +351,8 @@ def _window_walk(model: SequenceModel, factors):
     scripted = isinstance(model, ScriptedModel)
     if scripted:
         factors = factors[list(model.indices)]
+    else:
+        law = _step_law(model)
     last = np.arange(len(factors))
     prods, weights = factors, np.eye(len(factors))
     for h in itertools.count(2):
@@ -357,8 +361,7 @@ def _window_walk(model: SequenceModel, factors):
         if scripted:
             prods = np.roll(factors, 1 - h, axis=0) @ prods
         else:
-            last, prods, weights = advance(model, factors, last, prods,
-                                           weights, 1)
+            last, prods, weights = advance(law, factors, last, prods, weights)
 
 
 def _window_words(model: SequenceModel, factors, h: int):

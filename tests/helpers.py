@@ -148,8 +148,8 @@ def window_words(model, start, h):
 
 
 # The library's former window search, kept as the oracle of its one-walk
-# search: every length enumerated afresh in one ``advance`` call, and a
-# scripted window multiplied out word by word at each start.
+# search: every length enumerated afresh, one ``advance`` layer at a time,
+# and a scripted window multiplied out word by word at each start.
 
 def window_probability_restart(model, patterns, h, test, starts=None):
     """``window_probability`` of length h, enumerated from scratch."""
@@ -167,8 +167,11 @@ def window_probability_restart(model, patterns, h, test, starts=None):
             hits.append(1.0 if test(prod) else 0.0)
         return np.array(hits)
     m = model.num_symbols
-    _, prods, weights = sequences.advance(model, pats, np.arange(m), pats,
-                                          np.eye(m), h - 1)
+    law = sequences._step_law(model)
+    last, prods, weights = np.arange(m), pats, np.eye(m)
+    for _ in range(h - 1):
+        last, prods, weights = sequences.advance(law, pats, last, prods,
+                                                 weights)
     q = weights[np.array([bool(test(p)) for p in prods])].sum(axis=0)
     return np.array([model.start_distribution(start) @ q for start in starts])
 
@@ -259,6 +262,31 @@ def monte_carlo_decay_per_trial(system, V, x0, steps, trials, tol=1e-8):
     )
 
 
+# The library's former per-mode continuation enumeration, kept as the oracle
+# of the one enumeration ``lyapunov._continuation_layers`` runs for all
+# current modes at once.
+
+def mode_start(system, mode):
+    """``sequences.advance`` state of the empty continuation from one current
+    mode: its index, the identity operator and probability 1."""
+    return (np.array([int(mode)]), np.eye(system.dimension)[None],
+            np.ones((1, 1)))
+
+
+def expected_lyapunov_per_mode(system, V, x, mode, horizon):
+    """``expected_lyapunov`` from the one mode's own enumeration, one
+    ``advance`` layer per step, and one dot with its weight column."""
+    from stochprod import sequences
+
+    law = sequences._step_law(system.signal)
+    state = mode_start(system, mode)
+    for _ in range(horizon):
+        state = sequences.advance(law, system.modes, *state)
+    _, ops, probs = state
+    values = np.asarray(V(ops @ np.asarray(x, dtype=float)), dtype=float)
+    return float(probs[:, 0] @ values)
+
+
 def certify_contraction_per_mode(system, V, horizon_max, grid=None):
     """``certify_contraction`` one current mode at a time: each mode
     advances its own continuations and pushes its own operators through the
@@ -272,13 +300,13 @@ def certify_contraction_per_mode(system, V, horizon_max, grid=None):
     keep = vx > 0
     pts, vx = pts[keep], vx[keep]
     modes = range(system.signal.num_symbols)
-    states = [lyapunov._start_state(system, mode) for mode in modes]
+    law = sequences._step_law(system.signal)
+    states = [mode_start(system, mode) for mode in modes]
     supermartingale_ok = None
     for horizon in range(1, int(horizon_max) + 1):
         beta = -np.inf
         for mode in modes:
-            states[mode] = sequences.advance(system.signal, system.modes,
-                                             *states[mode], 1)
+            states[mode] = sequences.advance(law, system.modes, *states[mode])
             _, ops, probs = states[mode]
             images = np.einsum("wij,gj->wgi", ops, pts)
             exp_v = probs[:, 0] @ np.asarray(V(images), dtype=float)
@@ -496,6 +524,16 @@ def block_diagonal(projs):
     """Dense block-diagonal matrix of a ProjectionSet's projections, for the
     kron reference of the error system."""
     return block_diag(*projs.projections)
+
+
+def boolean_product(adjs):
+    """Boolean pattern of the chronological product ``adjs[0] @ adjs[1] @
+    ...``: edge (i, j) when some walk from i to j takes one edge of each
+    adjacency in turn."""
+    out = np.asarray(adjs[0], dtype=bool)
+    for adj in adjs[1:]:
+        out = (out.astype(int) @ np.asarray(adj, dtype=int)) > 0
+    return out
 
 
 def scipy_components(adj):

@@ -332,7 +332,8 @@ def test_criterion_8_error_system_equivalence():
         p = block_diagonal(projections)
         for g in word:
             est = sp.step(est, g, projections)
-            err = p @ np.kron(sp.averaging_matrix(g), np.eye(m)) @ p @ err
+            w = sp.graphs.averaging_weights(g)
+            err = p @ np.kron(w, np.eye(m)) @ p @ err
             direct = (est - x_star[None, :]).reshape(-1)
             worst = max(worst, float(np.abs(direct - err).max()))
     ok = worst < 1e-9

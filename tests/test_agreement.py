@@ -303,6 +303,15 @@ class TestSimulateAsync:
         with pytest.raises(DimensionMismatch):
             sp.simulate_async(w, clocks, np.zeros(3), steps=3)
 
+    def test_raw_weights_with_non_finite_entry_rejected(self):
+        clocks = sp.BernoulliClocks(rates=np.full(2, 0.5))
+        for w in ([[0.5, 0.5], [np.nan, 1.0]], [[0.5, 0.5], [np.inf, 0.0]]):
+            with pytest.raises(NonFiniteEntry):
+                sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
+            # the row that would be read is finite; the matrix is still refused
+            with pytest.raises(NonFiniteEntry):
+                sp.async_update_matrix(w, [0])
+
     @pytest.mark.parametrize("steps", [0, 1, 1024, 1025])
     def test_spreads_are_a_read_only_float64_array(self, steps):
         w = sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])

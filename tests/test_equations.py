@@ -12,6 +12,7 @@ from stochprod.errors import (
     NoConnectedWindow,
     NonFiniteEntry,
 )
+from stochprod.graphs import _in_weights, averaging_weights
 
 from helpers import block_diagonal
 
@@ -133,7 +134,7 @@ def kron_factor(graph, projs):
     """Dense reference factor P (W kron I) P of the error system."""
     p = block_diagonal(projs)
     m = projs.projections[0].shape[0]
-    return p @ np.kron(sp.averaging_matrix(graph), np.eye(m)) @ p
+    return p @ np.kron(averaging_weights(graph), np.eye(m)) @ p
 
 
 class TestStep:
@@ -190,7 +191,7 @@ class TestStep:
         scratch = np.empty_like(fresh)
         ping, inplace = fresh, fresh.copy()
         for k, g in enumerate(gmodel.sample_graphs(100)):
-            weights = equations._in_weights(g)
+            weights = _in_weights(g)
             fresh = sp.step(fresh, g, projs)
             ping = equations._step(ping, *weights, projs.projections,
                                    buffers[k % 2], scratch)
@@ -293,7 +294,7 @@ class TestErrorTransition:
             p = block_diagonal(projs)
             for g in graphs:
                 x = sp.step(x, g, projs)
-                w = sp.averaging_matrix(g)
+                w = averaging_weights(g)
                 err = p @ np.kron(w, np.eye(m)) @ p @ err
                 direct = (x - x_star[None, :]).reshape(-1)
                 assert np.abs(direct - err).max() < 1e-9
@@ -313,6 +314,18 @@ class TestConditionProbability:
         g2 = sp.DirectedGraph(2, frozenset({(0, 0), (1, 1), (1, 0)}))
         gmodel = sp.GraphSequenceModel(
             graph_set=(g1, g2), model=sp.IIDModel(weights=[0.5, 0.5]), window=2)
+        assert sp.window_connectivity_probability(gmodel) == pytest.approx(0.5)
+
+    def test_zero_window_rejected(self):
+        # window 0 is a length, not "use the model's window"
+        g1 = sp.DirectedGraph(2, frozenset({(0, 0), (1, 1), (0, 1)}))
+        g2 = sp.DirectedGraph(2, frozenset({(0, 0), (1, 1), (1, 0)}))
+        gmodel = sp.GraphSequenceModel(
+            graph_set=(g1, g2), model=sp.IIDModel(weights=[0.5, 0.5]), window=2)
+        with pytest.raises(InvalidDistribution,
+                           match="window length must be at least 1"):
+            sp.window_connectivity_probability(gmodel, window=0)
+        assert sp.window_connectivity_probability(gmodel, window=1) == 0.0
         assert sp.window_connectivity_probability(gmodel) == pytest.approx(0.5)
 
     def test_edgeless_plus_self_loops(self):

@@ -13,7 +13,12 @@ from stochprod.errors import (
     NonFiniteEntry,
 )
 
-from helpers import certify_contraction_per_mode, sparse_law
+from helpers import (
+    certify_contraction_per_mode,
+    expected_lyapunov_per_mode,
+    mode_start,
+    sparse_law,
+)
 
 # three diagonal modes driven by a two-phase modulating chain: mode 0 damps
 # the first coordinate, modes 1 and 2 damp the second by 0.8 / 0.6
@@ -123,6 +128,37 @@ class TestExpectedLyapunov:
         system = sp.SwitchedSystem(modes=MODES, signal=sp.IIDModel(weights=[1.0]))
         with pytest.raises(InvalidDistribution, match=f"mode {mode} is outside"):
             sp.expected_lyapunov(system, sp.inf_norm(), [1, 0], mode, 1)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, damped_system, horizon):
+        # V(x) itself is no expectation over continuations
+        with pytest.raises(InvalidDistribution, match="horizon must be at least 1"):
+            sp.expected_lyapunov(damped_system, sp.inf_norm(), [1, 2], 0, horizon)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
+           st.integers(1, 5), st.sampled_from(["iid", "markov", "underflow"]))
+    def test_matches_per_mode_enumeration(self, seed, n, m, horizon, variant):
+        # the certificate's enumeration started at one mode against that
+        # mode's own enumeration: the same expectation bit for bit, also
+        # where P(i -> 0) = 1e-200 makes a continuation's weight 0.0
+        rng = np.random.default_rng(seed)
+        modes = tuple(rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.7)
+                      for _ in range(m))
+        if variant == "iid":
+            signal = sp.IIDModel(weights=sparse_law(rng, m))
+        else:
+            transition = np.array([sparse_law(rng, m) for _ in range(m)])
+            if variant == "underflow":
+                transition[:, 0] = 1e-200
+                transition /= transition.sum(axis=1, keepdims=True)
+            signal = sp.MarkovModulatedModel(initial=sparse_law(rng, m),
+                                             transition=transition)
+        system = sp.SwitchedSystem(modes, signal)
+        x = rng.uniform(-1, 1, n)
+        mode = int(rng.integers(m))
+        v = sp.inf_norm()
+        got = sp.expected_lyapunov(system, v, x, mode, horizon)
+        assert got == expected_lyapunov_per_mode(system, v, x, mode, horizon)
 
     def test_non_finite_mode_rejected(self):
         with pytest.raises(NonFiniteEntry):
@@ -311,12 +347,14 @@ class TestCertify:
         transition /= transition.sum(axis=1, keepdims=True)
         system = sp.SwitchedSystem(modes, sp.MarkovModulatedModel(
             initial=[1, 0, 0], transition=transition))
-        states = [lyapunov._start_state(system, mode) for mode in range(m)]
+        law = sequences._step_law(system.signal)
+        states = [mode_start(system, mode) for mode in range(m)]
         zero_weights = 0
-        for ops, weights, reached in lyapunov._continuation_layers(system, 3):
+        for ops, weights, reached in lyapunov._continuation_layers(
+                system, 3, range(m)):
             for mode in range(m):
-                states[mode] = sequences.advance(system.signal, system.modes,
-                                                 *states[mode], 1)
+                states[mode] = sequences.advance(law, system.modes,
+                                                 *states[mode])
                 _, own_ops, own_probs = states[mode]
                 rows = reached[:, mode]
                 assert ops[rows].tobytes() == own_ops.tobytes()

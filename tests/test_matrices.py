@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import stochprod as sp
 from stochprod import matrices
+from stochprod.graphs import strongly_connected_components
 from stochprod.errors import (
     DimensionMismatch,
     EmptySequence,
@@ -24,32 +25,47 @@ from helpers import (
 
 class TestValidation:
     def test_identity_is_valid(self):
-        m = sp.validate(np.eye(3))
+        m = sp.StochasticMatrix(np.eye(3))
         assert m.n == 3
 
     def test_row_sum_violation_reports_row_and_sum(self):
         with pytest.raises(RowSumViolation) as exc:
-            sp.validate([[0.2, 0.0], [0.0, 1.0]])
+            sp.StochasticMatrix([[0.2, 0.0], [0.0, 1.0]])
         assert exc.value.row == 0
         assert exc.value.total == pytest.approx(0.2)
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry) as exc:
-            sp.validate([[1.5, -0.5], [0.5, 0.5]])
+            sp.StochasticMatrix([[1.5, -0.5], [0.5, 0.5]])
         assert (exc.value.row, exc.value.col) == (0, 1)
 
     def test_non_finite_entry(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteEntry) as exc:
-                sp.validate([[0.5, 0.5], [bad, 1.0]])
+                sp.StochasticMatrix([[0.5, 0.5], [bad, 1.0]])
             assert (exc.value.row, exc.value.col) == (1, 0)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
-            sp.validate([[0.5, 0.5]])
+            sp.StochasticMatrix([[0.5, 0.5]])
+
+    @pytest.mark.parametrize("fn", [
+        sp.tau, sp.is_scrambling, sp.is_markov, sp.is_sia, sp.classify,
+        sp.pattern_period, sp.scrambling_index, sp.graph_of,
+        lambda a: sp.backward_product([a])],
+        ids=["tau", "is_scrambling", "is_markov", "is_sia", "classify",
+             "pattern_period", "scrambling_index", "graph_of",
+             "backward_product"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_raw_array_with_non_finite_entry(self, fn, bad):
+        # read as an overlap or a pattern, a NaN would give an answer: tau
+        # of [[nan, 1], [0, 1]] read 0.0, "the rows agree"
+        with pytest.raises(NonFiniteEntry) as exc:
+            fn([[1.0, 0.0], [bad, 1.0]])
+        assert (exc.value.row, exc.value.col) == (1, 0)
 
     def test_immutable(self):
-        m = sp.validate(np.eye(2))
+        m = sp.StochasticMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 0.0
         with pytest.raises(AttributeError):
@@ -180,26 +196,6 @@ class TestScramblingIndex:
 
     def test_permutation_never_scrambles(self):
         assert sp.scrambling_index(sp.StochasticMatrix([[0, 1], [1, 0]])) is None
-
-
-class TestSameType:
-    def test_reflexive(self):
-        m = sp.StochasticMatrix([[0.3, 0.7], [0.6, 0.4]])
-        assert sp.same_type(m, m)
-
-    def test_different_pattern(self):
-        assert not sp.same_type(sp.StochasticMatrix(np.eye(2)),
-                                sp.StochasticMatrix([[0, 1], [1, 0]]))
-
-    def test_same_support_different_values(self):
-        a = sp.StochasticMatrix([[0.3, 0.7], [0.6, 0.4]])
-        b = sp.StochasticMatrix([[0.9, 0.1], [0.5, 0.5]])
-        assert sp.same_type(a, b)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            sp.same_type(sp.StochasticMatrix(np.eye(2)),
-                         sp.StochasticMatrix(np.eye(3)))
 
 
 class TestBackwardProduct:
@@ -333,7 +329,7 @@ class TestEnsembleProperties:
         for _ in range(400):
             n = int(rng.integers(2, 7))
             a = random_stochastic(rng, n, density=float(rng.uniform(0.2, 0.8)))
-            if sp.is_strongly_connected(sp.graph_of(a)):
+            if strongly_connected_components(sp.graph_of(a).adj)[0] == 1:
                 checked += 1
                 if sp.pattern_period(a) > 1:
                     assert not sp.is_sia(a)
