@@ -287,7 +287,7 @@ def window_connectivity_probability(gmodel: GraphSequenceModel,
     # transpose of the composition; strong connectivity ignores transposes
     probs = sequences.window_probability(
         gmodel.model, adjs, gmodel.window if window is None else int(window),
-        lambda adj: graphlib.strongly_connected_components(adj)[0] == 1)
+        graphlib._stack_is_strongly_connected)
     return float(probs.min())
 
 

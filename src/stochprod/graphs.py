@@ -26,6 +26,10 @@ __all__ = [
     "bfs_levels",
 ]
 
+# patterns one stacked test converts to float32 at once, so its temporaries
+# stay near _STACK_SLICE * n^2 * 8 bytes however many patterns a layer holds
+_STACK_SLICE = 2**10
+
 
 def _is_vertex(v) -> bool:
     """An integer, numpy's included, but not a boolean."""
@@ -135,6 +139,33 @@ def strongly_connected_components(adj: np.ndarray):
                     u = work[-1][0]
                     low[u] = min(low[u], low[v])
     return count, np.array(labels, dtype=int)
+
+
+def _per_slice(test, stack) -> np.ndarray:
+    """``test`` of a (k, n, n) boolean stack, run on consecutive slices of
+    at most ``_STACK_SLICE`` patterns; one boolean per pattern."""
+    stack = np.asarray(stack, dtype=bool)
+    out = np.empty(len(stack), dtype=bool)
+    for lo in range(0, len(stack), _STACK_SLICE):
+        out[lo:lo + _STACK_SLICE] = test(stack[lo:lo + _STACK_SLICE])
+    return out
+
+
+def _closure_is_full(adjs: np.ndarray) -> np.ndarray:
+    # I | A closed under ceil(log2 n) squarings reaches along every path of
+    # length < n; float32 path counts are exact (at most n < 2**24) and go
+    # through BLAS
+    n = adjs.shape[-1]
+    reach = (adjs | np.eye(n, dtype=bool)).astype(np.float32)
+    for _ in range((n - 1).bit_length()):
+        reach = (reach @ reach > 0).astype(np.float32)
+    return (reach > 0).all(axis=(1, 2)) & (n > 0)
+
+
+def _stack_is_strongly_connected(adjs) -> np.ndarray:
+    """Per adjacency of a (k, n, n) boolean stack: every vertex reaches
+    every other, read from the boolean closure of I | A."""
+    return _per_slice(_closure_is_full, adjs)
 
 
 def closed_components(adj: np.ndarray):

@@ -58,6 +58,11 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 
 
+def _check_square(a: np.ndarray):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
+
+
 def _check_finite(a: np.ndarray):
     finite = np.isfinite(a)
     if not finite.all():
@@ -83,8 +88,7 @@ class StochasticMatrix:
         # strings, booleans and objects would convert silently below
         if a.dtype.kind not in "iuf":
             raise DimensionMismatch(f"expected numbers, got an array of {a.dtype}")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
+        _check_square(a)
         a = np.array(a, dtype=float)
         _check_finite(a)
         neg = np.argwhere(a < 0)
@@ -124,8 +128,10 @@ class StochasticMatrix:
 
 def entries_of(matrix) -> np.ndarray:
     """Raw entry array of a StochasticMatrix or any array-like; raises
+    ``DimensionMismatch`` unless it is a square 2-D array, then
     ``NonFiniteEntry`` on a NaN or infinite entry."""
     a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    _check_square(a)
     _check_finite(a)
     return a
 
@@ -157,17 +163,22 @@ class MatrixClass:
 
 
 def tau(matrix) -> float:
-    """Coefficient of ergodicity: 1 minus the worst row-pair overlap."""
+    """Coefficient of ergodicity: 1 minus the worst row-pair overlap, and
+    1.0 as soon as one row pair has no common positive column."""
     a = entries_of(matrix)
     n = a.shape[0]
     if n == 1:
         return 0.0
     # min over unordered row pairs of sum_s min(a_is, a_js); one row at a
-    # time keeps memory at O(n^2) for the few-hundred sizes used here.
+    # time keeps memory at O(n^2) for the few-hundred sizes used here.  Once
+    # the worst overlap is <= 0 the clipped result is 1.0 whatever the later
+    # rows hold, so the scan stops there.
     worst = np.inf
     for i in range(n - 1):
         overlaps = np.minimum(a[i], a[i + 1:]).sum(axis=1)
         worst = min(worst, float(overlaps.min()))
+        if worst <= 0.0:
+            break
     return min(max(1.0 - worst, 0.0), 1.0)
 
 
@@ -200,17 +211,33 @@ def _max_column_spread(a: np.ndarray) -> float:
                                    - np.minimum.reduce(a, 0)))
 
 
-def pattern_is_scrambling(mask: np.ndarray) -> bool:
-    """Every pair of rows shares a column where both are positive."""
+def _scrambling_slice(masks: np.ndarray) -> np.ndarray:
     # float32 counts of shared columns are exact (at most n < 2**24), and
     # unlike integer products they go through BLAS
-    m = np.asarray(mask, dtype=bool).astype(np.float32)
-    return bool(np.all(m @ m.T > 0))
+    m = masks.astype(np.float32)
+    return (m @ m.swapaxes(1, 2) > 0).all(axis=(1, 2))
+
+
+def _stack_is_scrambling(masks) -> np.ndarray:
+    """Per pattern of a (k, n, n) boolean stack: every pair of rows shares
+    a column where both are positive."""
+    return graphs._per_slice(_scrambling_slice, masks)
+
+
+def _stack_is_markov(masks) -> np.ndarray:
+    """Per pattern of a (k, n, n) boolean stack: some column is positive in
+    every row."""
+    return np.asarray(masks, dtype=bool).all(axis=1).any(axis=1)
+
+
+def pattern_is_scrambling(mask: np.ndarray) -> bool:
+    """Every pair of rows shares a column where both are positive."""
+    return bool(_stack_is_scrambling(np.asarray(mask, dtype=bool)[None])[0])
 
 
 def pattern_is_markov(mask: np.ndarray) -> bool:
     """Some column is positive in every row."""
-    return bool(np.asarray(mask, dtype=bool).all(axis=0).any())
+    return bool(_stack_is_markov(np.asarray(mask, dtype=bool)[None])[0])
 
 
 def _sia_and_cycle_length(mask: np.ndarray):

@@ -181,7 +181,7 @@ def window_rate_bound(model: SequenceModel, h: int) -> RateReport:
     """
     fset = model._require_set()
     return _rate_report(fset, h, sequences.window_probability(
-        model, fset.patterns(), h, matrices.pattern_is_scrambling))
+        model, fset.patterns(), h, matrices._stack_is_scrambling))
 
 
 def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
@@ -199,7 +199,7 @@ def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
     walk = sequences._window_walk(model, fset.patterns())
     for h, words in zip(range(1, int(h_max) + 1), walk):
         probs = sequences._passing(model, starts,
-                                   matrices.pattern_is_scrambling, *words)
+                                   matrices._stack_is_scrambling, *words)
         if probs.min() > 0.0:
             return _rate_report(fset, h, probs)
     raise NoScramblingWindow(f"no scrambling window up to length {h_max}")

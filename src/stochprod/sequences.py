@@ -54,10 +54,12 @@ START_HORIZON = 128  # marginal steps ``window_starts`` tracks before giving up
 WINDOW_LAYERS = 2 * 10**4
 DIST_TOL = 1e-12
 
+# stacked pattern tests: a (k, n, n) boolean stack -> k booleans
 _PATTERN_TESTS = {
-    "scrambling": matrices.pattern_is_scrambling,
-    "sia": matrices.pattern_is_sia,
-    "markov": matrices.pattern_is_markov,
+    "scrambling": matrices._stack_is_scrambling,
+    "sia": lambda masks: np.array([matrices.pattern_is_sia(m) for m in masks],
+                                  dtype=bool),
+    "markov": matrices._stack_is_markov,
 }
 
 
@@ -372,8 +374,9 @@ def _window_words(model: SequenceModel, factors, h: int):
 
 def _passing(model: SequenceModel, starts, test, prods, weights):
     """Per start, the probability that the window product passes ``test``:
-    the passing weights q[s] summed under the law of the start's column s."""
-    q = weights[np.array([bool(test(p)) for p in prods])].sum(axis=0)
+    the passing weights q[s] summed under the law of the start's column s.
+    ``test`` runs once, on the whole stack of products."""
+    q = weights[test(prods)].sum(axis=0)
     if isinstance(model, ScriptedModel):
         return q[np.asarray(starts, dtype=int) % model.period]
     return np.array([model.start_distribution(start) @ q for start in starts])
@@ -383,7 +386,8 @@ def window_probability(model: SequenceModel, patterns, h: int, test,
                        starts=None) -> np.ndarray:
     """Exact probability, at each window start (by default
     ``window_starts(model)``), that the boolean backward product of the
-    patterns along the h window positions passes ``test``.  Raises
+    patterns along the h window positions passes ``test``, which maps a
+    (k, n, n) stack of window products to one boolean per product.  Raises
     ``EnumerationTooLarge`` before the first layer past ``WINDOW_LAYERS``."""
     _check_window(h)
     starts = window_starts(model) if starts is None else starts

@@ -32,6 +32,33 @@ def random_pattern_stochastic(rng, mask, low=0.05, high=1.0):
     return StochasticMatrix(w)
 
 
+def tau_full_scan(matrix):
+    """The former ``tau``: the worst overlap over all n(n-1)/2 row pairs,
+    with no early stop."""
+    a = entries_of(matrix)
+    n = a.shape[0]
+    if n == 1:
+        return 0.0
+    worst = np.inf
+    for i in range(n - 1):
+        overlaps = np.minimum(a[i], a[i + 1:]).sum(axis=1)
+        worst = min(worst, float(overlaps.min()))
+    return min(max(1.0 - worst, 0.0), 1.0)
+
+
+def scrambling_loop(mask):
+    """Every row pair of a boolean pattern shares a positive column, pair
+    by pair."""
+    n = len(mask)
+    return all((mask[i] & mask[j]).any() for i in range(n) for j in range(n))
+
+
+def markov_loop(mask):
+    """Some column of a boolean pattern is positive in every row, column by
+    column."""
+    return any(mask[:, j].all() for j in range(mask.shape[1]))
+
+
 def tau_of_high_power(matrix, squarings=40):
     """tau of a huge power of A by repeated squaring, stopping early once the
     value is decisively small (further squarings only amplify roundoff once

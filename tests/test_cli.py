@@ -507,6 +507,8 @@ BAD_FIELDS = {
         [None, 1.0], [0.5, 0.5]]}]}, "expected numbers, got an array of object"),
     "classify-rows-ragged": ("classify", {"matrices": [{"n": 2, "rows": [
         [0.5, 0.5], [1.0]]}]}, "entries do not form an array"),
+    "classify-rows-vector": ("classify", {"matrices": [{"n": 2, "rows": [
+        1.0, 0.5]}]}, "expected a square array, got shape (2,)"),
     "product-set-rows-strings": ("product", {"model": {
         **TINY_CONFIGS["product"]["model"], "set": [{"n": 2, "rows": [
             ["1", "0"], ["0", "1"]]}]}}, "expected numbers"),

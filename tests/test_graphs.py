@@ -231,3 +231,21 @@ def test_array_traversals_match_the_loops(n, kind, self_loops, seed):
         period = component_period(adj, vertices)
         assert type(period) is int and period >= 1
         assert period == component_period_loop(adj, vertices)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 50), st.integers(0, 7),
+       st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), st.integers(0, 10**6))
+@example(1, 0, 0.5, 0)
+def test_stacked_connectivity_matches_tarjan(block, k, n, density, seed):
+    # the closure of I | A against Tarjan's component count, on random
+    # stacks, the all-false and all-true ones (density 0 and 1) and the
+    # empty graph; blocks of 1 and 3 cut the stack at every boundary
+    adjs = np.random.default_rng(seed).random((k, n, n)) < density
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp.graphs, "_STACK_SLICE", block)
+        got = sp.graphs._stack_is_strongly_connected(adjs)
+    assert got.dtype == bool and got.shape == (k,)
+    assert got.tolist() == [strongly_connected_components(a)[0] == 1
+                            for a in adjs]

@@ -15,12 +15,23 @@ from stochprod.errors import (
 )
 
 from helpers import (
+    markov_loop,
     pattern_power_walk,
     planted_pattern,
     powers_converge_to_rank_one,
     random_pattern_stochastic,
     random_stochastic,
+    scrambling_loop,
+    tau_full_scan,
 )
+
+# id -> (call, raw array that is not a square 2-D array)
+BAD_SHAPES = {
+    "is_scrambling-vector": (sp.is_scrambling, [1.0, 0.5]),
+    "tau-vector": (sp.tau, [1.0, 0.5]),
+    "tau-vector-nan": (sp.tau, [np.nan, 1.0]),
+    "tau-row": (sp.tau, [[0.5, 0.5]]),
+}
 
 
 class TestValidation:
@@ -64,6 +75,14 @@ class TestValidation:
             fn([[1.0, 0.0], [bad, 1.0]])
         assert (exc.value.row, exc.value.col) == (1, 0)
 
+    @pytest.mark.parametrize("fn,raw", list(BAD_SHAPES.values()),
+                             ids=list(BAD_SHAPES))
+    def test_raw_array_not_square_rejected(self, fn, raw):
+        # refused before the finiteness check: a vector once read as
+        # scrambling, or escaped as numpy's AxisError or a bare ValueError
+        with pytest.raises(DimensionMismatch, match="expected a square array"):
+            fn(raw)
+
     def test_immutable(self):
         m = sp.StochasticMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -100,6 +119,63 @@ class TestTau:
                                                              abs=1e-15)
             assert matrices.row_diameter(rows) == pytest.approx(sp.tau(w),
                                                                 abs=1e-15)
+
+    def test_disjoint_first_rows_scan_one_row(self, monkeypatch):
+        # rows 0 and 1 share no positive column: tau is 1.0 after row 0
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def minimum(self, *args):
+                calls.append(args)
+                return np.minimum(*args)
+
+        monkeypatch.setattr(matrices, "np", CountingNumpy())
+        a = np.full((6, 6), 1 / 6)
+        a[0], a[1] = np.eye(6)[0], np.eye(6)[1]
+        assert sp.tau(a) == 1.0
+        assert len(calls) == 1
+
+
+def stochastic_cases(rng, n):
+    """Sparse and dense stochastic matrices, one with disjoint last rows,
+    one with -0.0 for its zeros, and a raw array with negative entries."""
+    sparse = random_stochastic(rng, n, density=0.2).entries
+    dense = random_stochastic(rng, n, density=1.0).entries
+    planted = dense.copy()
+    if n > 1:
+        planted[-2:] = np.eye(n)[[0, 1]]
+    signed_zeros = np.where(sparse == 0.0, -0.0, sparse)
+    return [sparse, dense, planted, signed_zeros, rng.normal(size=(n, n))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10**6))
+def test_tau_matches_full_scan(n, seed):
+    # the early stop is bit-identical to the scan of every row pair
+    rng = np.random.default_rng(seed)
+    for a in stochastic_cases(rng, n):
+        assert sp.tau(a) == tau_full_scan(a)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 50), st.integers(1, 7),
+       st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), st.integers(0, 10**6))
+def test_stacked_predicates_match_the_loops(block, k, n, density, seed):
+    # density 0 and 1 give the all-false and all-true stacks; blocks of 1
+    # and 3 cut the stack into slices at every boundary
+    masks = np.random.default_rng(seed).random((k, n, n)) < density
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp.graphs, "_STACK_SLICE", block)
+        scrambling = matrices._stack_is_scrambling(masks)
+        markov = matrices._stack_is_markov(masks)
+    for got in (scrambling, markov):
+        assert got.dtype == bool and got.shape == (k,)
+    assert scrambling.tolist() == [scrambling_loop(m) for m in masks]
+    assert markov.tolist() == [markov_loop(m) for m in masks]
 
 
 class TestClasses:

@@ -189,9 +189,12 @@ def test_scripted_window_probability_past_one_period(seed, m, n, h):
     model = index_model(rng, "scripted", m)
     starts = list(range(3 * model.period + 1))
     pats = [a.pattern() for a in mats]
-    for test in (matrices.pattern_is_scrambling, matrices.pattern_is_sia):
+    # the engine tests the stacked products at once, the oracle one by one
+    for klass, test in (("scrambling", matrices.pattern_is_scrambling),
+                        ("sia", matrices.pattern_is_sia)):
+        stacked = sequences._PATTERN_TESTS[klass]
         assert np.array_equal(
-            sequences.window_probability(model, pats, h, test, starts),
+            sequences.window_probability(model, pats, h, stacked, starts),
             window_probability_restart(model, pats, h, test, starts))
 
 
@@ -222,3 +225,50 @@ def test_window_search_runs_one_layer_per_length(monkeypatch, h_max, found):
     else:
         assert sp.find_scrambling_window(model, h_max).window_len == found
     assert len(layers) == (found or h_max) - 1
+
+
+# the window-search model of the analysis benchmark: four functional 0/1
+# maps on 5 states (a relabelled Cerny shift and merge plus two random
+# maps), first scrambling at length 7 after 3,675 merged products
+SEARCH_MAPS = ([4, 2, 3, 0, 1], [0, 2, 2, 3, 4], [1, 3, 0, 2, 3],
+               [2, 0, 3, 1, 0])
+
+
+def counting(test, calls):
+    def spy(stack):
+        calls.append(len(stack))
+        return test(stack)
+    return spy
+
+
+def test_window_tests_run_once_per_length(monkeypatch):
+    fset = sp.FiniteMatrixSet(tuple(np.eye(5)[f] for f in SEARCH_MAPS))
+    model = sp.IIDModel(weights=[0.25] * 4, matrix_set=fset)
+    calls = []
+    monkeypatch.setattr(matrices, "_stack_is_scrambling",
+                        counting(matrices._stack_is_scrambling, calls))
+    assert sp.find_scrambling_window(model, 9).window_len == 7
+    assert calls == [4, 16, 56, 179, 487, 1062, 1871]
+    assert sum(calls) == 3675
+    calls.clear()
+    assert sp.window_rate_bound(model, 7).window_len == 7
+    assert calls == [1871]
+    calls.clear()
+    sequences.window_probability(
+        model, fset.patterns(), 6,
+        counting(sequences._PATTERN_TESTS["markov"], calls))
+    assert calls == [1062]
+
+
+def test_connectivity_window_tests_once(monkeypatch):
+    # one stacked closure per window, and no Tarjan labelling at all
+    graphs = [sp.DirectedGraph(3, {(0, 0), (1, 1), (2, 2), (i, (i + 1) % 3)})
+              for i in range(3)]
+    gmodel = sp.GraphSequenceModel(graphs, sp.IIDModel(weights=[1 / 3] * 3),
+                                   window=3)
+    calls = []
+    monkeypatch.setattr(sp.graphs, "_stack_is_strongly_connected",
+                        counting(sp.graphs._stack_is_strongly_connected, calls))
+    monkeypatch.setattr(sp.graphs, "strongly_connected_components", None)
+    p = sp.window_connectivity_probability(gmodel)
+    assert len(calls) == 1 and 0.0 < p < 1.0
