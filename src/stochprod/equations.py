@@ -320,12 +320,13 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     states): each step writes its state straight into the block's buffer,
     then the block's gaps are reduced at once and the residuals of all its
     recorded rows are taken at once.  Steps past the stop are computed and
-    discarded, so the report is bit for bit that of a per-step loop.
-    With ``norm_windows`` > 0 the first windows of the sampled sequence also
-    get their error-transition mixed norms computed, giving a contraction
-    estimate the fitted decay can be compared against.  Raises
-    ``InvalidDistribution`` when ``max_iters`` is over ``ITER_LIMIT``,
-    before any index is drawn.
+    discarded, so the report is bit for bit that of a per-step loop.  Each
+    block draws its indices from ``gmodel.model.stream(trial)``.  With
+    ``norm_windows`` > 0 the first windows that fit in ``max_iters`` steps,
+    read from a second stream on the same trial, get their error-transition
+    mixed norms computed, giving a contraction estimate the fitted decay can
+    be compared against.  Raises ``InvalidDistribution`` when ``max_iters``
+    is over ``ITER_LIMIT``, before any index is drawn.
     """
     if gmodel.n != system.n:
         raise DimensionMismatch("one graph vertex per agent")
@@ -342,12 +343,7 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     weights = [graphlib._in_weights(g) for g in gmodel.graph_set]
     a_full, b_full = system.stacked()
     x = initial_state(system)
-    width = gmodel.window * max(1, min(gmodel.n - 1, 8))
-
-    def draw(length):
-        # a longer draw of the same (model, trial) extends a shorter one
-        return (sequences.sample(gmodel.model, length, trial=trial).tolist()
-                if length else [])
+    draw = gmodel.model.stream(trial)
 
     def residuals(s):
         # one gemv per state of the (count, n, m) stack s, as ``a_full @
@@ -356,8 +352,6 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
         fits = np.matmul(a_full, means[:, :, None])[:, :, 0]
         return np.maximum.reduce(np.abs(fits - b_full), 1).tolist()
 
-    filled = min(norm_windows, max_iters // width) * width
-    indices = draw(min(max_iters, max(1024, filled)))
     dis, res = matrices._max_column_spread(x), residuals(x[None])[0]
     history = [(0, dis, res)]
     converged = dis < tol and res < tol
@@ -367,9 +361,7 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     k = 0
     while not converged and k < max_iters:
         count = min(len(states), max_iters - k)
-        if k + count > len(indices):
-            indices = draw(min(max_iters, 2 * k))
-        for out, g in zip(slots, indices[k:k + count]):
+        for out, g in zip(slots, draw(count).tolist()):
             x = _step(x, *weights[g], ps, out, scratch)
         s = states[:count]
         spreads = np.maximum.reduce(
@@ -390,14 +382,12 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     if history[-1][0] != k:
         res = residuals(x[None])[0]
 
-    window_norms = []
-    for w in range(norm_windows):
-        chunk = indices[w * width:(w + 1) * width]
-        if len(chunk) < width:
-            break
-        _, norm = error_transition([gmodel.graph_set[i] for i in chunk],
-                                   projections)
-        window_norms.append(norm)
+    width = gmodel.window * max(1, min(gmodel.n - 1, 8))
+    filled = min(norm_windows, max_iters // width)
+    chain = [gmodel.graph_set[i]
+             for i in gmodel.model.stream(trial)(filled * width).tolist()]
+    window_norms = [error_transition(chain[w * width:(w + 1) * width],
+                                     projections)[1] for w in range(filled)]
 
     fitted = _log_linear_rate([h[0] for h in history], [h[1] for h in history],
                               min_points=3)

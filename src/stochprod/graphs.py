@@ -71,6 +71,15 @@ class DirectedGraph:
         return np.nonzero(self.adj[:, j])[0].tolist()
 
 
+def _square(a, dtype=bool) -> np.ndarray:
+    """``a`` as an array of ``dtype`` (None keeps its own); raises
+    ``DimensionMismatch`` unless it is square 2-D."""
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
+    return a
+
+
 def _in_weights(graph: DirectedGraph):
     """The float in-adjacency (row i marks i's in-neighbors) and the (n, 1)
     in-degree column.  Raises ``NoInNeighbor`` when some vertex has none."""
@@ -97,7 +106,7 @@ def strongly_connected_components(adj: np.ndarray):
     stack in place of recursion; components are labelled in the order they
     complete, which is a reverse topological order of the condensation.
     """
-    adj = np.asarray(adj, dtype=bool)
+    adj = _square(adj)
     n = adj.shape[0]
     succ = [row.nonzero()[0].tolist() for row in adj]
     index = [-1] * n      # discovery order
@@ -175,7 +184,7 @@ def closed_components(adj: np.ndarray):
     per-vertex labeling.  A component is closed when every edge from one of
     its vertices stays inside it.
     """
-    adj = np.asarray(adj, dtype=bool)
+    adj = _square(adj)
     count, labels = strongly_connected_components(adj)
     leaves = np.zeros(count, dtype=bool)
     ii, jj = np.nonzero(adj)
@@ -189,7 +198,7 @@ def bfs_levels(adj: np.ndarray, root: int) -> np.ndarray:
 
     Each level is one boolean frontier: the unlevelled vertices that some
     frontier vertex has an edge to."""
-    adj = np.asarray(adj, dtype=bool)
+    adj = _square(adj)
     level = np.full(adj.shape[0], -1, dtype=int)
     frontier = np.zeros(adj.shape[0], dtype=bool)
     frontier[root] = True
@@ -209,7 +218,7 @@ def component_period(adj: np.ndarray, vertices) -> int:
     vertex without a self-loop has no cycles; its period is defined as 1.
     """
     vertices = sorted(vertices)
-    sub = np.asarray(adj, dtype=bool)[np.ix_(vertices, vertices)]
+    sub = _square(adj)[np.ix_(vertices, vertices)]
     level = bfs_levels(sub, 0)
     ii, jj = np.nonzero(sub)
     return int(np.gcd.reduce(level[ii] + 1 - level[jj])) or 1

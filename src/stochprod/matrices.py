@@ -58,11 +58,6 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 
 
-def _check_square(a: np.ndarray):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
-
-
 def _check_finite(a: np.ndarray):
     finite = np.isfinite(a)
     if not finite.all():
@@ -88,8 +83,7 @@ class StochasticMatrix:
         # strings, booleans and objects would convert silently below
         if a.dtype.kind not in "iuf":
             raise DimensionMismatch(f"expected numbers, got an array of {a.dtype}")
-        _check_square(a)
-        a = np.array(a, dtype=float)
+        a = np.array(graphs._square(a, None), dtype=float)
         _check_finite(a)
         neg = np.argwhere(a < 0)
         if len(neg):
@@ -130,8 +124,7 @@ def entries_of(matrix) -> np.ndarray:
     """Raw entry array of a StochasticMatrix or any array-like; raises
     ``DimensionMismatch`` unless it is a square 2-D array, then
     ``NonFiniteEntry`` on a NaN or infinite entry."""
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
-    _check_square(a)
+    a = graphs._square(getattr(matrix, "entries", matrix), float)
     _check_finite(a)
     return a
 
@@ -232,12 +225,12 @@ def _stack_is_markov(masks) -> np.ndarray:
 
 def pattern_is_scrambling(mask: np.ndarray) -> bool:
     """Every pair of rows shares a column where both are positive."""
-    return bool(_stack_is_scrambling(np.asarray(mask, dtype=bool)[None])[0])
+    return bool(_stack_is_scrambling(graphs._square(mask)[None])[0])
 
 
 def pattern_is_markov(mask: np.ndarray) -> bool:
     """Some column is positive in every row."""
-    return bool(_stack_is_markov(np.asarray(mask, dtype=bool)[None])[0])
+    return bool(_stack_is_markov(graphs._square(mask)[None])[0])
 
 
 def _sia_and_cycle_length(mask: np.ndarray):
@@ -248,7 +241,7 @@ def _sia_and_cycle_length(mask: np.ndarray):
     strongly connected class and it is aperiodic; ``length`` is the lcm of
     every component's period.
     """
-    adj = np.asarray(mask, dtype=bool)
+    adj = graphs._square(mask)
     closed, labels = graphs.closed_components(adj)
     periods = [graphs.component_period(adj, np.nonzero(labels == c)[0])
                for c in range(labels.max() + 1 if labels.size else 0)]

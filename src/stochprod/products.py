@@ -117,8 +117,9 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     near 1e-14.  Tau and the spread are read from the rows of ``[D; 0]``.
     Each checkpoint segment is multiplied in chunks of at most
     ``CHUNK_BYTES`` of reduced factors, each reduced by ``_tree_product``
-    and then applied to D with one ``np.dot``; no chunk crosses a checkpoint
-    and no factor past the last checkpoint is multiplied.  Raises
+    and then applied to D with one ``np.dot``; no chunk crosses a checkpoint,
+    and each segment is one draw of ``model.stream(trial)``, so no index
+    past the stopping checkpoint is drawn.  Raises
     ``InvalidDistribution`` when ``steps`` is below 1 or over
     ``STEP_LIMIT``, before any index is drawn.
     """
@@ -131,7 +132,7 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     if checkpoints is None:
         checkpoints = default_checkpoints(steps)
     checkpoints = sorted(set(int(c) for c in checkpoints if 1 <= c <= steps))
-    idx = sequences.sample(model, steps, trial=trial)
+    draw = model.stream(trial)
     a = np.asarray(fset.entry_arrays())
     hats = a[:, :-1, :-1] - a[:, -1:, :-1]
     n = fset.dimension
@@ -140,8 +141,9 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     recorded_k, taus, spreads = [], [], []
     done = 0
     for k in checkpoints:
-        for lo in range(done, k, chunk):
-            d = np.dot(_tree_product(hats[idx[lo:min(lo + chunk, k)]]), d)
+        idx = draw(k - done)
+        for lo in range(0, k - done, chunk):
+            d = np.dot(_tree_product(hats[idx[lo:lo + chunk]]), d)
         done = k
         rows = np.vstack([d, np.zeros((1, n))])
         t = matrices.row_diameter(rows)

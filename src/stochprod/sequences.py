@@ -7,11 +7,11 @@ A model produces the index process behind a random matrix sequence
 * ``MarkovModulatedModel`` runs a finite Markov chain over indices;
 * ``ScriptedModel`` replays an explicit index list, repeated cyclically.
 
-Sampling is deterministic given ``(model, seed)``; independent Monte Carlo
-trials perturb the stream with ``seed ^ trial``.  Besides sampling, the
-models answer *exact* probability queries for classification events of
-length-h window products; ``advance`` merges words that end in the same
-index with the same pattern, which form a finite semigroup.
+Sampling is deterministic given ``(model, seed)``: Monte Carlo trial t reads
+its own index stream, on seed ``seed ^ t``, in draws of any size.  Besides
+sampling, the models answer *exact* probability queries for classification
+events of length-h window products; ``advance`` merges words that end in the
+same index with the same pattern, which form a finite semigroup.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _check_distribution(vec, what: str) -> np.ndarray:
 class SequenceModel:
     """Common interface of the index-process models.
 
-    Subclasses implement ``num_symbols``, ``sample_indices`` and the two
+    Subclasses implement ``num_symbols``, ``stream`` and the two
     distribution hooks used for exact enumeration: ``start_distribution(k)``
     (law of the index at position k+1) and ``step_distribution(prev)`` (law
     of the next index given the previous one).  A scripted model's windows
@@ -141,7 +141,9 @@ class SequenceModel:
     def num_symbols(self) -> int:
         raise NotImplementedError
 
-    def sample_indices(self, length: int, trial: int = 0) -> np.ndarray:
+    def stream(self, trial: int = 0):
+        """``draw(count)``: the next ``count`` indices (int64) of this (model,
+        trial) sequence; split draws join into ``sample(self, total, trial)``."""
         raise NotImplementedError
 
     def start_distribution(self, start: int) -> np.ndarray:
@@ -176,9 +178,12 @@ class IIDModel(SequenceModel):
     def num_symbols(self) -> int:
         return self.weights.size
 
-    def sample_indices(self, length, trial=0):
+    def stream(self, trial=0):
+        # ``Generator.choice(p=weights)``'s inverse-CDF lookup, built once
         rng = np.random.default_rng(trial_seed(self.seed, trial))
-        return rng.choice(self.num_symbols, size=int(length), p=self.weights)
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        return lambda count: cdf.searchsorted(rng.random(count), side="right")
 
     def start_distribution(self, start):
         return self.weights
@@ -213,29 +218,32 @@ class MarkovModulatedModel(SequenceModel):
     def num_symbols(self) -> int:
         return self.initial.size
 
-    def sample_indices(self, length, trial=0):
+    def stream(self, trial=0):
         rng = np.random.default_rng(trial_seed(self.seed, trial))
-        length, last = int(length), self.num_symbols - 1
-        cum_rows = np.cumsum(self.transition, axis=1)
-        out = np.empty(length, dtype=np.int64)
-        # blocks of draws equal one draw of them all; per block, step k moves
-        # from state s to nxt[s * size + k]: every row's inverse-CDF lookup
-        # of every draw at once, then a plain-int walk
-        for lo in range(0, length, SAMPLE_BLOCK):
-            size = min(SAMPLE_BLOCK, length - lo)
-            u = rng.random(size)
-            nxt = np.minimum([np.searchsorted(row, u, side="right")
-                              for row in cum_rows], last).ravel().tolist()
-            walk = []
-            if lo == 0:
-                state = min(int(np.searchsorted(np.cumsum(self.initial), u[0],
-                                                side="right")), last)
-                walk.append(state)
-            for k in range(len(walk), size):
-                state = nxt[state * size + k]
-                walk.append(state)
-            out[lo:lo + size] = walk
-        return out
+        # every walk starts in row m = num_symbols, the initial law; an
+        # infinite last entry sends a uniform past a row's rounded sum to m - 1
+        cum_rows = np.cumsum(np.vstack([self.transition, self.initial]), axis=1)
+        cum_rows[:, -1] = np.inf
+        state = self.num_symbols
+
+        def draw(count):
+            # blocks of draws equal one draw of them all; per block, step k
+            # moves from state s to nxt[s][k]: every row's inverse-CDF
+            # lookup of every draw at once, then a plain-int walk
+            nonlocal state
+            out = np.empty(count, dtype=np.int64)
+            for lo in range(0, count, SAMPLE_BLOCK):
+                size = min(SAMPLE_BLOCK, count - lo)
+                u = rng.random(size)
+                nxt = [row.searchsorted(u, side="right").tolist()
+                       for row in cum_rows]
+                walk = []
+                for k in range(size):
+                    state = nxt[state][k]
+                    walk.append(state)
+                out[lo:lo + size] = walk
+            return out
+        return draw
 
     def marginal(self, k: int) -> np.ndarray:
         """Law of the index at position k+1 (k steps after the initial)."""
@@ -279,10 +287,9 @@ class ScriptedModel(SequenceModel):
     def period(self) -> int:
         return len(self.indices)
 
-    def sample_indices(self, length, trial=0):
-        length = int(length)
-        reps = -(-length // len(self.indices))
-        return np.tile(np.asarray(self.indices, dtype=np.int64), reps)[:length]
+    def stream(self, trial=0):
+        cycle = itertools.cycle(self.indices)
+        return lambda n: np.fromiter(itertools.islice(cycle, n), np.int64, n)
 
     def step_distribution(self, prev):
         raise InvalidDistribution(
@@ -290,13 +297,12 @@ class ScriptedModel(SequenceModel):
 
 
 def sample(model: SequenceModel, length: int, trial: int = 0) -> np.ndarray:
-    """Draw a length-``length`` index sequence as a read-only array; the same
-    (model, trial) gives the same draw, on seed ``trial_seed(model.seed,
-    trial)``, and a longer draw extends a shorter one: ``sample(model,
-    L)[:k]`` equals ``sample(model, k)`` for every k <= L."""
+    """One draw of a fresh ``model.stream(trial)`` as a read-only array, on
+    seed ``trial_seed(model.seed, trial)``; a longer draw extends a shorter
+    one: ``sample(model, L)[:k]`` equals ``sample(model, k)`` for k <= L."""
     if length < 1:
         raise InvalidDistribution("length must be at least 1")
-    idx = np.asarray(model.sample_indices(length, trial=trial), dtype=np.int64)
+    idx = np.asarray(model.stream(trial)(int(length)), dtype=np.int64)
     idx.flags.writeable = False
     return idx
 

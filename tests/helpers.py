@@ -236,6 +236,33 @@ def stationary_markov(rng, m, **kw):
 # implementation, kept as an oracle for the batched one: the outputs must
 # agree bit for bit.
 
+def iid_indices_choice(model, length, trial=0):
+    """The library's former i.i.d. sampler, one ``Generator.choice`` call
+    with the model's weights: the oracle of the i.i.d. stream."""
+    from stochprod.sequences import trial_seed
+
+    rng = np.random.default_rng(trial_seed(model.seed, trial))
+    return rng.choice(model.num_symbols, size=length, p=model.weights)
+
+
+def spy_streams(monkeypatch, model_type):
+    """Record, per stream that ``model_type`` opens, its trial and the
+    counts of its draws, in the order the streams are opened."""
+    opened, real = [], model_type.stream
+
+    def stream(model, trial=0):
+        draw, counts = real(model, trial), []
+        opened.append((trial, counts))
+
+        def counted(count):
+            counts.append(count)
+            return draw(count)
+        return counted
+
+    monkeypatch.setattr(model_type, "stream", stream)
+    return opened
+
+
 def markov_indices_stepwise(model, length, trial=0):
     """Markov-modulated sample with one ``searchsorted`` per step."""
     from stochprod.sequences import trial_seed

@@ -22,6 +22,7 @@ from stochprod.errors import InvalidDistribution
 from helpers import (
     apply_firing_sets,
     firing_set_counts,
+    iid_indices_choice,
     markov_indices_stepwise,
     monte_carlo_decay_per_trial,
     random_stochastic,
@@ -29,6 +30,7 @@ from helpers import (
     simulate_async_per_tick,
     simulate_product_pairwise,
     simulate_product_per_step,
+    spy_streams,
     two_sample_chi_square_p,
 )
 
@@ -80,7 +82,7 @@ def signal(rng, variant, m, **kw):
 @given(seeds, symbols, lengths, trials)
 def test_markov_sampler_matches_stepwise(seed, m, length, trial):
     model = markov_model(np.random.default_rng(seed), m)
-    got = model.sample_indices(length, trial=trial)
+    got = model.stream(trial)(length)
     want = markov_indices_stepwise(model, length, trial=trial)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -92,7 +94,7 @@ def test_markov_sampler_blocks_do_not_change_the_draws(seed, m, length, block,
     model = markov_model(np.random.default_rng(seed), m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "SAMPLE_BLOCK", block)
-        got = model.sample_indices(length, trial=trial)
+        got = model.stream(trial)(length)
     assert np.array_equal(got, markov_indices_stepwise(model, length,
                                                        trial=trial))
 
@@ -101,7 +103,7 @@ def test_markov_sampler_blocks_do_not_change_the_draws(seed, m, length, block,
 def test_markov_sampler_across_the_block_edge(offset):
     model = markov_model(np.random.default_rng(offset + 2), 3)
     length = sequences.SAMPLE_BLOCK + offset
-    assert np.array_equal(model.sample_indices(length),
+    assert np.array_equal(model.stream()(length),
                           markov_indices_stepwise(model, length))
 
 
@@ -112,6 +114,37 @@ def test_longer_sample_extends_shorter(seed, m, variant, length, trial, data):
     k = data.draw(st.integers(1, length))
     got = sp.sample(model, length, trial=trial)[:k]
     assert np.array_equal(got, sp.sample(model, k, trial=trial))
+
+
+@given(seeds, symbols, st.sampled_from(["iid", "markov", "scripted"]),
+       st.integers(1, 7), lengths, trials, st.data())
+def test_split_draws_join_into_one_sample(seed, m, variant, block, length,
+                                          trial, data):
+    # small blocks put the Markov sampler's block edges inside the draws and
+    # between them; the joined draws are one sample at the default block
+    model = signal(np.random.default_rng(seed), variant, m)
+    cuts = sorted(data.draw(st.lists(st.integers(0, length), max_size=8)))
+    counts = np.diff([0, *cuts, length]).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "SAMPLE_BLOCK", block)
+        draw = model.stream(trial)
+        parts = [draw(count) for count in counts]
+    assert [(p.dtype, p.size) for p in parts] == [(np.int64, c) for c in counts]
+    assert np.array_equal(np.concatenate(parts),
+                          sp.sample(model, length, trial=trial))
+
+
+@given(seeds, st.integers(1, 7), lengths, trials, st.data())
+def test_iid_stream_matches_generator_choice(seed, m, length, trial, data):
+    # chain_row gives zero weights, one-hot rows and sums a few ulps below 1
+    rng = np.random.default_rng(seed)
+    model = sp.IIDModel(weights=chain_row(rng, m),
+                        seed=int(rng.integers(2**31)))
+    cut = data.draw(st.integers(0, length))
+    draw = model.stream(trial)
+    got = np.concatenate([draw(cut), draw(length - cut)])
+    want = iid_indices_choice(model, length, trial=trial)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def solver_case(rng, n, m, graphs):
@@ -263,13 +296,14 @@ def test_run_solver_stops_mid_block_at_bench_size():
     assert want.converged and want.iterations == 45  # 13th of steps 33-64
 
 
-@pytest.mark.parametrize("window, norm_windows, max_iters, first_draw", [
-    (10**9, 1, 10**5, 1024), (300, 3, 2500, 2400)])
+@pytest.mark.parametrize("window, norm_windows, max_iters, window_draw", [
+    (10**9, 1, 10**5, 0), (300, 3, 2500, 2400), (1, 3, 50, 12)])
 def test_run_solver_draws_only_norm_windows_that_fill(
-        monkeypatch, window, norm_windows, max_iters, first_draw):
-    # a norm window wider than max_iters never fills, so the first draw
-    # covers the first 1,024 steps only; of three windows of width 1,200,
-    # two fill within 2,500 iterations and are drawn up front
+        monkeypatch, window, norm_windows, max_iters, window_draw):
+    # a norm window wider than max_iters never fills, so none is drawn; of
+    # three windows of width 1,200, two fill within 2,500 iterations; the
+    # steps draw their own indices, block by block, and a run cut at
+    # max_iters = 50 draws a last block of 18
     system, gmodel = bench_case(4, 5, 20, 6)
     gmodel = replace(gmodel, window=window)
     kw = dict(check_connectivity=False, norm_windows=norm_windows,
@@ -277,16 +311,26 @@ def test_run_solver_draws_only_norm_windows_that_fill(
     want = assert_same_run(system, gmodel, **kw)
     assert len(want.window_norms) == min(norm_windows,
                                          max_iters // (4 * window))
-    lengths, real = [], sequences.sample
+    opened = spy_streams(monkeypatch, sp.IIDModel)
+    steps, real_step = [], equations._step
 
-    def spy(model, length, trial=0):
-        lengths.append(length)
-        return real(model, length, trial=trial)
+    def step(*args):
+        steps.append(args)
+        return real_step(*args)
 
-    monkeypatch.setattr(sequences, "sample", spy)
-    sp.run_solver(system, gmodel, **kw)
-    assert lengths[0] == first_draw
-    assert max(lengths) <= max(first_draw, 2 * want.iterations)
+    monkeypatch.setattr(equations, "_step", step)
+    got = sp.run_solver(system, gmodel, **kw)
+    assert got.history == want.history
+    assert got.window_norms == want.window_norms
+    (solver_trial, solver_draws), (norm_trial, norm_draws) = opened
+    assert solver_trial == norm_trial == 0
+    # every step computed draws one index, and none past its block
+    assert sum(solver_draws) == len(steps)
+    assert max(solver_draws) <= equations.SOLVER_BLOCK
+    assert want.iterations <= len(steps) < (want.iterations
+                                            + equations.SOLVER_BLOCK)
+    assert norm_draws == [window_draw]
+    assert window_draw == len(want.window_norms) * 4 * window
 
 
 class _ScriptedUniforms:
@@ -311,7 +355,7 @@ def test_markov_sampler_on_boundary_draws(seed, m, length):
                  rng.random(length))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "default_rng", lambda s: _ScriptedUniforms(u))
-        got = model.sample_indices(length)
+        got = model.stream()(length)
         want = markov_indices_stepwise(model, length)
     assert np.array_equal(got, want)
 
@@ -324,7 +368,7 @@ def test_short_row_clamps_to_last_symbol():
     u = np.array([ALMOST_ONE, ALMOST_ONE, 0.1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "default_rng", lambda s: _ScriptedUniforms(u))
-        got = model.sample_indices(3)
+        got = model.stream()(3)
     assert got.tolist() == [1, 1, 0]
 
 

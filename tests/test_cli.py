@@ -273,8 +273,8 @@ class TestJsonReaders:
                 initial=[1, 0], transition=[[0.5, 0.5], [1.0, 0.0]])),
             (scripted, sp.ScriptedModel(indices=(0, 1, 1), seed=4)),
         ):
-            assert np.array_equal(model.sample_indices(64),
-                                  direct.sample_indices(64))
+            assert np.array_equal(model.stream()(64),
+                                  direct.stream()(64))
 
     def test_graph_from_json(self):
         g = jsonio.graph_from_json({"n": 3, "edges": [[0, 1], [1, 2], [2, 0],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod import equations, sequences
+from stochprod import equations
 from stochprod.errors import (
     DimensionMismatch,
     InconsistentBlock,
@@ -438,7 +438,7 @@ class TestRunSolver:
             graph_set=(complete_graph(2),), model=sp.IIDModel(weights=[1.0]),
             window=1)
         monkeypatch.setattr(equations, "ITER_LIMIT", 5)
-        monkeypatch.setattr(sequences, "sample", no_draw)
+        monkeypatch.setattr(sp.IIDModel, "stream", no_draw)
         with pytest.raises(InvalidDistribution,
                            match="max_iters must be at most 5"):
             sp.run_solver(HAND_SYSTEM, gmodel, max_iters=6)

@@ -25,6 +25,32 @@ from helpers import (
 )
 
 
+RECT = np.ones((2, 3), dtype=bool)
+
+# id -> (call, its arguments around an adjacency that is not square 2-D)
+BAD_SHAPES = {
+    "strongly_connected_components-rect": (strongly_connected_components,
+                                           (RECT,)),
+    "strongly_connected_components-vector": (strongly_connected_components,
+                                             ([True, False],)),
+    "closed_components-rect": (closed_components, (RECT,)),
+    "closed_components-vector": (closed_components, ([True, False],)),
+    "bfs_levels-vector": (bfs_levels, ([True, False], 0)),
+    "bfs_levels-rect": (bfs_levels, (RECT, 0)),
+    "component_period-rect": (component_period, (RECT, [0, 1])),
+    "component_period-vector": (component_period, ([True, False], [0])),
+}
+
+
+@pytest.mark.parametrize("fn,args", list(BAD_SHAPES.values()),
+                         ids=list(BAD_SHAPES))
+def test_adjacency_not_square_rejected(fn, args):
+    # once: bfs_levels([True, False], 0) gave [0, 1] and a (2, 3)
+    # component_period gave 1; the others escaped as IndexError, ValueError
+    with pytest.raises(DimensionMismatch, match="expected a square array"):
+        fn(*args)
+
+
 def complete_graph(n):
     return sp.DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(n)))
 

@@ -31,6 +31,21 @@ BAD_SHAPES = {
     "tau-vector": (sp.tau, [1.0, 0.5]),
     "tau-vector-nan": (sp.tau, [np.nan, 1.0]),
     "tau-row": (sp.tau, [[0.5, 0.5]]),
+    # the pattern predicates take the mask itself: a (2, 3) mask once read
+    # as scrambling and markov, the others escaped as numpy's AxisError,
+    # an IndexError or a bare ValueError
+    "pattern_is_scrambling-rect": (matrices.pattern_is_scrambling,
+                                   np.ones((2, 3), dtype=bool)),
+    "pattern_is_scrambling-vector": (matrices.pattern_is_scrambling,
+                                     [True, False]),
+    "pattern_is_markov-rect": (matrices.pattern_is_markov,
+                               np.ones((2, 3), dtype=bool)),
+    "pattern_is_markov-vector": (matrices.pattern_is_markov, [True, False]),
+    "pattern_is_sia-rect": (matrices.pattern_is_sia,
+                            np.ones((2, 3), dtype=bool)),
+    "pattern_cycle_length-vector": (matrices.pattern_cycle_length, [True]),
+    "pattern_cycle_length-rect": (matrices.pattern_cycle_length,
+                                  np.ones((2, 3), dtype=bool)),
 }
 
 

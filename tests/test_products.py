@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stochprod as sp
-from stochprod import jsonio, matrices, products, sequences
+from stochprod import cli, jsonio, matrices, products, sequences
 from stochprod.errors import (
     EnumerationTooLarge,
     InsufficientData,
@@ -13,7 +13,7 @@ from stochprod.errors import (
     NoScramblingWindow,
 )
 
-from helpers import random_stochastic, simulate_product_per_step
+from helpers import random_stochastic, simulate_product_per_step, spy_streams
 
 SCRAM = sp.StochasticMatrix([[0.2, 0.8], [0.5, 0.5]])   # tau = 0.3
 EYE2 = sp.StochasticMatrix(np.eye(2))
@@ -153,12 +153,30 @@ class TestSimulateProduct:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew indices for a run outside the cap")
 
-        monkeypatch.setattr(sequences, "sample", no_draw)
+        monkeypatch.setattr(sp.IIDModel, "stream", no_draw)
         for steps, message in ((0, "at least 1"), (-2, "at least 1"),
                                (6, "at most 5")):
             with pytest.raises(InvalidDistribution,
                                match=f"steps must be {message}"):
                 sp.simulate_product(model, steps=steps)
+        with pytest.raises(AssertionError, match="drew indices"):
+            sp.simulate_product(model, steps=5)
+
+    def test_run_draws_no_index_past_its_stop(self, monkeypatch, tmp_path):
+        # a 10^6-step run stops at the first checkpoint whose tau is below
+        # TAU_FLOOR: its one stream draws the segments up to that checkpoint
+        # and no index after it
+        opened = spy_streams(monkeypatch, sp.MarkovModulatedModel)
+        config = os.path.join(DATA, "product_markov", "config.json")
+        assert cli.main(["run", "product", "--config", config, "--steps",
+                         "1000000", "--out", str(tmp_path)]) == 0
+        last = int((tmp_path / "trace.csv").read_text().split()[-1]
+                   .split(",")[0])
+        checkpoints = products.default_checkpoints(10**6)
+        stop = checkpoints.index(last) + 1
+        [(trial, counts)] = opened
+        assert trial == 0 and checkpoints[stop] < 10**5
+        assert counts == np.diff((0,) + checkpoints[:stop + 1]).tolist()
 
 
 class TestWindowRateBound:
