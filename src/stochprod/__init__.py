@@ -79,7 +79,6 @@ from .sequences import (
     sample,
     stationary_distribution,
     trial_seed,
-    window_class_probability,
 )
 
 # the public names; the submodules stay reachable as attributes (sp.errors)
@@ -112,5 +111,4 @@ __all__ = [
     # sequences
     "FiniteMatrixSet", "IIDModel", "MarkovModulatedModel", "ScriptedModel",
     "min_positive_entry", "sample", "stationary_distribution", "trial_seed",
-    "window_class_probability",
 ]

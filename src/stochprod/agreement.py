@@ -225,7 +225,7 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     matrices._check_finite(x[:, None])
     rng = np.random.default_rng(trial_seed(clocks.seed, trial))
     spreads = np.empty(steps + 1)
-    spreads[0] = x.max() - x.min()
+    spreads[0] = matrices._column_spreads(x[None, :, None])[0]
     states = np.empty((EVENT_BLOCK, n))
     for start in range(1, steps + 1, EVENT_BLOCK):
         block = _firing_sets(rng, probs, EVENT_BLOCK)[:steps + 1 - start]
@@ -236,9 +236,8 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
             fired = agents[lo:hi]
             x[fired] = np.dot(w.take(fired, 0), x)
             states[j] = x
-        s = states[:len(block)]
-        spreads[start:start + len(block)] = (np.maximum.reduce(s, 1)
-                                             - np.minimum.reduce(s, 1))
+        s = states[:len(block), :, None]  # each state one (n, 1) column
+        spreads[start:start + len(block)] = matrices._column_spreads(s)
     spreads.flags.writeable = False
     return AgreementTrace(
         spreads=spreads,

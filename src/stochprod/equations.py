@@ -129,12 +129,8 @@ class ProjectionSet:
     projections: np.ndarray
 
     def __post_init__(self):
-        try:
-            ps = np.stack(self.projections).astype(float)
-        except ValueError as exc:
-            raise DimensionMismatch(f"projections do not stack: {exc}") from exc
-        if ps.ndim != 3 or ps.shape[1] != ps.shape[2]:
-            raise DimensionMismatch("projections must be square and share a shape")
+        # np.array copies, so the caller's array stays writeable
+        ps = np.array(graphlib._square(self.projections, float, 3))
         if not np.abs(ps - ps.swapaxes(1, 2)).max() <= 1e-10:
             raise InvalidDistribution("projection is not symmetric")
         if not np.abs(ps @ ps - ps).max() <= 1e-10:
@@ -352,7 +348,8 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
         fits = np.matmul(a_full, means[:, :, None])[:, :, 0]
         return np.maximum.reduce(np.abs(fits - b_full), 1).tolist()
 
-    dis, res = matrices._max_column_spread(x), residuals(x[None])[0]
+    dis = matrices._column_spreads(x[None]).tolist()[0]
+    res = residuals(x[None])[0]
     history = [(0, dis, res)]
     converged = dis < tol and res < tol
     states = np.empty((max(1, min(SOLVER_BLOCK, STATE_BYTES // x.nbytes)),)
@@ -364,8 +361,7 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
         for out, g in zip(slots, draw(count).tolist()):
             x = _step(x, *weights[g], ps, out, scratch)
         s = states[:count]
-        spreads = np.maximum.reduce(
-            np.maximum.reduce(s, 1) - np.minimum.reduce(s, 1), 1).tolist()
+        spreads = matrices._column_spreads(s).tolist()
         first = k + 1
         k += count
         dis = spreads[-1]

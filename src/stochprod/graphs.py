@@ -71,11 +71,15 @@ class DirectedGraph:
         return np.nonzero(self.adj[:, j])[0].tolist()
 
 
-def _square(a, dtype=bool) -> np.ndarray:
+def _square(a, dtype=bool, ndim=2) -> np.ndarray:
     """``a`` as an array of ``dtype`` (None keeps its own); raises
-    ``DimensionMismatch`` unless it is square 2-D."""
-    a = np.asarray(a, dtype=dtype)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    ``DimensionMismatch`` unless it is an array (not a ragged nested list)
+    of ``ndim`` axes, the last two of one length."""
+    try:
+        a = np.asarray(a, dtype=dtype)
+    except ValueError as exc:  # ragged nested lists
+        raise DimensionMismatch(f"entries do not form an array: {exc}") from exc
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
     return a
 

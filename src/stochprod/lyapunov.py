@@ -252,12 +252,15 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
 
     Requires a positively homogeneous V (so the worst case over all states
     equals the worst case over the unit sphere) and an i.i.d. or
-    Markov-modulated signal.  Raises ``NoCertificate`` when no horizon up to
-    ``horizon_max`` contracts on the grid, and ``EnumerationTooLarge`` before
-    the images of states x grid points x n cells, summed over the horizons
-    searched with each horizon charged at least ``HORIZON_CELLS``, would
-    pass ``IMAGE_LIMIT``.
+    Markov-modulated signal.  Raises ``InvalidDistribution`` when
+    ``horizon_max`` is below 1, ``NoCertificate`` when no horizon up to it
+    contracts on the grid, and ``EnumerationTooLarge`` before the images of
+    states x grid points x n cells, summed over the horizons searched with
+    each horizon charged at least ``HORIZON_CELLS``, would pass
+    ``IMAGE_LIMIT``.
     """
+    if horizon_max < 1:
+        raise InvalidDistribution("horizon_max must be at least 1")
     if V.degree is None:
         raise InvalidDistribution(
             "grid certification needs a positively homogeneous function")

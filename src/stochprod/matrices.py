@@ -12,7 +12,8 @@ the strict zero pattern of the stored entries: the matrix classes
   > scrambling  (every pair of rows shares a positive column)
   > sia  (powers converge to a matrix with identical rows)
 
-are nested, and membership depends only on the pattern.
+are nested, and membership depends only on the pattern, so each class test
+takes a matrix or its boolean mask alike.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ __all__ = [
     "scrambling_index",
     "classify",
     "backward_product",
-    "pattern_is_scrambling",
-    "pattern_is_markov",
-    "pattern_is_sia",
-    "pattern_cycle_length",
 ]
 
 ROW_SUM_TOL = 1e-12
@@ -76,14 +73,11 @@ class StochasticMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        try:
-            a = np.asarray(entries)
-        except ValueError as exc:  # ragged nested lists
-            raise DimensionMismatch(f"entries do not form an array: {exc}") from exc
+        a = graphs._square(entries, None)
         # strings, booleans and objects would convert silently below
         if a.dtype.kind not in "iuf":
             raise DimensionMismatch(f"expected numbers, got an array of {a.dtype}")
-        a = np.array(graphs._square(a, None), dtype=float)
+        a = np.array(a, dtype=float)
         _check_finite(a)
         neg = np.argwhere(a < 0)
         if len(neg):
@@ -190,18 +184,19 @@ def row_diameter(rows: np.ndarray) -> float:
     return min(worst / 2.0, 1.0)
 
 
+def _column_spreads(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (k, rows, cols) stack, the largest spread (max minus
+    min over the rows) of a column: the worst disagreement among its rows."""
+    return np.maximum.reduce(np.maximum.reduce(stack, 1)
+                             - np.minimum.reduce(stack, 1), 1)
+
+
 def spread(x) -> float:
     """Max component minus min component of a nonempty vector."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise EmptySequence("spread of an empty vector")
-    return float(x.max() - x.min())
-
-
-def _max_column_spread(a: np.ndarray) -> float:
-    """Largest spread of a column: the worst disagreement among the rows."""
-    return float(np.maximum.reduce(np.maximum.reduce(a, 0)
-                                   - np.minimum.reduce(a, 0)))
+    return float(_column_spreads(x.reshape(1, -1, 1))[0])
 
 
 def _scrambling_slice(masks: np.ndarray) -> np.ndarray:
@@ -223,39 +218,37 @@ def _stack_is_markov(masks) -> np.ndarray:
     return np.asarray(masks, dtype=bool).all(axis=1).any(axis=1)
 
 
-def pattern_is_scrambling(mask: np.ndarray) -> bool:
-    """Every pair of rows shares a column where both are positive."""
-    return bool(_stack_is_scrambling(graphs._square(mask)[None])[0])
-
-
-def pattern_is_markov(mask: np.ndarray) -> bool:
-    """Some column is positive in every row."""
-    return bool(_stack_is_markov(graphs._square(mask)[None])[0])
-
-
 def _sia_and_cycle_length(mask: np.ndarray):
-    """One component labelling of the walk digraph (edge i -> j when entry
-    (i, j) is positive) for both pattern predicates below.
+    """One component labelling of the walk digraph (edge i -> j when mask
+    entry (i, j) is True) for both ``is_sia`` and ``pattern_period``.
 
     Returns ``(sia, length)``: ``sia`` says there is exactly one closed
     strongly connected class and it is aperiodic; ``length`` is the lcm of
     every component's period.
     """
-    adj = graphs._square(mask)
-    closed, labels = graphs.closed_components(adj)
-    periods = [graphs.component_period(adj, np.nonzero(labels == c)[0])
+    closed, labels = graphs.closed_components(mask)
+    periods = [graphs.component_period(mask, np.nonzero(labels == c)[0])
                for c in range(labels.max() + 1 if labels.size else 0)]
     sia = len(closed) == 1 and periods[closed[0]] == 1
     return sia, math.lcm(1, *periods)
 
 
-def pattern_is_sia(mask: np.ndarray) -> bool:
-    """Powers converge to identical rows: there is exactly one closed
-    strongly connected class and it is aperiodic."""
-    return _sia_and_cycle_length(mask)[0]
+def is_scrambling(matrix) -> bool:
+    """Every pair of rows shares a column where both are positive."""
+    return bool(_stack_is_scrambling(pattern_of(matrix)[None])[0])
 
 
-def pattern_cycle_length(mask: np.ndarray) -> int:
+def is_markov(matrix) -> bool:
+    """Some column is positive in every row."""
+    return bool(_stack_is_markov(pattern_of(matrix)[None])[0])
+
+
+def is_sia(matrix) -> bool:
+    """Powers converge to identical rows: one closed class, aperiodic."""
+    return _sia_and_cycle_length(pattern_of(matrix))[0]
+
+
+def pattern_period(matrix) -> int:
     """Cycle length of the sequence of boolean pattern powers.
 
     The pattern of A^k is the k-th boolean power of A's pattern; the sequence
@@ -264,24 +257,7 @@ def pattern_cycle_length(mask: np.ndarray) -> int:
     Combinatorial Matrix Theory, 3.4).  1 means the powers' pattern
     eventually stops changing.
     """
-    return _sia_and_cycle_length(mask)[1]
-
-
-def is_scrambling(matrix) -> bool:
-    return pattern_is_scrambling(pattern_of(matrix))
-
-
-def is_markov(matrix) -> bool:
-    return pattern_is_markov(pattern_of(matrix))
-
-
-def is_sia(matrix) -> bool:
-    return pattern_is_sia(pattern_of(matrix))
-
-
-def pattern_period(matrix) -> int:
-    """Cycle length of the matrix's pattern powers (1 = eventually fixed)."""
-    return pattern_cycle_length(pattern_of(matrix))
+    return _sia_and_cycle_length(pattern_of(matrix))[1]
 
 
 def scrambling_index(matrix):
@@ -293,11 +269,11 @@ def scrambling_index(matrix):
     powers of an sia pattern always ends.
     """
     mask = pattern_of(matrix)
-    if not pattern_is_sia(mask):
+    if not _sia_and_cycle_length(mask)[0]:
         return None
     base = mask.astype(np.float32)  # exact path counts, BLAS product
     power, k = mask, 1
-    while not pattern_is_scrambling(power):
+    while not _stack_is_scrambling(power[None])[0]:
         power, k = (power.astype(np.float32) @ base) > 0, k + 1
     return k
 
@@ -306,9 +282,9 @@ def classify(matrix) -> MatrixClass:
     mask = pattern_of(matrix)
     sia, period = _sia_and_cycle_length(mask)
     return MatrixClass(
-        is_scrambling=pattern_is_scrambling(mask),
+        is_scrambling=bool(_stack_is_scrambling(mask[None])[0]),
         is_sia=sia,
-        is_markov=pattern_is_markov(mask),
+        is_markov=bool(_stack_is_markov(mask[None])[0]),
         period=period,
     )
 

@@ -151,7 +151,7 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
             break
         recorded_k.append(k)
         taus.append(t)
-        spreads.append(matrices._max_column_spread(rows))
+        spreads.append(float(matrices._column_spreads(rows[None])[0]))
     return ProductTrace(
         checkpoints=tuple(recorded_k),
         taus=tuple(taus),
@@ -194,8 +194,11 @@ def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
     models that pass here satisfy the recurring-window premise at every start.
     One walk reaches length h in h - 1 layers; raises ``EnumerationTooLarge``
     when its next layer would pass the window layer budget (window_max up to
-    20,001 fits), and ``NoScramblingWindow`` when no length up to h_max does.
+    20,001 fits), ``NoScramblingWindow`` when no length up to h_max does,
+    and ``InvalidDistribution`` when h_max is below 1.
     """
+    if h_max < 1:
+        raise InvalidDistribution("window length bound must be at least 1")
     fset = model._require_set()
     starts = sequences.window_starts(model)
     walk = sequences._window_walk(model, fset.patterns())

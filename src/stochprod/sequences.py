@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs, matrices
+from . import graphs
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -39,7 +39,6 @@ __all__ = [
     "sample",
     "advance",
     "window_probability",
-    "window_class_probability",
     "window_starts",
     "stationary_distribution",
     "min_positive_entry",
@@ -53,14 +52,6 @@ START_HORIZON = 128  # marginal steps ``window_starts`` tracks before giving up
 # of a search, takes h - 1; about 1.5 s when every layer holds one state
 WINDOW_LAYERS = 2 * 10**4
 DIST_TOL = 1e-12
-
-# stacked pattern tests: a (k, n, n) boolean stack -> k booleans
-_PATTERN_TESTS = {
-    "scrambling": matrices._stack_is_scrambling,
-    "sia": lambda masks: np.array([matrices.pattern_is_sia(m) for m in masks],
-                                  dtype=bool),
-    "markov": matrices._stack_is_markov,
-}
 
 
 def _check_seed(seed: int):
@@ -393,27 +384,20 @@ def window_probability(model: SequenceModel, patterns, h: int, test,
     """Exact probability, at each window start (by default
     ``window_starts(model)``), that the boolean backward product of the
     patterns along the h window positions passes ``test``, which maps a
-    (k, n, n) stack of window products to one boolean per product.  Raises
-    ``EnumerationTooLarge`` before the first layer past ``WINDOW_LAYERS``."""
+    (k, n, n) stack of window products to one boolean per product, as
+    ``matrices._stack_is_scrambling`` does.  Raises ``DimensionMismatch``
+    unless there is a pattern per symbol and they stack to (k, n, n),
+    ``InvalidDistribution`` on a negative start, ``EnumerationTooLarge``
+    before the first layer past ``WINDOW_LAYERS``."""
     _check_window(h)
+    patterns = graphs._square(patterns, bool, 3)
+    if len(patterns) < model.num_symbols:
+        raise DimensionMismatch(f"{len(patterns)} patterns for "
+                                f"{model.num_symbols} symbols")
     starts = window_starts(model) if starts is None else starts
-    words = _window_words(model, np.asarray(patterns, dtype=bool), h)
-    return _passing(model, starts, test, *words)
-
-
-def window_class_probability(model: SequenceModel, start: int, h: int,
-                             klass: str) -> float:
-    """Exact probability that the window product is in a matrix class.
-
-    The event is about the backward product of the h matrices at positions
-    start+1 .. start+h; membership in {scrambling, sia, markov} depends only
-    on the boolean pattern, so ``window_probability`` decides it.
-    """
-    if klass not in _PATTERN_TESTS:
-        raise InvalidDistribution(f"unknown class {klass!r}")
-    fset = model._require_set()
-    return float(window_probability(model, fset.patterns(), h,
-                                    _PATTERN_TESTS[klass], [start])[0])
+    if any(int(s) < 0 for s in starts):
+        raise InvalidDistribution("window starts must be nonnegative")
+    return _passing(model, starts, test, *_window_words(model, patterns, h))
 
 
 def window_starts(model: SequenceModel) -> list:

@@ -174,6 +174,20 @@ def window_words(model, start, h):
                                model.step_distribution, h))
 
 
+def stacked(pred):
+    """A one-matrix class test run on each pattern of a (k, n, n) stack."""
+    return lambda masks: np.array([pred(m) for m in masks], dtype=bool)
+
+
+def class_probability(model, start, h, pred):
+    """Exact probability that the length-h window product from ``start``
+    passes the class test ``pred``, from ``window_probability``."""
+    from stochprod import sequences
+
+    return float(sequences.window_probability(
+        model, model._require_set().patterns(), h, stacked(pred), [start])[0])
+
+
 # The library's former window search, kept as the oracle of its one-walk
 # search: every length enumerated afresh, one ``advance`` layer at a time,
 # and a scripted window multiplied out word by word at each start.
@@ -205,14 +219,15 @@ def window_probability_restart(model, patterns, h, test, starts=None):
 
 def find_scrambling_window_restart(model, h_max):
     """``find_scrambling_window`` trying each length h = 1..h_max afresh."""
-    from stochprod import matrices, sequences
+    from stochprod import sequences
     from stochprod.errors import NoScramblingWindow
+    from stochprod.matrices import is_scrambling
     from stochprod.products import RateReport
 
     fset = model._require_set()
     for h in range(1, h_max + 1):
         p = float(window_probability_restart(
-            model, fset.patterns(), h, matrices.pattern_is_scrambling).min())
+            model, fset.patterns(), h, is_scrambling).min())
         if p > 0.0:
             alpha = sequences.min_positive_entry(fset)
             return RateReport(window_len=h, scrambling_prob=p,
@@ -488,7 +503,7 @@ def simulate_product_pairwise(model, steps, checkpoints=None, trial=0):
     neighbours (later on the left) and carries an odd leftover up, and the
     chunk's product is applied to D."""
     from stochprod import products
-    from stochprod.matrices import _max_column_spread, row_diameter
+    from stochprod.matrices import _column_spreads, row_diameter
 
     def carry(d, hats, segment):
         chunk = max(1, products.CHUNK_BYTES // max(hats[0].nbytes, 1))
@@ -503,7 +518,8 @@ def simulate_product_pairwise(model, steps, checkpoints=None, trial=0):
 
     return _reduced_product_run(
         model, steps, checkpoints, trial, carry,
-        lambda rows: (row_diameter(rows), _max_column_spread(rows)))
+        lambda rows: (row_diameter(rows),
+                      float(_column_spreads(rows[None])[0])))
 
 
 def simulate_product_per_step(model, steps, checkpoints=None, trial=0):

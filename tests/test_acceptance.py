@@ -13,6 +13,7 @@ import stochprod as sp
 
 from helpers import (
     block_diagonal,
+    class_probability,
     figure_network,
     random_rooted_graph,
     random_stochastic,
@@ -161,7 +162,7 @@ def test_criterion_3_window_rate_bound():
 def test_criterion_4_stationary_sia_convergence():
     model = _zero_diag_markov_model(seed=41)
     assert all(np.all(np.diag(m.entries) == 0) for m in model.matrix_set.matrices)
-    p_sia = sp.window_class_probability(model, 0, 1, "sia")
+    p_sia = class_probability(model, 0, 1, sp.is_sia)
     converged = 0
     rates = []
     for trial in range(100):

@@ -92,6 +92,19 @@ class TestCertify:
         assert err.startswith("error: no contraction certificate up to horizon 4")
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("horizon_max", [0, -3])
+    def test_horizon_max_below_one_refused(self, tmp_path, capfd,
+                                           horizon_max):
+        # once reported as "no contraction certificate up to horizon -3"
+        with open(os.path.join(DATA, "certify_markov", "config.json")) as fh:
+            cfg = json.load(fh)
+        cfg["horizon_max"] = horizon_max
+        out = tmp_path / "out"
+        assert run_cli("certify", write(tmp_path / "c.json", cfg), out) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: horizon_max must be at least 1")
+        assert "Traceback" not in err and not out.exists()
+
     def test_search_over_the_image_budget(self, tmp_path, capfd, monkeypatch):
         # the golden certifies at T = 2: 3 and 8 states x 88 points x 2 are
         # each below HORIZON_CELLS, so each horizon is charged that floor
@@ -140,6 +153,21 @@ class TestProduct:
             "steps": 8, "seed": 2})
         assert run_cli("product", cfg, tmp_path / "out") == 3
 
+
+    @pytest.mark.parametrize("window_max", [0, -3])
+    def test_window_max_below_one_refused(self, tmp_path, capfd, window_max):
+        # the length-1 window scrambles, yet window_max 0 was once reported
+        # as "no scrambling window up to length 0"
+        cfg = write(tmp_path / "c.json", {
+            "model": {"variant": "iid", "weights": [0.5, 0.5],
+                      "set": [{"n": 2, "rows": SCRAM},
+                              {"n": 2, "rows": [[1, 0], [0, 1]]}]},
+            "window_max": window_max, "steps": 10})
+        out = tmp_path / "out"
+        assert run_cli("product", cfg, out) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: window length bound must be at least 1")
+        assert "Traceback" not in err and not out.exists()
 
     def test_window_search_over_the_layer_budget(self, tmp_path, capfd,
                                                  monkeypatch):

@@ -180,6 +180,15 @@ class TestCertify:
         assert cert.alpha == pytest.approx(0.5, abs=1e-12)
         assert cert.rate == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("horizon_max", [0, -3])
+    def test_horizon_max_below_one_refused(self, horizon_max):
+        # the system contracts at horizon 1; a bound below 1 is bad input,
+        # not a search that found no certificate
+        system = single_mode_system(0.5 * np.eye(2))
+        with pytest.raises(InvalidDistribution, match="at least 1"):
+            sp.certify_contraction(system, sp.inf_norm(),
+                                   horizon_max=horizon_max)
+
     def test_damped_system_two_step_certificate(self, damped_system):
         cert = sp.certify_contraction(damped_system, sp.inf_norm(), horizon_max=4)
         assert cert.horizon == 2

@@ -31,20 +31,18 @@ BAD_SHAPES = {
     "tau-vector": (sp.tau, [1.0, 0.5]),
     "tau-vector-nan": (sp.tau, [np.nan, 1.0]),
     "tau-row": (sp.tau, [[0.5, 0.5]]),
-    # the pattern predicates take the mask itself: a (2, 3) mask once read
-    # as scrambling and markov, the others escaped as numpy's AxisError,
-    # an IndexError or a bare ValueError
-    "pattern_is_scrambling-rect": (matrices.pattern_is_scrambling,
+    # the class tests take a boolean mask as well; these rows, named for the
+    # question asked of the pattern, give them a bad mask: a (2, 3) mask
+    # once read as scrambling and markov, the others escaped as numpy's
+    # AxisError, an IndexError or a bare ValueError
+    "pattern_is_scrambling-rect": (sp.is_scrambling,
                                    np.ones((2, 3), dtype=bool)),
-    "pattern_is_scrambling-vector": (matrices.pattern_is_scrambling,
-                                     [True, False]),
-    "pattern_is_markov-rect": (matrices.pattern_is_markov,
-                               np.ones((2, 3), dtype=bool)),
-    "pattern_is_markov-vector": (matrices.pattern_is_markov, [True, False]),
-    "pattern_is_sia-rect": (matrices.pattern_is_sia,
-                            np.ones((2, 3), dtype=bool)),
-    "pattern_cycle_length-vector": (matrices.pattern_cycle_length, [True]),
-    "pattern_cycle_length-rect": (matrices.pattern_cycle_length,
+    "pattern_is_scrambling-vector": (sp.is_scrambling, [True, False]),
+    "pattern_is_markov-rect": (sp.is_markov, np.ones((2, 3), dtype=bool)),
+    "pattern_is_markov-vector": (sp.is_markov, [True, False]),
+    "pattern_is_sia-rect": (sp.is_sia, np.ones((2, 3), dtype=bool)),
+    "pattern_cycle_length-vector": (sp.pattern_period, [True]),
+    "pattern_cycle_length-rect": (sp.pattern_period,
                                   np.ones((2, 3), dtype=bool)),
 }
 
@@ -97,6 +95,12 @@ class TestValidation:
         # scrambling, or escaped as numpy's AxisError or a bare ValueError
         with pytest.raises(DimensionMismatch, match="expected a square array"):
             fn(raw)
+
+    @pytest.mark.parametrize("fn", [sp.tau, sp.is_scrambling, sp.pattern_period])
+    def test_ragged_raw_array_rejected(self, fn):
+        # numpy refuses ragged nested lists with a bare ValueError
+        with pytest.raises(DimensionMismatch, match="do not form an array"):
+            fn([[1.0], [0.5, 0.5]])
 
     def test_immutable(self):
         m = sp.StochasticMatrix(np.eye(2))
@@ -280,7 +284,7 @@ class TestScramblingIndex:
         p = m.pattern().astype(int)
         q = p.copy()
         k = 1
-        while not sp.matrices.pattern_is_scrambling(q > 0):
+        while not sp.is_scrambling(q > 0):
             q = ((q @ p) > 0).astype(int)
             k += 1
         assert idx == k
@@ -456,6 +460,19 @@ def test_classify_consistent_with_predicates(n, seed):
     assert cls.period == sp.pattern_period(a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_class_tests_read_a_mask_as_its_stochastic_matrix(data):
+    # a boolean mask with no all-False row is the pattern of its
+    # row-normalised stochastic matrix, so each class test agrees on both
+    n = data.draw(st.integers(1, 6))
+    row = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+    mask = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    matrix = sp.StochasticMatrix(mask / mask.sum(axis=1, keepdims=True))
+    for test in (sp.is_scrambling, sp.is_markov, sp.is_sia, sp.pattern_period):
+        assert test(mask) == test(matrix), test.__name__
+
+
 def test_classify_labels_components_once(monkeypatch):
     # one component labelling and one period per component for all of
     # classify; the closed class's period is not computed twice
@@ -491,8 +508,8 @@ def test_pattern_period_and_scrambling_index_match_power_walk(n, kind, zero_diag
     mask = planted_pattern(rng, n, kind, zero_diagonal=zero_diag)
     cycle_length, first_scrambling = pattern_power_walk(mask)
     m = random_pattern_stochastic(rng, mask)
-    assert sp.matrices.pattern_cycle_length(mask) == cycle_length
+    assert sp.pattern_period(mask) == cycle_length
     assert sp.pattern_period(m) == cycle_length
     index = sp.scrambling_index(m)
     assert index == first_scrambling
-    assert sp.matrices.pattern_is_sia(mask) == (index is not None)
+    assert sp.is_sia(mask) == (index is not None)

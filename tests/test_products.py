@@ -13,7 +13,12 @@ from stochprod.errors import (
     NoScramblingWindow,
 )
 
-from helpers import random_stochastic, simulate_product_per_step, spy_streams
+from helpers import (
+    class_probability,
+    random_stochastic,
+    simulate_product_per_step,
+    spy_streams,
+)
 
 SCRAM = sp.StochasticMatrix([[0.2, 0.8], [0.5, 0.5]])   # tau = 0.3
 EYE2 = sp.StochasticMatrix(np.eye(2))
@@ -71,7 +76,7 @@ class TestSimulateProduct:
         # creates scrambling windows and drives tau to zero
         fset = sp.FiniteMatrixSet((ROT3, MIX3))
         model = sp.IIDModel(weights=[0.5, 0.5], seed=21, matrix_set=fset)
-        assert sp.window_class_probability(model, 0, 2, "scrambling") > 0
+        assert class_probability(model, 0, 2, sp.is_scrambling) > 0
         trace = sp.simulate_product(model, steps=512)
         assert trace.taus[-1] < 1e-6
 
@@ -120,7 +125,7 @@ class TestSimulateProduct:
                 break
             prod = arrays[idx[k - 1]] @ prod
             assert abs(t - sp.tau(prod)) <= 1e-12
-            assert abs(s - matrices._max_column_spread(prod)) <= 1e-12
+            assert abs(s - matrices._column_spreads(prod[None])[0]) <= 1e-12
             compared += 1
         assert compared >= 10
 
@@ -201,7 +206,7 @@ class TestWindowRateBound:
         # script (rot, mix): the window starting at 0 is mix@rot, at 1 rot@mix
         fset = sp.FiniteMatrixSet((ROT3, MIX3))
         model = sp.ScriptedModel(indices=(0, 1), matrix_set=fset)
-        probs = [sp.window_class_probability(model, s, 2, "scrambling")
+        probs = [class_probability(model, s, 2, sp.is_scrambling)
                  for s in (0, 1)]
         if min(probs) > 0:
             report = sp.window_rate_bound(model, 2)
@@ -214,6 +219,15 @@ class TestWindowRateBound:
         assert report.window_len == 2  # single factors never scramble here
         with pytest.raises(NoScramblingWindow):
             sp.find_scrambling_window(constant_model(EYE2), h_max=4)
+
+    @pytest.mark.parametrize("h_max", [0, -3])
+    def test_window_search_bound_below_one_refused(self, h_max):
+        # the length-1 window scrambles with probability 1/2; a bound below
+        # 1 is bad input, not a search that found nothing
+        fset = sp.FiniteMatrixSet((SCRAM, EYE2))
+        model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
+        with pytest.raises(InvalidDistribution, match="at least 1"):
+            sp.find_scrambling_window(model, h_max=h_max)
 
     def test_window_search_budget(self, monkeypatch):
         # one walk reaches lengths 1-4 in 3 layers; length 5 needs a fourth
@@ -337,7 +351,7 @@ class TestScriptedWindows:
         model = sp.ScriptedModel(indices=(0, 1), seed=3, matrix_set=fset)
         h = 2
         for s in range(model.period):
-            assert sp.window_class_probability(model, s, h, "scrambling") == 1.0
+            assert class_probability(model, s, h, sp.is_scrambling) == 1.0
         report = sp.window_rate_bound(model, h)
         assert report.scrambling_prob == 1.0
         trace = sp.simulate_product(model, steps=4096)

@@ -5,12 +5,18 @@ import stochprod as sp
 from stochprod import sequences
 from stochprod.graphs import strongly_connected_components
 from stochprod.errors import (
+    DimensionMismatch,
     EnumerationTooLarge,
     InvalidDistribution,
     Reducible,
 )
 
-from helpers import figure_network, random_stochastic, uniform_weights
+from helpers import (
+    class_probability,
+    figure_network,
+    random_stochastic,
+    uniform_weights,
+)
 
 SCRAM = [[0.2, 0.8], [0.5, 0.5]]
 CHAIN3 = [[0.0, 0.4, 0.6], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
@@ -85,15 +91,50 @@ class TestModels:
             make(-1)
 
 
+PAIR = np.ones((2, 2, 2), dtype=bool)  # one valid pattern per symbol
+
+# id -> (model, patterns, h, starts, error); each bad input once gave an
+# answer or escaped as a bare ValueError or IndexError
+BAD_WINDOW_INPUTS = {
+    "rect-masks-h1": ("iid", np.ones((2, 2, 3), dtype=bool), 1, None,
+                      DimensionMismatch),
+    "rect-masks-h2": ("iid", np.ones((2, 2, 3), dtype=bool), 2, None,
+                      DimensionMismatch),
+    "ragged": ("iid", [np.eye(2, dtype=bool), np.eye(3, dtype=bool)], 2,
+               None, DimensionMismatch),
+    "one-mask-h1": ("iid", np.eye(2, dtype=bool), 1, None, DimensionMismatch),
+    "one-mask-h2": ("iid", np.eye(2, dtype=bool), 2, None, DimensionMismatch),
+    "too-few-masks": ("iid", PAIR[:1], 1, None, DimensionMismatch),
+    "negative-start-markov": ("markov", PAIR, 1, [-1], InvalidDistribution),
+    "negative-start-scripted": ("scripted", PAIR, 1, [0, -1],
+                                InvalidDistribution),
+}
+INDEX_MODELS = {
+    "iid": lambda: sp.IIDModel(weights=[0.5, 0.5]),
+    "markov": lambda: sp.MarkovModulatedModel(
+        initial=[1.0, 0.0], transition=[[0.5, 0.5], [0.5, 0.5]]),
+    "scripted": lambda: sp.ScriptedModel(indices=(0, 1)),
+}
+
+
 class TestWindowProbability:
+    @pytest.mark.parametrize("model,patterns,h,starts,error",
+                             list(BAD_WINDOW_INPUTS.values()),
+                             ids=list(BAD_WINDOW_INPUTS))
+    def test_bad_input_refused(self, model, patterns, h, starts, error):
+        with pytest.raises(error):
+            sequences.window_probability(INDEX_MODELS[model](), patterns, h,
+                                         sp.matrices._stack_is_scrambling,
+                                         starts)
+
     def test_single_scrambling_matrix(self):
         fset = sp.FiniteMatrixSet((sp.StochasticMatrix(SCRAM),))
         m = sp.IIDModel(weights=[1.0], matrix_set=fset)
-        assert sp.window_class_probability(m, 0, 1, "scrambling") == 1.0
+        assert class_probability(m, 0, 1, sp.is_scrambling) == 1.0
 
     def test_iid_half(self, two_set):
         m = sp.IIDModel(weights=[0.5, 0.5], matrix_set=two_set)
-        assert sp.window_class_probability(m, 0, 1, "scrambling") == 0.5
+        assert class_probability(m, 0, 1, sp.is_scrambling) == 0.5
 
     def test_markov_two_step_paths(self, two_set):
         # modulating chain from state 0 visits (1,0) w.p. 0.4 and (2,0) w.p. 0.6
@@ -120,8 +161,7 @@ class TestWindowProbability:
         v = rng.dirichlet(np.ones(3))
         model = sp.MarkovModulatedModel(initial=v, transition=t, matrix_set=fset)
         h = 3
-        for klass, pred in (("scrambling", sp.is_scrambling),
-                            ("markov", sp.is_markov), ("sia", sp.is_sia)):
+        for pred in (sp.is_scrambling, sp.is_markov, sp.is_sia):
             # brute-force oracle: enumerate all words with their numeric products
             total = 0.0
             marg = v.copy()
@@ -135,7 +175,7 @@ class TestWindowProbability:
                 prod = sp.backward_product([mats[i] for i in word])
                 if pred(prod):
                     total += p
-            assert sp.window_class_probability(model, 0, h, klass) == pytest.approx(
+            assert class_probability(model, 0, h, pred) == pytest.approx(
                 total, abs=1e-12)
 
     def test_monotone_under_class_inclusion(self):
@@ -145,16 +185,16 @@ class TestWindowProbability:
             model = sp.IIDModel(weights=rng.dirichlet(np.ones(2)),
                                 matrix_set=sp.FiniteMatrixSet(mats))
             h = int(rng.integers(1, 4))
-            pm = sp.window_class_probability(model, 0, h, "markov")
-            ps = sp.window_class_probability(model, 0, h, "scrambling")
-            pi = sp.window_class_probability(model, 0, h, "sia")
+            pm = class_probability(model, 0, h, sp.is_markov)
+            ps = class_probability(model, 0, h, sp.is_scrambling)
+            pi = class_probability(model, 0, h, sp.is_sia)
             assert pm <= ps + 1e-15
             assert ps <= pi + 1e-15
 
     def test_empirical_consistency(self, two_set):
         model = sp.IIDModel(weights=[0.6, 0.4], seed=10, matrix_set=two_set)
         h = 2
-        exact = sp.window_class_probability(model, 0, h, "scrambling")
+        exact = class_probability(model, 0, h, sp.is_scrambling)
         idx = sp.sample(model, 2 * 10**5)
         pats = [m.pattern().astype(np.int32) for m in two_set.matrices]
         wins = 0
@@ -164,7 +204,7 @@ class TestWindowProbability:
             mask = pats[word[0]]
             for i in word[1:]:
                 mask = ((pats[i] @ mask) > 0).astype(np.int32)
-            wins += sp.matrices.pattern_is_scrambling(mask > 0)
+            wins += sp.is_scrambling(mask > 0)
         freq = wins / count
         se = np.sqrt(exact * (1 - exact) / count)
         assert abs(freq - exact) < 3 * se
@@ -177,9 +217,9 @@ class TestWindowProbability:
         model = sp.MarkovModulatedModel(initial=[1, 0, 0], transition=CHAIN3,
                                         matrix_set=mats)
         # at start 0 the first window symbol is 0 (identity): never scrambles
-        assert sp.window_class_probability(model, 0, 1, "scrambling") == 0.0
+        assert class_probability(model, 0, 1, sp.is_scrambling) == 0.0
         # one step later the marginal is (0, 0.4, 0.6): symbol 1 scrambles
-        assert sp.window_class_probability(model, 1, 1, "scrambling") == \
+        assert class_probability(model, 1, 1, sp.is_scrambling) == \
             pytest.approx(0.4, abs=1e-12)
 
     def test_enumeration_guard(self, monkeypatch):
@@ -192,7 +232,7 @@ class TestWindowProbability:
         model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
         monkeypatch.setattr(sequences, "STATE_LIMIT", 50)
         with pytest.raises(EnumerationTooLarge):
-            sp.window_class_probability(model, 0, 40, "scrambling")
+            class_probability(model, 0, 40, sp.is_scrambling)
 
     @pytest.mark.parametrize("scripted", [False, True])
     def test_window_over_the_layer_budget(self, monkeypatch, two_set,
@@ -203,7 +243,7 @@ class TestWindowProbability:
                  if scripted else
                  sp.IIDModel(weights=[0.5, 0.5], matrix_set=two_set))
         monkeypatch.setattr(sequences, "WINDOW_LAYERS", 3)
-        assert sp.window_class_probability(model, 0, 4, "scrambling") > 0.0
+        assert class_probability(model, 0, 4, sp.is_scrambling) > 0.0
 
         def no_layer(*args):
             raise AssertionError("ran a layer over the budget")
@@ -213,13 +253,13 @@ class TestWindowProbability:
         with pytest.raises(EnumerationTooLarge,
                            match="4 enumeration layers of window length 5 "
                                  "exceed 3"):
-            sp.window_class_probability(model, 0, 5, "scrambling")
+            class_probability(model, 0, 5, sp.is_scrambling)
 
     def test_merged_patterns_make_long_windows_exact(self, two_set):
         # 2^40 words, but only the patterns {I, positive} per last index:
         # the window scrambles unless every factor is the identity
         model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=two_set)
-        assert sp.window_class_probability(model, 0, 40, "scrambling") == \
+        assert class_probability(model, 0, 40, sp.is_scrambling) == \
             1.0 - 0.5**40
 
     def test_unsettled_marginals_rejected(self):

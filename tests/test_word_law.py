@@ -18,10 +18,12 @@ from stochprod.graphs import strongly_connected_components
 
 from helpers import (
     boolean_product,
+    class_probability,
     find_scrambling_window_restart,
     positive_words,
     random_stochastic,
     sparse_law,
+    stacked,
     stationary_markov,
     window_probability_restart,
     window_words,
@@ -61,7 +63,7 @@ def test_window_class_probability_matches_word_oracle(seed, m, n, h, variant, st
     for klass, pred in PREDICATES.items():
         want = sum(p for w, p in words
                    if pred(sp.backward_product([mats[i] for i in w])))
-        got = sp.window_class_probability(model, start, h, klass)
+        got = class_probability(model, start, h, pred)
         assert abs(got - want) <= TOL, (klass, got, want)
 
 
@@ -190,11 +192,10 @@ def test_scripted_window_probability_past_one_period(seed, m, n, h):
     starts = list(range(3 * model.period + 1))
     pats = [a.pattern() for a in mats]
     # the engine tests the stacked products at once, the oracle one by one
-    for klass, test in (("scrambling", matrices.pattern_is_scrambling),
-                        ("sia", matrices.pattern_is_sia)):
-        stacked = sequences._PATTERN_TESTS[klass]
+    for test, stack_test in ((sp.is_scrambling, matrices._stack_is_scrambling),
+                             (sp.is_sia, stacked(sp.is_sia))):
         assert np.array_equal(
-            sequences.window_probability(model, pats, h, stacked, starts),
+            sequences.window_probability(model, pats, h, stack_test, starts),
             window_probability_restart(model, pats, h, test, starts))
 
 
@@ -256,7 +257,7 @@ def test_window_tests_run_once_per_length(monkeypatch):
     calls.clear()
     sequences.window_probability(
         model, fset.patterns(), 6,
-        counting(sequences._PATTERN_TESTS["markov"], calls))
+        counting(matrices._stack_is_markov, calls))
     assert calls == [1062]
 
 
