@@ -131,7 +131,7 @@ def hierarchical_partition(graph: DirectedGraph, root: int) -> HierarchicalParti
     spanning tree deterministic.  Raises ``NotReachable`` when the root does
     not reach some vertex.
     """
-    if not (graphlib._is_vertex(root) and 0 <= root < graph.n):
+    if not (graphlib._is_integer(root) and 0 <= root < graph.n):
         raise DimensionMismatch(
             f"root {root!r} is not a vertex of a {graph.n}-vertex graph")
     adj = graph.adj

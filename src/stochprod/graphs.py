@@ -31,7 +31,7 @@ __all__ = [
 _STACK_SLICE = 2**10
 
 
-def _is_vertex(v) -> bool:
+def _is_integer(v) -> bool:
     """An integer, numpy's included, but not a boolean."""
     return isinstance(v, Integral) and not isinstance(v, bool)
 
@@ -51,7 +51,7 @@ class DirectedGraph:
             raise DimensionMismatch("vertex count must be nonnegative")
         adj = np.zeros((self.n, self.n), dtype=bool)
         for (i, j) in self.edges:
-            if not (_is_vertex(i) and _is_vertex(j)):
+            if not (_is_integer(i) and _is_integer(j)):
                 raise DimensionMismatch(f"edge ({i!r}, {j!r}) has a vertex "
                                         "that is not an integer")
             if not (0 <= i < self.n and 0 <= j < self.n):

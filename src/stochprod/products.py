@@ -81,14 +81,25 @@ class RateReport:
         return replace(self, empirical_rate=rate)
 
 
+def _check_steps(steps) -> int:
+    """``steps`` as an int; raises ``InvalidDistribution`` unless it is an
+    integer of at least 1."""
+    steps = sequences._integer(steps, "steps")
+    if steps < 1:
+        raise InvalidDistribution("steps must be at least 1")
+    return steps
+
+
 def default_checkpoints(steps: int) -> tuple:
-    """Powers of two up to ``steps``, plus the final step."""
+    """Powers of two below ``steps``, plus ``steps``; raises
+    ``InvalidDistribution`` unless ``steps`` is an integer of at least 1."""
+    steps = _check_steps(steps)
     ks = []
     k = 1
     while k < steps:
         ks.append(k)
         k *= 2
-    ks.append(int(steps))
+    ks.append(steps)
     return tuple(ks)
 
 
@@ -102,6 +113,37 @@ def _tree_product(stack: np.ndarray) -> np.ndarray:
         stack = (pairs if even == stack.shape[0]
                  else np.concatenate([pairs, stack[even:]]))
     return stack[0]
+
+
+def _block_table(hats: np.ndarray, chunk: int, steps: int):
+    """``(table, depth)``: the backward product of every block of
+    ``2**depth`` factors, as the lower ``depth`` levels of ``_tree_product``
+    form it.  Level l + 1 holds ``T[a] @ T[b]`` at ``a * K + b`` for the K
+    entries of level l, so a block's entry reads its indices as base-k
+    digits, the earliest the lowest.  The table deepens while its entries,
+    k^(2^depth), fit in one chunk and in the run's ``steps >> depth``
+    blocks; depth 0 is ``hats`` itself, no table."""
+    table, depth = hats, 0
+    while len(table) ** 2 <= min(chunk, steps >> (depth + 1)):
+        table = np.matmul(table[:, None], table[None, :]).reshape(
+            (len(table) ** 2,) + hats.shape[1:])
+        depth += 1
+    return table, depth
+
+
+def _chunk_product(hats, table, depth, idx) -> np.ndarray:
+    """``_tree_product(hats[idx])`` with its lower ``depth`` levels read
+    from ``_block_table``: below that level every element but the last is
+    an aligned block, and the last is the tree of the tail past the last
+    full block."""
+    full = (len(idx) >> depth) << depth
+    codes = idx[:full]
+    for level in range(depth):
+        codes = codes[1::2] * len(hats) ** (1 << level) + codes[0::2]
+    stack = table[codes]
+    if full < len(idx):
+        stack = np.concatenate([stack, _tree_product(hats[idx[full:]])[None]])
+    return _tree_product(stack)
 
 
 def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
@@ -119,31 +161,39 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     ``CHUNK_BYTES`` of reduced factors, each reduced by ``_tree_product``
     and then applied to D with one ``np.dot``; no chunk crosses a checkpoint,
     and each segment is one draw of ``model.stream(trial)``, so no index
-    past the stopping checkpoint is drawn.  Raises
-    ``InvalidDistribution`` when ``steps`` is below 1 or over
-    ``STEP_LIMIT``, before any index is drawn.
+    past the stopping checkpoint is drawn.  A chunk's aligned blocks of
+    ``2**L`` factors are read from a table of every block's product, built
+    once per run (``_block_table``): for k matrices, L is the deepest level
+    with k^(2^L) at most the chunk length and at most ``steps >> L``, so
+    the table holds no more than ``CHUNK_BYTES`` and no more products than
+    the run has blocks.  The products, and so the bits, are those of the
+    chunk's tree.  Raises ``InvalidDistribution`` when ``steps`` is not an
+    integer, is below 1 or over ``STEP_LIMIT``, or a checkpoint is not an
+    integer, before any index is drawn; checkpoints outside 1..steps are
+    dropped.
     """
     fset = model._require_set()
-    steps = int(steps)
-    if steps < 1:
-        raise InvalidDistribution("steps must be at least 1")
+    steps = _check_steps(steps)
     if steps > STEP_LIMIT:
         raise InvalidDistribution(f"steps must be at most {STEP_LIMIT}")
     if checkpoints is None:
         checkpoints = default_checkpoints(steps)
-    checkpoints = sorted(set(int(c) for c in checkpoints if 1 <= c <= steps))
+    checkpoints = [sequences._integer(c, "checkpoint") for c in checkpoints]
+    checkpoints = sorted({c for c in checkpoints if 1 <= c <= steps})
     draw = model.stream(trial)
     a = np.asarray(fset.entry_arrays())
     hats = a[:, :-1, :-1] - a[:, -1:, :-1]
     n = fset.dimension
     chunk = max(1, CHUNK_BYTES // max(hats[0].nbytes, 1))
+    table, depth = _block_table(hats, chunk, steps)
     d = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
     recorded_k, taus, spreads = [], [], []
     done = 0
     for k in checkpoints:
         idx = draw(k - done)
         for lo in range(0, k - done, chunk):
-            d = np.dot(_tree_product(hats[idx[lo:lo + chunk]]), d)
+            d = np.dot(_chunk_product(hats, table, depth,
+                                      idx[lo:lo + chunk]), d)
         done = k
         rows = np.vstack([d, np.zeros((1, n))])
         t = matrices.row_diameter(rows)
@@ -195,14 +245,15 @@ def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
     One walk reaches length h in h - 1 layers; raises ``EnumerationTooLarge``
     when its next layer would pass the window layer budget (window_max up to
     20,001 fits), ``NoScramblingWindow`` when no length up to h_max does,
-    and ``InvalidDistribution`` when h_max is below 1.
+    and ``InvalidDistribution`` when h_max is not an integer or is below 1.
     """
+    h_max = sequences._integer(h_max, "window length bound")
     if h_max < 1:
         raise InvalidDistribution("window length bound must be at least 1")
     fset = model._require_set()
     starts = sequences.window_starts(model)
     walk = sequences._window_walk(model, fset.patterns())
-    for h, words in zip(range(1, int(h_max) + 1), walk):
+    for h, words in zip(range(1, h_max + 1), walk):
         probs = sequences._passing(model, starts,
                                    matrices._stack_is_scrambling, *words)
         if probs.min() > 0.0:

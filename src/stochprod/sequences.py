@@ -54,6 +54,14 @@ WINDOW_LAYERS = 2 * 10**4
 DIST_TOL = 1e-12
 
 
+def _integer(value, name: str) -> int:
+    """``int(value)`` of an integer, numpy's included; a float, a string or
+    a boolean raises ``InvalidDistribution``, never truncated or parsed."""
+    if not graphs._is_integer(value):
+        raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_seed(seed: int):
     """Seeds are nonnegative: numpy's generators refuse negative ones."""
     if seed < 0:
@@ -290,10 +298,13 @@ class ScriptedModel(SequenceModel):
 def sample(model: SequenceModel, length: int, trial: int = 0) -> np.ndarray:
     """One draw of a fresh ``model.stream(trial)`` as a read-only array, on
     seed ``trial_seed(model.seed, trial)``; a longer draw extends a shorter
-    one: ``sample(model, L)[:k]`` equals ``sample(model, k)`` for k <= L."""
+    one: ``sample(model, L)[:k]`` equals ``sample(model, k)`` for k <= L.
+    Raises ``InvalidDistribution`` unless ``length`` is an integer of at
+    least 1."""
+    length = _integer(length, "length")
     if length < 1:
         raise InvalidDistribution("length must be at least 1")
-    idx = np.asarray(model.stream(trial)(int(length)), dtype=np.int64)
+    idx = np.asarray(model.stream(trial)(length), dtype=np.int64)
     idx.flags.writeable = False
     return idx
 
@@ -331,8 +342,9 @@ def advance(law, factors, last, prods, weights):
 
 
 def _check_window(h: int, layers: str = "of"):
-    """Refuse a window length below 1 or past ``WINDOW_LAYERS``."""
-    if h < 1:
+    """Refuse a window length that is not an integer, is below 1 or passes
+    ``WINDOW_LAYERS``."""
+    if _integer(h, "window length") < 1:
         raise InvalidDistribution("window length must be at least 1")
     if h - 1 > WINDOW_LAYERS:
         raise EnumerationTooLarge(

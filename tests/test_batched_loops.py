@@ -461,11 +461,14 @@ def test_shorter_async_run_is_a_prefix(seed, n, k, length, trial, clock):
     assert short.seed == long.seed == sp.trial_seed(clocks.seed, trial)
 
 
-def product_case(rng, m, n, variant, steps, custom, density=0.4):
+def product_case(rng, m, n, variant, steps, custom, density=0.4, lazy=0.0):
     """A random product model and checkpoint list; custom checkpoints may
-    repeat, fall outside 1..steps, or stop early."""
-    fset = sp.FiniteMatrixSet(tuple(random_stochastic(rng, n, density=density)
-                                    for _ in range(m)))
+    repeat, fall outside 1..steps, or stop early.  Each factor is ``lazy *
+    I + (1 - lazy) * R`` for a random stochastic R."""
+    fset = sp.FiniteMatrixSet(tuple(
+        sp.StochasticMatrix(lazy * np.eye(n) + (1 - lazy) * random_stochastic(
+            rng, n, density=density).entries)
+        for _ in range(m)))
     model = signal(rng, variant, m, matrix_set=fset)
     cps = (rng.integers(-2, steps + 3, size=int(rng.integers(0, 8))).tolist()
            if custom else None)
@@ -485,6 +488,30 @@ def test_simulate_product_matches_per_step_loop(seed, m, n, steps, trial,
     # the oracle forms the same chunks and tree pairs, one np.dot per pair
     model, cps = product_case(np.random.default_rng(seed), m, n, variant,
                               steps, custom)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "CHUNK_BYTES", cap)
+        got = sp.simulate_product(model, steps, checkpoints=cps, trial=trial)
+        want = simulate_product_pairwise(model, steps, checkpoints=cps,
+                                         trial=trial)
+    assert got == want
+
+
+@given(seeds, symbols, dims, st.integers(1, 5000), trials,
+       st.sampled_from(["iid", "markov", "scripted"]), st.booleans(),
+       chunk_bytes)
+# 3 symbols and 2 x 2 reduced factors (32 bytes): chunks of 83 factors are
+# 20 blocks of 4 from the table (L = 2) and a tail of 3
+@example(36, 3, 3, 4000, 0, "iid", False, 83 * 32)
+# 2 symbols at the shipped cap: blocks of 8 (L = 3), and the first
+# checkpoint segments, 1, 2 and 4 steps long, are shorter than a block
+@example(0, 2, 2, 5000, 1, "markov", False, products.CHUNK_BYTES)
+@settings(max_examples=50)
+def test_simulate_product_reads_block_tables_exactly(seed, m, n, steps, trial,
+                                                     variant, custom, cap):
+    # runs long enough for 2^L-factor block tables; lazy factors keep tau
+    # above the floor, so the tables serve whole runs
+    model, cps = product_case(np.random.default_rng(seed), m, n, variant,
+                              steps, custom, lazy=0.9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(products, "CHUNK_BYTES", cap)
         got = sp.simulate_product(model, steps, checkpoints=cps, trial=trial)

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochprod as sp
 from stochprod import cli, jsonio, matrices, products, sequences
@@ -160,10 +162,20 @@ class TestSimulateProduct:
 
         monkeypatch.setattr(sp.IIDModel, "stream", no_draw)
         for steps, message in ((0, "at least 1"), (-2, "at least 1"),
-                               (6, "at most 5")):
+                               (6, "at most 5"), (10.7, "an integer"),
+                               ("5", "an integer"), (True, "an integer")):
             with pytest.raises(InvalidDistribution,
                                match=f"steps must be {message}"):
                 sp.simulate_product(model, steps=steps)
+        # a fraction or a NaN is not a checkpoint: never truncated or dropped
+        for checkpoints in ([1.5, 3], [float("nan")], ["2"]):
+            with pytest.raises(InvalidDistribution,
+                               match="checkpoint must be an integer"):
+                sp.simulate_product(model, steps=3, checkpoints=checkpoints)
+        for steps, message in ((0, "at least 1"), (2.5, "an integer")):
+            with pytest.raises(InvalidDistribution,
+                               match=f"steps must be {message}"):
+                products.default_checkpoints(steps)
         with pytest.raises(AssertionError, match="drew indices"):
             sp.simulate_product(model, steps=5)
 
@@ -182,6 +194,45 @@ class TestSimulateProduct:
         [(trial, counts)] = opened
         assert trial == 0 and checkpoints[stop] < 10**5
         assert counts == np.diff((0,) + checkpoints[:stop + 1]).tolist()
+
+
+class TestBlockTable:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5),
+           st.integers(1, 4000), st.integers(1, 20000))
+    @settings(max_examples=60)
+    def test_deepest_table_within_chunk_and_blocks(self, seed, k, n, chunk,
+                                                   steps):
+        rng = np.random.default_rng(seed)
+        # rows of absolute sum below 1: deep products shrink, never overflow
+        hats = rng.uniform(-1, 1, (k, n - 1, n - 1)) / max(n - 1, 1)
+        table, depth = products._block_table(hats, chunk, steps)
+        width = 1 << depth
+        assert table.shape == (k**width,) + hats.shape[1:]
+        if depth:
+            assert len(table) <= min(chunk, steps >> depth)
+        assert len(table) ** 2 > min(chunk, steps >> (depth + 1))
+        # a block's entry reads its indices as base-k digits, the earliest
+        # the lowest, and holds the block's tree product bit for bit
+        for block in rng.integers(k, size=(3, width)):
+            code = int(block @ k ** np.arange(width))
+            assert np.array_equal(table[code],
+                                  products._tree_product(hats[block]))
+
+    @pytest.mark.parametrize("k,n,steps", [(40, 32, 500), (3, 4, 1)],
+                             ids=["40-symbols-n32", "one-step"])
+    def test_no_table(self, monkeypatch, k, n, steps):
+        # 40^2 products of 31 x 31 factors pass a chunk of 34 such factors;
+        # a 1-step run has no block of two
+        built, real = [], products._block_table
+        monkeypatch.setattr(products, "_block_table",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        rng = np.random.default_rng(k)
+        fset = sp.FiniteMatrixSet(tuple(random_stochastic(rng, n)
+                                        for _ in range(k)))
+        model = sp.IIDModel(weights=np.full(k, 1 / k), matrix_set=fset)
+        assert sp.simulate_product(model, steps).steps == steps
+        [(table, depth)] = built
+        assert depth == 0 and len(table) == k
 
 
 class TestWindowRateBound:
@@ -228,6 +279,14 @@ class TestWindowRateBound:
         model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
         with pytest.raises(InvalidDistribution, match="at least 1"):
             sp.find_scrambling_window(model, h_max=h_max)
+
+    def test_window_search_bound_must_be_an_integer(self):
+        # a bound of 2.5 is refused, not truncated to a search up to 2
+        fset = sp.FiniteMatrixSet((SCRAM, EYE2))
+        model = sp.IIDModel(weights=[0.5, 0.5], matrix_set=fset)
+        with pytest.raises(InvalidDistribution,
+                           match="window length bound must be an integer"):
+            sp.find_scrambling_window(model, h_max=2.5)
 
     def test_window_search_budget(self, monkeypatch):
         # one walk reaches lengths 1-4 in 3 layers; length 5 needs a fourth
@@ -291,10 +350,12 @@ class TestWindowLogRate:
             assert sp.window_log_rate(model, h) == 0.0
 
     def test_window_below_one_rejected(self):
-        for h in (0, -1):
-            with pytest.raises(InvalidDistribution,
-                               match="window length must be at least 1"):
-                sp.window_log_rate(constant_model(SCRAM), h)
+        for h, message in ((0, "at least 1"), (-1, "at least 1"),
+                           (2.5, "an integer")):
+            for query in (sp.window_log_rate, sp.window_rate_bound):
+                with pytest.raises(InvalidDistribution,
+                                   match=f"window length must be {message}"):
+                    query(constant_model(SCRAM), h)
 
     def test_non_stationary_takes_worst_start(self):
         # the alternating chain puts SCRAM at even starts and EYE2 at odd

@@ -59,6 +59,15 @@ class TestModels:
         c = sp.sample(m, 1000, trial=1)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("model", ["iid", "markov", "scripted"])
+    def test_bad_length_refused(self, model):
+        # a fraction is refused, not truncated to a shorter draw
+        for length, message in ((0, "at least 1"), (-3, "at least 1"),
+                                (2.5, "an integer"), ("5", "an integer")):
+            with pytest.raises(InvalidDistribution,
+                               match=f"length must be {message}"):
+                sp.sample(INDEX_MODELS[model](), length)
+
     def test_markov_supports_only_transition_rows(self):
         m = sp.MarkovModulatedModel(initial=[1, 0, 0], transition=CHAIN3, seed=9)
         idx = sp.sample(m, 5000)
@@ -108,6 +117,7 @@ BAD_WINDOW_INPUTS = {
     "negative-start-markov": ("markov", PAIR, 1, [-1], InvalidDistribution),
     "negative-start-scripted": ("scripted", PAIR, 1, [0, -1],
                                 InvalidDistribution),
+    "fractional-window": ("markov", PAIR, 2.5, None, InvalidDistribution),
 }
 INDEX_MODELS = {
     "iid": lambda: sp.IIDModel(weights=[0.5, 0.5]),
