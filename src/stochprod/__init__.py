@@ -11,7 +11,6 @@ from .agreement import (
     BernoulliClocks,
     HierarchicalPartition,
     PoissonClocks,
-    async_update_matrix,
     hierarchical_partition,
     hierarchical_product,
     hierarchical_sequence,
@@ -24,9 +23,7 @@ from .equations import (
     ProjectionSet,
     SolverReport,
     error_transition,
-    initial_estimate,
     initial_state,
-    kernel_projection,
     kernel_projections,
     mixed_matrix_norm,
     run_solver,
@@ -75,24 +72,20 @@ from .sequences import (
     IIDModel,
     MarkovModulatedModel,
     ScriptedModel,
-    min_positive_entry,
     sample,
     stationary_distribution,
-    trial_seed,
 )
 
 # the public names; the submodules stay reachable as attributes (sp.errors)
 __all__ = [
     # agreement
     "AgreementTrace", "BernoulliClocks", "HierarchicalPartition",
-    "PoissonClocks", "async_update_matrix", "hierarchical_partition",
-    "hierarchical_product", "hierarchical_sequence", "hierarchical_word_count",
-    "simulate_async",
+    "PoissonClocks", "hierarchical_partition", "hierarchical_product",
+    "hierarchical_sequence", "hierarchical_word_count", "simulate_async",
     # equations
     "GraphSequenceModel", "PartitionedLinearSystem", "ProjectionSet",
-    "SolverReport", "error_transition", "initial_estimate", "initial_state",
-    "kernel_projection", "kernel_projections", "mixed_matrix_norm",
-    "run_solver", "smallest_contracting_window", "step",
+    "SolverReport", "error_transition", "initial_state", "kernel_projections",
+    "mixed_matrix_norm", "run_solver", "smallest_contracting_window", "step",
     "window_connectivity_probability",
     # graphs
     "DirectedGraph", "is_rooted", "roots",
@@ -110,5 +103,5 @@ __all__ = [
     "window_log_rate", "window_rate_bound",
     # sequences
     "FiniteMatrixSet", "IIDModel", "MarkovModulatedModel", "ScriptedModel",
-    "min_positive_entry", "sample", "stationary_distribution", "trial_seed",
+    "sample", "stationary_distribution",
 ]

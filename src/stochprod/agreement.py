@@ -20,20 +20,18 @@ from . import graphs as graphlib
 from . import matrices
 from .errors import (
     DimensionMismatch,
-    EmptyActivation,
     InvalidDistribution,
     NotReachable,
 )
 from .graphs import DirectedGraph
 from .matrices import StochasticMatrix
-from .sequences import _check_seed, trial_seed
+from .sequences import _check_seed, _integer, _trial_seed
 
 __all__ = [
     "BernoulliClocks",
     "PoissonClocks",
     "AgreementTrace",
     "HierarchicalPartition",
-    "async_update_matrix",
     "hierarchical_partition",
     "hierarchical_sequence",
     "hierarchical_product",
@@ -98,18 +96,6 @@ class AgreementTrace:
     seed: int
 
 
-def async_update_matrix(W, activated) -> StochasticMatrix:
-    """Update matrix of one event: identity rows everywhere except the
-    activated agents, whose rows come from W."""
-    w = matrices.entries_of(W)
-    agents = sorted(set(int(i) for i in activated))
-    if not agents:
-        raise EmptyActivation("at least one agent must activate")
-    out = np.eye(w.shape[0])
-    out[agents] = w[agents]
-    return StochasticMatrix(out)
-
-
 @dataclass(frozen=True)
 class HierarchicalPartition:
     """BFS levels of a spanning tree from a root: level r holds the vertices
@@ -124,16 +110,21 @@ class HierarchicalPartition:
         return sum(len(level) for level in self.levels)
 
 
+def _check_vertex(v, n: int, what: str):
+    """Raise ``DimensionMismatch`` unless v is an integer in 0..n-1."""
+    if not (graphlib._is_integer(v) and 0 <= v < n):
+        raise DimensionMismatch(f"{what} {v!r} is not a vertex of a "
+                                f"{n}-vertex graph")
+
+
 def hierarchical_partition(graph: DirectedGraph, root: int) -> HierarchicalPartition:
     """Partition the vertices by BFS distance from ``root``.
 
     Parents are tie-broken to the lowest-index candidate, making the
-    spanning tree deterministic.  Raises ``NotReachable`` when the root does
-    not reach some vertex.
+    spanning tree deterministic.  Raises ``DimensionMismatch`` when the root
+    is not a vertex, ``NotReachable`` when it does not reach some vertex.
     """
-    if not (graphlib._is_integer(root) and 0 <= root < graph.n):
-        raise DimensionMismatch(
-            f"root {root!r} is not a vertex of a {graph.n}-vertex graph")
+    _check_vertex(root, graph.n, "root")
     adj = graph.adj
     dist = graphlib.bfs_levels(adj, int(root))
     missing = np.nonzero(dist < 0)[0]
@@ -158,10 +149,19 @@ def hierarchical_sequence(partition: HierarchicalPartition) -> tuple:
 
 def hierarchical_product(W, seq) -> StochasticMatrix:
     """Product of the single-agent update matrices along an activation order
-    (first activation applied first).  For a hierarchical order on a rooted
-    network the result has a strictly positive column."""
-    return matrices.backward_product(
-        [async_update_matrix(W, {a}) for a in seq])
+    (first activation applied first): agent a's update matrix is the
+    identity with its row a replaced by W's.  For a hierarchical order on a
+    rooted network the result has a strictly positive column.  Raises
+    ``DimensionMismatch`` when an agent is not a vertex of W's graph."""
+    w = matrices.entries_of(W)
+    n = w.shape[0]
+    updates = []
+    for a in seq:
+        _check_vertex(a, n, "agent")
+        update = np.eye(n)
+        update[a] = w[a]
+        updates.append(StochasticMatrix(update))
+    return matrices.backward_product(updates)
 
 
 def hierarchical_word_count(partition: HierarchicalPartition) -> int:
@@ -203,8 +203,9 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     firing at once apply their rows simultaneously, in one
     ``np.dot(w.take(fired, 0), x)``: the BLAS call of ``w[fired] @ x``
     without the matmul ufunc's dispatch, so the bits are the same.  Raises
-    ``InvalidDistribution`` when no agent can fire or ``steps`` is below 0
-    or over ``EVENT_LIMIT``.
+    ``InvalidDistribution`` when no agent can fire, when ``steps`` is not an
+    integer, is below 0 or over ``EVENT_LIMIT``, or when ``trial`` is not an
+    integer of at least 0.
     """
     w = matrices.entries_of(W)
     n = w.shape[0]
@@ -214,16 +215,15 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     if not np.any(probs > 0):
         raise InvalidDistribution(
             "no agent can fire: every activation probability is 0")
-    steps = int(steps)
-    if steps < 0:
-        raise InvalidDistribution("steps must be at least 0")
+    steps = _integer(steps, "steps", 0)
+    seed = _trial_seed(clocks.seed, trial)
     if steps > EVENT_LIMIT:
         raise InvalidDistribution(f"steps must be at most {EVENT_LIMIT}")
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise DimensionMismatch("x0 needs one entry per agent")
     matrices._check_finite(x[:, None])
-    rng = np.random.default_rng(trial_seed(clocks.seed, trial))
+    rng = np.random.default_rng(seed)
     spreads = np.empty(steps + 1)
     spreads[0] = matrices._column_spreads(x[None, :, None])[0]
     states = np.empty((EVENT_BLOCK, n))
@@ -242,5 +242,5 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     return AgreementTrace(
         spreads=spreads,
         final_x=x,
-        seed=trial_seed(clocks.seed, trial),
+        seed=seed,
     )

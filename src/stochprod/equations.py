@@ -40,9 +40,7 @@ __all__ = [
     "ProjectionSet",
     "GraphSequenceModel",
     "SolverReport",
-    "kernel_projection",
     "kernel_projections",
-    "initial_estimate",
     "initial_state",
     "step",
     "mixed_matrix_norm",
@@ -104,23 +102,6 @@ class PartitionedLinearSystem:
         return a, b
 
 
-def kernel_projection(block) -> np.ndarray:
-    """Orthogonal projection onto the kernel of a block.
-
-    Built as ``I - V^T V`` from an orthonormal row-space basis V, with
-    singular values below ``RANK_CUTOFF`` times the largest treated as zero.
-    The all-zero block projects onto everything (identity).
-    """
-    a = np.asarray(block, dtype=float)
-    m = a.shape[1]
-    if not np.any(a):
-        return np.eye(m)
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
-    v = vt[:rank]
-    return np.eye(m) - v.T @ v
-
-
 @dataclass(frozen=True)
 class ProjectionSet:
     """Validated kernel projections, one per agent, kept as one read-only
@@ -140,26 +121,38 @@ class ProjectionSet:
 
 
 def kernel_projections(system: PartitionedLinearSystem) -> ProjectionSet:
-    ps = ProjectionSet(tuple(kernel_projection(a) for a, _ in system.blocks))
+    """The orthogonal projection onto the kernel of each agent's block.
+
+    Each is built as ``I - V^T V`` from an orthonormal row-space basis V,
+    with singular values below ``RANK_CUTOFF`` times the largest treated as
+    zero; an all-zero block projects onto everything (identity).
+    """
+    ps = []
+    for a, _ in system.blocks:
+        p = np.eye(system.m)
+        if np.any(a):
+            _, s, vt = np.linalg.svd(a, full_matrices=False)
+            v = vt[:np.count_nonzero(s > RANK_CUTOFF * s[0])]
+            p -= v.T @ v
+        ps.append(p)
+    ps = ProjectionSet(tuple(ps))
     for (a, _), p in zip(system.blocks, ps.projections):
         if a.size and np.abs(a @ p).max() > 1e-10:
             raise InvalidDistribution("projection does not annihilate its block")
     return ps
 
 
-def initial_estimate(block, rhs) -> np.ndarray:
-    """Minimum-norm solution of one agent's equations."""
-    a = np.asarray(block, dtype=float)
-    b = np.asarray(rhs, dtype=float).reshape(-1)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if a.size and np.abs(a @ x - b).max() > 1e-10:
-        raise InconsistentBlock("block equations admit no solution")
-    return x
-
-
 def initial_state(system: PartitionedLinearSystem) -> np.ndarray:
-    """The (n, m) starting estimates, row i solving agent i's own block."""
-    return np.stack([initial_estimate(a, b) for a, b in system.blocks])
+    """The (n, m) starting estimates, row i the minimum-norm solution of
+    agent i's own block; raises ``InconsistentBlock`` when a block's
+    equations admit no solution."""
+    xs = []
+    for a, b in system.blocks:
+        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+        if a.size and np.abs(a @ x - b).max() > 1e-10:
+            raise InconsistentBlock("block equations admit no solution")
+        xs.append(x)
+    return np.stack(xs)
 
 
 def _check_self_arcs(graph: DirectedGraph):
@@ -196,7 +189,10 @@ def step(x: np.ndarray, graph: DirectedGraph,
 
 def mixed_matrix_norm(q: np.ndarray, block_size: int) -> float:
     """Mixed block norm: spectral norm of each block, collapsed by the
-    induced sup norm (max row sum of the block-norm matrix)."""
+    induced sup norm (max row sum of the block-norm matrix).  Raises
+    ``InvalidDistribution`` unless ``block_size`` is an integer of at least
+    1, ``DimensionMismatch`` unless it divides the square q."""
+    block_size = sequences._integer(block_size, "block size", 1)
     q = np.asarray(q, dtype=float)
     if q.shape[0] != q.shape[1] or q.shape[0] % block_size:
         raise DimensionMismatch("block matrix shape incompatible with block size")
@@ -244,7 +240,8 @@ def error_transition(graph_list, projections: ProjectionSet):
 class GraphSequenceModel:
     """A finite family of neighbor graphs (all with self-arcs) plus an index
     process selecting the graph used at each step, and the window length at
-    which joint connectivity is probed."""
+    which joint connectivity is probed; raises ``InvalidDistribution``
+    unless the window is an integer of at least 1."""
 
     graph_set: tuple
     model: SequenceModel
@@ -261,8 +258,7 @@ class GraphSequenceModel:
             _check_self_arcs(g)
         if self.model.num_symbols > len(gs):
             raise DimensionMismatch("model indexes more graphs than provided")
-        if self.window < 1:
-            raise InvalidDistribution("window length must be at least 1")
+        sequences._integer(self.window, "window length", 1)
         object.__setattr__(self, "graph_set", gs)
 
     @property
@@ -277,12 +273,14 @@ class GraphSequenceModel:
 def window_connectivity_probability(gmodel: GraphSequenceModel,
                                     window: int | None = None) -> float:
     """Exact minimum over window starts of the probability that the window's
-    graph composition is strongly connected."""
+    graph composition is strongly connected, for ``window`` (by default the
+    model's own); raises ``InvalidDistribution`` unless it is an integer of
+    at least 1."""
     adjs = [g.adj.T for g in gmodel.graph_set]
     # the engine multiplies later factors on the left, so it builds the
     # transpose of the composition; strong connectivity ignores transposes
     probs = sequences.window_probability(
-        gmodel.model, adjs, gmodel.window if window is None else int(window),
+        gmodel.model, adjs, gmodel.window if window is None else window,
         graphlib._stack_is_strongly_connected)
     return float(probs.min())
 
@@ -321,14 +319,17 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     ``norm_windows`` > 0 the first windows that fit in ``max_iters`` steps,
     read from a second stream on the same trial, get their error-transition
     mixed norms computed, giving a contraction estimate the fitted decay can
-    be compared against.  Raises ``InvalidDistribution`` when ``max_iters``
-    is over ``ITER_LIMIT``, before any index is drawn.
+    be compared against.  Raises ``InvalidDistribution`` before any index
+    is drawn unless ``max_iters`` (at most ``ITER_LIMIT``), ``trial`` and
+    ``norm_windows`` are integers of at least 0 and ``record_every`` one of
+    at least 1.
     """
     if gmodel.n != system.n:
         raise DimensionMismatch("one graph vertex per agent")
-    if record_every < 1 or max_iters < 0 or norm_windows < 0:
-        raise InvalidDistribution(
-            "need record_every >= 1, max_iters >= 0 and norm_windows >= 0")
+    max_iters = sequences._integer(max_iters, "max_iters", 0)
+    record_every = sequences._integer(record_every, "record_every", 1)
+    norm_windows = sequences._integer(norm_windows, "norm_windows", 0)
+    sequences._trial_seed(gmodel.model.seed, trial)
     if max_iters > ITER_LIMIT:
         raise InvalidDistribution(f"max_iters must be at most {ITER_LIMIT}")
     if check_connectivity and window_connectivity_probability(gmodel) <= 0.0:

@@ -81,10 +81,6 @@ class NoInNeighbor(StochprodError):
     """A vertex has no in-neighbor, so it has nothing to average."""
 
 
-class EmptyActivation(StochprodError):
-    """An asynchronous update needs at least one activated agent."""
-
-
 class InconsistentBlock(StochprodError):
     """An agent's local equations admit no solution."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matrices, sequences
+from . import graphs, matrices, sequences
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -141,7 +141,9 @@ class SphereGrid:
     seed: int = 0
 
     def __post_init__(self):
-        if self.resolution < 1 or self.points_per_face < 1:
+        sizes = (sequences._integer(self.resolution, "grid resolution"),
+                 sequences._integer(self.points_per_face, "points per face"))
+        if min(sizes) < 1:
             raise InvalidDistribution("grid sizes must be at least 1")
         sequences._check_seed(self.seed)
 
@@ -201,13 +203,13 @@ def expected_lyapunov(system: SwitchedSystem, V: LyapunovFunction, x,
     """Exact ``E[V(x_{k+horizon}) | x_k = x, y_k = mode]`` over the
     positive-probability mode continuations, read from the certificate's
     enumeration (``_continuation_layers``) started at ``mode`` alone.
-    Raises ``InvalidDistribution`` for a mode the signal never takes or a
-    horizon below 1."""
-    if not 0 <= int(mode) < system.signal.num_symbols:
-        raise InvalidDistribution(f"mode {mode} is outside the signal's symbols")
-    if horizon < 1:
-        raise InvalidDistribution("horizon must be at least 1")
-    for ops, weights, _ in _continuation_layers(system, horizon, [int(mode)]):
+    Raises ``InvalidDistribution`` for a mode that is not one of the
+    signal's symbols or a horizon that is not an integer of at least 1."""
+    if not (graphs._is_integer(mode)
+            and 0 <= mode < system.signal.num_symbols):
+        raise InvalidDistribution(f"mode {mode!r} is outside the signal's symbols")
+    horizon = sequences._integer(horizon, "horizon", 1)
+    for ops, weights, _ in _continuation_layers(system, horizon, [mode]):
         pass
     values = np.asarray(V(ops @ np.asarray(x, dtype=float)), dtype=float)
     # a strided weight column can round the dot differently
@@ -227,7 +229,7 @@ def _continuation_layers(system: SwitchedSystem, horizon_max: int, starts):
     law = sequences._step_law(system.signal)
     state = (np.asarray(starts), np.tile(np.eye(n), (m, 1, 1)),
              np.eye(m, 2 * m) + np.eye(m, 2 * m, m))
-    for _ in range(int(horizon_max)):
+    for _ in range(horizon_max):
         state = sequences.advance(law, system.modes, *state)
         _, ops, weights = state
         reached = weights[:, m:] > 0
@@ -252,15 +254,14 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
 
     Requires a positively homogeneous V (so the worst case over all states
     equals the worst case over the unit sphere) and an i.i.d. or
-    Markov-modulated signal.  Raises ``InvalidDistribution`` when
-    ``horizon_max`` is below 1, ``NoCertificate`` when no horizon up to it
+    Markov-modulated signal.  Raises ``InvalidDistribution`` unless
+    ``horizon_max`` is an integer of at least 1, ``NoCertificate`` when no horizon up to it
     contracts on the grid, and ``EnumerationTooLarge`` before the images of
     states x grid points x n cells, summed over the horizons searched with
     each horizon charged at least ``HORIZON_CELLS``, would pass
     ``IMAGE_LIMIT``.
     """
-    if horizon_max < 1:
-        raise InvalidDistribution("horizon_max must be at least 1")
+    horizon_max = sequences._integer(horizon_max, "horizon_max", 1)
     if V.degree is None:
         raise InvalidDistribution(
             "grid certification needs a positively homogeneous function")
@@ -302,7 +303,7 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
                 supermartingale_ok=bool(supermartingale_ok),
                 grid_resolution=grid.resolution,
             )
-    raise NoCertificate(int(horizon_max))
+    raise NoCertificate(horizon_max)
 
 
 @dataclass(frozen=True)
@@ -332,12 +333,12 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
     Trial t draws its switching sequence with the stream-split seed
     ``signal.seed ^ t``, so reports are reproducible and trials independent;
     the trials then advance in lockstep, one batched matmul per step.
-    Raises ``InvalidDistribution`` when ``steps`` or ``trials`` is below 1
-    or the history, ``trials * (steps + 1)`` cells, is over ``HISTORY_LIMIT``.
+    Raises ``InvalidDistribution`` unless ``steps`` and ``trials`` are
+    integers of at least 1, or when the history, ``trials * (steps + 1)``
+    cells, is over ``HISTORY_LIMIT``.
     """
-    steps, trials = int(steps), int(trials)
-    if steps < 1 or trials < 1:
-        raise InvalidDistribution("steps and trials must be at least 1")
+    steps = sequences._integer(steps, "steps", 1)
+    trials = sequences._integer(trials, "trials", 1)
     if trials * (steps + 1) > HISTORY_LIMIT:
         raise InvalidDistribution(
             f"trials * (steps + 1) must be at most {HISTORY_LIMIT} history cells")

@@ -81,19 +81,10 @@ class RateReport:
         return replace(self, empirical_rate=rate)
 
 
-def _check_steps(steps) -> int:
-    """``steps`` as an int; raises ``InvalidDistribution`` unless it is an
-    integer of at least 1."""
-    steps = sequences._integer(steps, "steps")
-    if steps < 1:
-        raise InvalidDistribution("steps must be at least 1")
-    return steps
-
-
 def default_checkpoints(steps: int) -> tuple:
     """Powers of two below ``steps``, plus ``steps``; raises
     ``InvalidDistribution`` unless ``steps`` is an integer of at least 1."""
-    steps = _check_steps(steps)
+    steps = sequences._integer(steps, "steps", 1)
     ks = []
     k = 1
     while k < steps:
@@ -168,12 +159,13 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     the table holds no more than ``CHUNK_BYTES`` and no more products than
     the run has blocks.  The products, and so the bits, are those of the
     chunk's tree.  Raises ``InvalidDistribution`` when ``steps`` is not an
-    integer, is below 1 or over ``STEP_LIMIT``, or a checkpoint is not an
-    integer, before any index is drawn; checkpoints outside 1..steps are
-    dropped.
+    integer, is below 1 or over ``STEP_LIMIT``, a checkpoint is not an
+    integer, or ``trial`` is not an integer of at least 0, before any index
+    is drawn; checkpoints outside 1..steps are dropped.
     """
     fset = model._require_set()
-    steps = _check_steps(steps)
+    steps = sequences._integer(steps, "steps", 1)
+    seed = sequences._trial_seed(model.seed, trial)
     if steps > STEP_LIMIT:
         raise InvalidDistribution(f"steps must be at most {STEP_LIMIT}")
     if checkpoints is None:
@@ -206,20 +198,23 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
         checkpoints=tuple(recorded_k),
         taus=tuple(taus),
         spreads=tuple(spreads),
-        seed=sequences.trial_seed(model.seed, trial),
+        seed=seed,
         steps=steps,
     )
 
 
 def _rate_report(fset, h: int, probs) -> RateReport:
-    """Report of length h from its per-start scrambling probabilities."""
+    """Report of length h from its per-start scrambling probabilities, with
+    alpha the least positive entry of the set (every stochastic row has
+    one).  The bound's base is clamped at 0: an entry floor that rounds past
+    1 would make it negative."""
     p = float(probs.min())
     if p <= 0.0:
         raise NoScramblingWindow(f"no scrambling window of length {h}")
-    alpha = sequences.min_positive_entry(fset)
-    bound = (1.0 - p * alpha**h) ** (1.0 / h)
-    return RateReport(window_len=int(h), scrambling_prob=float(p),
-                      min_entry=float(alpha), bound=float(bound))
+    a = np.asarray(fset.entry_arrays())
+    alpha = float(a[a > 0].min())
+    return RateReport(window_len=h, scrambling_prob=p, min_entry=alpha,
+                      bound=max(0.0, 1.0 - p * alpha**h) ** (1.0 / h))
 
 
 def window_rate_bound(model: SequenceModel, h: int) -> RateReport:
@@ -227,10 +222,12 @@ def window_rate_bound(model: SequenceModel, h: int) -> RateReport:
 
     ``p`` is the minimum over one period of window starts of the exact
     probability that the length-h window product is scrambling; ``alpha`` is
-    the entry floor of the matrix set.  Raises ``NoScramblingWindow`` when
-    p = 0, i.e. no length-h window ever scrambles, and
-    ``EnumerationTooLarge`` when h - 1 passes the window layer budget.
+    the entry floor of the matrix set.  Raises ``InvalidDistribution``
+    unless h is an integer of at least 1, ``NoScramblingWindow`` when p = 0,
+    i.e. no length-h window ever scrambles, and ``EnumerationTooLarge`` when
+    h - 1 passes the window layer budget.
     """
+    h = sequences._check_window(h)
     fset = model._require_set()
     return _rate_report(fset, h, sequences.window_probability(
         model, fset.patterns(), h, matrices._stack_is_scrambling))
@@ -247,15 +244,13 @@ def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
     20,001 fits), ``NoScramblingWindow`` when no length up to h_max does,
     and ``InvalidDistribution`` when h_max is not an integer or is below 1.
     """
-    h_max = sequences._integer(h_max, "window length bound")
-    if h_max < 1:
-        raise InvalidDistribution("window length bound must be at least 1")
+    h_max = sequences._integer(h_max, "window length bound", 1)
     fset = model._require_set()
     starts = sequences.window_starts(model)
     walk = sequences._window_walk(model, fset.patterns())
-    for h, words in zip(range(1, h_max + 1), walk):
-        probs = sequences._passing(model, starts,
-                                   matrices._stack_is_scrambling, *words)
+    for h, (prods, weights) in zip(range(1, h_max + 1), walk):
+        probs = sequences._passing(model, starts, weights,
+                                   matrices._stack_is_scrambling(prods))
         if probs.min() > 0.0:
             return _rate_report(fset, h, probs)
     raise NoScramblingWindow(f"no scrambling window up to length {h_max}")
@@ -269,8 +264,8 @@ def window_log_rate(model: SequenceModel, h: int) -> float:
     every h bounds the almost-sure per-step decay of tau from above, and the
     bounds tighten toward it as h grows.  A start whose window has tau = 0
     with positive probability has E log tau = -inf: the rate is 0.0 when
-    every start has one.  Raises ``InvalidDistribution`` when h is below 1
-    or the model is scripted, ``EnumerationTooLarge`` past ``STATE_LIMIT``
+    every start has one.  Raises ``InvalidDistribution`` unless h is an
+    integer of at least 1, or when the model is scripted, ``EnumerationTooLarge`` past ``STATE_LIMIT``
     or the window layer budget.
     """
     fset = model._require_set()
@@ -282,10 +277,10 @@ def window_log_rate(model: SequenceModel, h: int) -> float:
     # rows of an h-factor product carry about h * n ulps of rounding, so a
     # tau within that of 0 is a rank-one product whose log would be noise
     pos = taus > h * fset.dimension * np.finfo(float).eps
-    zero_mass = weights[~pos].sum(axis=0)
-    q = (weights[pos] * np.log(taus[pos])[:, None]).sum(axis=0)
-    laws = [model.start_distribution(s) for s in sequences.window_starts(model)]
-    best = max((law @ q for law in laws if law @ zero_mass <= 0.0),
+    starts = sequences.window_starts(model)
+    zero_mass = sequences._passing(model, starts, weights, ~pos)
+    logs = sequences._passing(model, starts, weights, pos, np.log(taus[pos]))
+    best = max((q for q, z in zip(logs, zero_mass) if z <= 0.0),
                default=-np.inf)
     return float(np.exp(best / h))
 

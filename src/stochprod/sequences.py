@@ -41,8 +41,6 @@ __all__ = [
     "window_probability",
     "window_starts",
     "stationary_distribution",
-    "min_positive_entry",
-    "trial_seed",
 ]
 
 STATE_LIMIT = 10**6  # states one layer of ``advance`` may expand
@@ -54,23 +52,29 @@ WINDOW_LAYERS = 2 * 10**4
 DIST_TOL = 1e-12
 
 
-def _integer(value, name: str) -> int:
-    """``int(value)`` of an integer, numpy's included; a float, a string or
-    a boolean raises ``InvalidDistribution``, never truncated or parsed."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``int(value)`` of an integer, numpy's included, of at least ``least``
+    when one is given: every count the package takes passes here.  A float,
+    a string, a boolean or a smaller value raises ``InvalidDistribution``;
+    nothing is truncated or parsed."""
     if not graphs._is_integer(value):
         raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidDistribution(f"{name} must be at least {least}")
     return int(value)
 
 
 def _check_seed(seed: int):
-    """Seeds are nonnegative: numpy's generators refuse negative ones."""
-    if seed < 0:
+    """Seeds are nonnegative integers: numpy's generators refuse negative
+    ones."""
+    if _integer(seed, "seed") < 0:
         raise InvalidDistribution(f"seed must be nonnegative, got {seed}")
 
 
-def trial_seed(seed: int, trial: int) -> int:
-    """Stream-split rule: Monte Carlo trial t runs on ``seed ^ t``."""
-    return int(seed) ^ int(trial)
+def _trial_seed(seed: int, trial: int) -> int:
+    """Stream-split rule: Monte Carlo trial t runs on ``seed ^ t``; raises
+    ``InvalidDistribution`` unless the trial is an integer of at least 0."""
+    return _integer(seed, "seed") ^ _integer(trial, "trial", 0)
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,7 @@ class IIDModel(SequenceModel):
 
     def stream(self, trial=0):
         # ``Generator.choice(p=weights)``'s inverse-CDF lookup, built once
-        rng = np.random.default_rng(trial_seed(self.seed, trial))
+        rng = np.random.default_rng(_trial_seed(self.seed, trial))
         cdf = self.weights.cumsum()
         cdf /= cdf[-1]
         return lambda count: cdf.searchsorted(rng.random(count), side="right")
@@ -218,7 +222,7 @@ class MarkovModulatedModel(SequenceModel):
         return self.initial.size
 
     def stream(self, trial=0):
-        rng = np.random.default_rng(trial_seed(self.seed, trial))
+        rng = np.random.default_rng(_trial_seed(self.seed, trial))
         # every walk starts in row m = num_symbols, the initial law; an
         # infinite last entry sends a uniform past a row's rounded sum to m - 1
         cum_rows = np.cumsum(np.vstack([self.transition, self.initial]), axis=1)
@@ -247,7 +251,7 @@ class MarkovModulatedModel(SequenceModel):
     def marginal(self, k: int) -> np.ndarray:
         """Law of the index at position k+1 (k steps after the initial)."""
         v = self.initial.copy()
-        for _ in range(int(k)):
+        for _ in range(_integer(k, "position", 0)):
             v = v @ self.transition
         return v
 
@@ -271,11 +275,9 @@ class ScriptedModel(SequenceModel):
 
     def __post_init__(self):
         _check_seed(self.seed)
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_integer(i, "script index", 0) for i in self.indices)
         if not idx:
             raise InvalidDistribution("a script needs at least one index")
-        if any(i < 0 for i in idx):
-            raise InvalidDistribution("script indices must be nonnegative")
         object.__setattr__(self, "indices", idx)
 
     @property
@@ -297,13 +299,12 @@ class ScriptedModel(SequenceModel):
 
 def sample(model: SequenceModel, length: int, trial: int = 0) -> np.ndarray:
     """One draw of a fresh ``model.stream(trial)`` as a read-only array, on
-    seed ``trial_seed(model.seed, trial)``; a longer draw extends a shorter
-    one: ``sample(model, L)[:k]`` equals ``sample(model, k)`` for k <= L.
+    seed ``model.seed ^ trial``; a longer draw extends a shorter one:
+    ``sample(model, L)[:k]`` equals ``sample(model, k)`` for k <= L.
     Raises ``InvalidDistribution`` unless ``length`` is an integer of at
-    least 1."""
-    length = _integer(length, "length")
-    if length < 1:
-        raise InvalidDistribution("length must be at least 1")
+    least 1 and ``trial`` one of at least 0."""
+    length = _integer(length, "length", 1)
+    _trial_seed(model.seed, trial)
     idx = np.asarray(model.stream(trial)(length), dtype=np.int64)
     idx.flags.writeable = False
     return idx
@@ -342,14 +343,14 @@ def advance(law, factors, last, prods, weights):
 
 
 def _check_window(h: int, layers: str = "of"):
-    """Refuse a window length that is not an integer, is below 1 or passes
-    ``WINDOW_LAYERS``."""
-    if _integer(h, "window length") < 1:
-        raise InvalidDistribution("window length must be at least 1")
+    """``h`` as an int; refuses a window length that is not an integer, is
+    below 1 or passes ``WINDOW_LAYERS``."""
+    h = _integer(h, "window length", 1)
     if h - 1 > WINDOW_LAYERS:
         raise EnumerationTooLarge(
             f"{h - 1} enumeration layers {layers} window length {h} "
             f"exceed {WINDOW_LAYERS}")
+    return h
 
 
 def _window_walk(model: SequenceModel, factors):
@@ -377,18 +378,26 @@ def _window_walk(model: SequenceModel, factors):
 
 def _window_words(model: SequenceModel, factors, h: int):
     """The length-h step of ``_window_walk``, checked before its first."""
-    _check_window(h)
+    h = _check_window(h)
     return next(itertools.islice(_window_walk(model, factors), h - 1, None))
 
 
-def _passing(model: SequenceModel, starts, test, prods, weights):
-    """Per start, the probability that the window product passes ``test``:
-    the passing weights q[s] summed under the law of the start's column s.
-    ``test`` runs once, on the whole stack of products."""
-    q = weights[test(prods)].sum(axis=0)
+def _passing(model: SequenceModel, starts, weights, mask, values=None):
+    """Per start, the sum over the window products in ``mask`` of their
+    weights q[s], or of weights times ``values`` (one per masked product),
+    taken under the law of the start's column s.  Without ``values`` the
+    sums are probabilities, clipped to [0, 1]: weights that sum to 1 can
+    round past it."""
+    if values is None:
+        q = weights[mask].sum(axis=0)
+    else:
+        q = (weights[mask] * values[:, None]).sum(axis=0)
     if isinstance(model, ScriptedModel):
-        return q[np.asarray(starts, dtype=int) % model.period]
-    return np.array([model.start_distribution(start) @ q for start in starts])
+        per_start = q[np.asarray(starts, dtype=int) % model.period]
+    else:
+        per_start = np.array([model.start_distribution(start) @ q
+                              for start in starts])
+    return per_start if values is not None else np.clip(per_start, 0.0, 1.0)
 
 
 def window_probability(model: SequenceModel, patterns, h: int, test,
@@ -399,17 +408,18 @@ def window_probability(model: SequenceModel, patterns, h: int, test,
     (k, n, n) stack of window products to one boolean per product, as
     ``matrices._stack_is_scrambling`` does.  Raises ``DimensionMismatch``
     unless there is a pattern per symbol and they stack to (k, n, n),
-    ``InvalidDistribution`` on a negative start, ``EnumerationTooLarge``
-    before the first layer past ``WINDOW_LAYERS``."""
-    _check_window(h)
+    ``InvalidDistribution`` on a window length below 1 or a start below 0
+    (either not an integer), ``EnumerationTooLarge`` before the first layer
+    past ``WINDOW_LAYERS``."""
+    h = _check_window(h)
     patterns = graphs._square(patterns, bool, 3)
     if len(patterns) < model.num_symbols:
         raise DimensionMismatch(f"{len(patterns)} patterns for "
                                 f"{model.num_symbols} symbols")
     starts = window_starts(model) if starts is None else starts
-    if any(int(s) < 0 for s in starts):
-        raise InvalidDistribution("window starts must be nonnegative")
-    return _passing(model, starts, test, *_window_words(model, patterns, h))
+    starts = [_integer(s, "window start", 0) for s in starts]
+    prods, weights = _window_words(model, patterns, h)
+    return _passing(model, starts, weights, test(prods))
 
 
 def window_starts(model: SequenceModel) -> list:
@@ -456,10 +466,3 @@ def stationary_distribution(transition) -> np.ndarray:
         if np.abs(v @ p - v).max() < 1e-13:
             return v
     raise Reducible("power iteration failed to reach the 1e-13 residual")
-
-
-def min_positive_entry(fset: FiniteMatrixSet) -> float:
-    """Uniform lower bound over all positive entries of all set members
-    (every stochastic row has one)."""
-    a = np.asarray(fset.entry_arrays())
-    return float(a[a > 0].min())

@@ -229,9 +229,10 @@ def find_scrambling_window_restart(model, h_max):
         p = float(window_probability_restart(
             model, fset.patterns(), h, is_scrambling).min())
         if p > 0.0:
-            alpha = sequences.min_positive_entry(fset)
+            a = np.asarray(fset.entry_arrays())
+            alpha = float(a[a > 0].min())
             return RateReport(window_len=h, scrambling_prob=p,
-                              min_entry=float(alpha),
+                              min_entry=alpha,
                               bound=float((1.0 - p * alpha**h) ** (1.0 / h)))
     raise NoScramblingWindow(f"no scrambling window up to length {h_max}")
 
@@ -254,9 +255,9 @@ def stationary_markov(rng, m, **kw):
 def iid_indices_choice(model, length, trial=0):
     """The library's former i.i.d. sampler, one ``Generator.choice`` call
     with the model's weights: the oracle of the i.i.d. stream."""
-    from stochprod.sequences import trial_seed
+    from stochprod.sequences import _trial_seed
 
-    rng = np.random.default_rng(trial_seed(model.seed, trial))
+    rng = np.random.default_rng(_trial_seed(model.seed, trial))
     return rng.choice(model.num_symbols, size=length, p=model.weights)
 
 
@@ -280,9 +281,9 @@ def spy_streams(monkeypatch, model_type):
 
 def markov_indices_stepwise(model, length, trial=0):
     """Markov-modulated sample with one ``searchsorted`` per step."""
-    from stochprod.sequences import trial_seed
+    from stochprod.sequences import _trial_seed
 
-    rng = np.random.default_rng(trial_seed(model.seed, trial))
+    rng = np.random.default_rng(_trial_seed(model.seed, trial))
     cum_rows = np.cumsum(model.transition, axis=1)
     u = rng.random(length)
     out = np.empty(length, dtype=np.int64)
@@ -409,10 +410,10 @@ def simulate_async_per_tick(clocks, steps, trial=0):
     """Reference law of ``simulate_async``'s events: the ``(steps, n)``
     boolean firing sets of a tick loop, one ``rng.random(n)`` draw per clock
     tick, the ticks where nobody fires skipped."""
-    from stochprod.sequences import trial_seed
+    from stochprod.sequences import _trial_seed
 
     probs = clocks.activation_probabilities()
-    rng = np.random.default_rng(trial_seed(clocks.seed, trial))
+    rng = np.random.default_rng(_trial_seed(clocks.seed, trial))
     fired = []
     while len(fired) < steps:
         row = rng.random(probs.size) < probs
@@ -492,7 +493,7 @@ def _reduced_product_run(model, steps, checkpoints, trial, carry, measure):
         spreads.append(s)
     return ProductTrace(checkpoints=tuple(recorded_k), taus=tuple(taus),
                         spreads=tuple(spreads),
-                        seed=sequences.trial_seed(model.seed, trial),
+                        seed=sequences._trial_seed(model.seed, trial),
                         steps=int(steps))
 
 

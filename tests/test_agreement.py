@@ -7,7 +7,6 @@ import stochprod as sp
 from stochprod import agreement
 from stochprod.errors import (
     DimensionMismatch,
-    EmptyActivation,
     InvalidDistribution,
     NonFiniteEntry,
     NotReachable,
@@ -28,24 +27,26 @@ def complete_graph(n):
 
 
 class TestAsyncUpdateMatrix:
+    """The single-agent update matrices that ``hierarchical_product``
+    multiplies: the identity with the firing agent's row taken from W."""
+
     def test_all_agents_gives_w(self):
+        # agent 0 then agent 1: U1 @ U0, each the identity but for one row
         w = sp.StochasticMatrix([[0.2, 0.8], [0.5, 0.5]])
-        out = sp.async_update_matrix(w, {0, 1})
-        np.testing.assert_array_equal(out.entries, w.entries)
+        out = sp.hierarchical_product(w, [0, 1])
+        u0 = np.array([[0.2, 0.8], [0.0, 1.0]])
+        u1 = np.array([[1.0, 0.0], [0.5, 0.5]])
+        np.testing.assert_array_equal(out.entries, u1 @ u0)
 
     def test_self_pointing_row_gives_identity(self):
         w = sp.StochasticMatrix([[1.0, 0.0], [0.5, 0.5]])
-        out = sp.async_update_matrix(w, {0})
+        out = sp.hierarchical_product(w, [0])
         np.testing.assert_array_equal(out.entries, np.eye(2))
 
     def test_single_row_substitution(self):
         w = sp.StochasticMatrix([[0, 1], [1, 0]])
-        out = sp.async_update_matrix(w, {0})
+        out = sp.hierarchical_product(w, [0])
         np.testing.assert_array_equal(out.entries, [[0, 1], [0, 1]])
-
-    def test_empty_activation_rejected(self):
-        with pytest.raises(EmptyActivation):
-            sp.async_update_matrix(sp.StochasticMatrix(np.eye(2)), set())
 
     def test_structure_invariant(self):
         rng = np.random.default_rng(9)
@@ -53,16 +54,28 @@ class TestAsyncUpdateMatrix:
             n = int(rng.integers(2, 7))
             from helpers import random_stochastic
             w = random_stochastic(rng, n)
-            k = int(rng.integers(1, n + 1))
-            agents = set(map(int, rng.choice(n, size=k, replace=False)))
-            out = sp.async_update_matrix(w, agents)
+            agent = int(rng.integers(n))
+            out = sp.hierarchical_product(w, [agent])
             for i in range(n):
-                if i in agents:
+                if i == agent:
                     np.testing.assert_array_equal(out.entries[i], w.entries[i])
                 else:
                     expected = np.zeros(n)
                     expected[i] = 1.0
                     np.testing.assert_array_equal(out.entries[i], expected)
+
+    @pytest.mark.parametrize("agent", [3, -1, 0.5, 1.0, True, "1", None])
+    def test_agent_must_be_a_vertex(self, agent):
+        # once numpy's IndexError for 3, and a silent update of agent 2, 0 or
+        # 1 for -1, 0.5 or True
+        w = sp.StochasticMatrix(np.full((3, 3), 1 / 3))
+        with pytest.raises(DimensionMismatch, match="is not a vertex"):
+            sp.hierarchical_product(w, [0, agent])
+
+    def test_numpy_integer_agents(self):
+        w = sp.StochasticMatrix([[0, 1], [1, 0]])
+        out = sp.hierarchical_product(w, np.array([0]))
+        np.testing.assert_array_equal(out.entries, [[0, 1], [0, 1]])
 
 
 class TestHierarchicalPartition:
@@ -270,7 +283,7 @@ class TestSimulateAsync:
         x = np.arange(float(n))
         states = [x.copy()]
         for _ in range(2 * n):
-            x = sp.async_update_matrix(w, range(n)).entries @ x
+            x = w.entries @ x
             states.append(x.copy())
         period = sp.pattern_period(w)
         assert period == n
@@ -310,7 +323,7 @@ class TestSimulateAsync:
                 sp.simulate_async(w, clocks, np.array([0.0, 1.0]), steps=3)
             # the row that would be read is finite; the matrix is still refused
             with pytest.raises(NonFiniteEntry):
-                sp.async_update_matrix(w, [0])
+                sp.hierarchical_product(w, [0])
 
     @pytest.mark.parametrize("steps", [0, 1, 1024, 1025])
     def test_spreads_are_a_read_only_float64_array(self, steps):

@@ -418,7 +418,7 @@ def drawn_firing_sets(clocks, steps, trial=0):
     """The first ``steps`` firing sets of the stream ``simulate_async``
     draws, ``EVENT_BLOCK`` events at a time."""
     probs = clocks.activation_probabilities()
-    rng = np.random.default_rng(sp.trial_seed(clocks.seed, trial))
+    rng = np.random.default_rng(sequences._trial_seed(clocks.seed, trial))
     blocks = [agreement._firing_sets(rng, probs, agreement.EVENT_BLOCK)
               for _ in range(-(-steps // agreement.EVENT_BLOCK))]
     return np.concatenate(blocks or [np.zeros((0, probs.size), bool)])[:steps]
@@ -458,7 +458,7 @@ def test_shorter_async_run_is_a_prefix(seed, n, k, length, trial, clock):
     assert np.array_equal(long.final_x, x)
     assert np.array_equal(short.spreads, long.spreads[:k + 1])
     assert np.array_equal(short.final_x, apply_firing_sets(w, x0, fired[:k])[1])
-    assert short.seed == long.seed == sp.trial_seed(clocks.seed, trial)
+    assert short.seed == long.seed == sequences._trial_seed(clocks.seed, trial)
 
 
 def product_case(rng, m, n, variant, steps, custom, density=0.4, lazy=0.0):

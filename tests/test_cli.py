@@ -154,6 +154,19 @@ class TestProduct:
         assert run_cli("product", cfg, tmp_path / "out") == 3
 
 
+    def test_entry_floor_one_gives_bound_zero(self, tmp_path, capfd):
+        # p sums to 1.0000000000000004 here; with alpha = 1 the bound's base
+        # was negative, and the run ended in a TypeError traceback
+        cfg = write(tmp_path / "c.json", {
+            "model": {"variant": "iid", "weights": [0.81304242, 0.18695758],
+                      "set": [{"n": 2, "rows": [[0, 1], [0, 1]]},
+                              {"n": 2, "rows": [[0, 1], [0, 1]]}]},
+            "window": 3})
+        assert run_cli("product", cfg, tmp_path / "out") == 0
+        assert "Traceback" not in capfd.readouterr().err
+        res = read_outputs(tmp_path / "out")[0]["results"]
+        assert res["p"] == 1.0 and res["bound"] == 0.0
+
     @pytest.mark.parametrize("window_max", [0, -3])
     def test_window_max_below_one_refused(self, tmp_path, capfd, window_max):
         # the length-1 window scrambles, yet window_max 0 was once reported
@@ -398,13 +411,13 @@ MARKOV_SIGNAL = {"variant": "markov", "initial": [1.0], "transition": [[1.0]]}
 # id -> (kind, fields merged into the kind's tiny config, error text)
 BAD_FIELDS = {
     "lineq-record_every-0": ("lineq", {"record_every": 0},
-                             "need record_every >= 1"),
+                             "record_every must be at least 1"),
     "lineq-max_iters-negative": ("lineq", {"max_iters": -1},
-                                 "max_iters >= 0"),
+                                 "max_iters must be at least 0"),
     "lineq-norm_windows-text": ("lineq", {"norm_windows": "x"},
                                 "'norm_windows': bad value 'x'"),
     "lineq-norm_windows-negative": ("lineq", {"norm_windows": -2},
-                                    "norm_windows >= 0"),
+                                    "norm_windows must be at least 0"),
     "lineq-max_iters-over-cap": ("lineq", {"max_iters": 10**9},
                                  "max_iters must be at most 10000000"),
     # one window's enumeration layers are bounded before the first one runs
@@ -417,8 +430,9 @@ BAD_FIELDS = {
     "certify-grid_resolution-negative": ("certify", {"grid_resolution": -1},
                                          "grid sizes must be at least 1"),
     "certify-steps-0-markov": ("certify", {"steps": 0, "signal": MARKOV_SIGNAL},
-                               "steps and trials"),
-    "certify-trials-0": ("certify", {"trials": 0}, "steps and trials"),
+                               "steps must be at least 1"),
+    "certify-trials-0": ("certify", {"trials": 0},
+                         "trials must be at least 1"),
     "certify-history-over-cap": ("certify", {"steps": 10**6, "trials": 10},
                                  "trials * (steps + 1) must be at most 10000000"),
     "certify-steps-text": ("certify", {"steps": "abc"},

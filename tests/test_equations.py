@@ -54,23 +54,32 @@ HAND_SYSTEM = sp.PartitionedLinearSystem(blocks=(
 ))
 
 
+def one_block(a, b=None):
+    """A one-agent system whose only block is ``a`` (right side ``b``, by
+    default zero)."""
+    a = np.asarray(a, dtype=float)
+    return sp.PartitionedLinearSystem(
+        blocks=((a, np.zeros(a.shape[0]) if b is None else b),))
+
+
 class TestProjections:
     def test_full_rank_block(self):
-        np.testing.assert_allclose(sp.kernel_projection(np.eye(3)), np.zeros((3, 3)),
-                                   atol=1e-14)
+        p = sp.kernel_projections(one_block(np.eye(3))).projections[0]
+        np.testing.assert_allclose(p, np.zeros((3, 3)), atol=1e-14)
 
     def test_zero_block(self):
-        np.testing.assert_allclose(sp.kernel_projection(np.zeros((2, 4))), np.eye(4))
+        p = sp.kernel_projections(one_block(np.zeros((2, 4)))).projections[0]
+        np.testing.assert_allclose(p, np.eye(4))
 
     def test_row_of_ones(self):
-        p = sp.kernel_projection(np.array([[1.0, 1.0]]))
+        p = sp.kernel_projections(one_block([[1.0, 1.0]])).projections[0]
         np.testing.assert_allclose(p, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_projection_set_invariants(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             a = rng.normal(size=(int(rng.integers(1, 4)), 5))
-            p = sp.kernel_projection(a)
+            p = sp.kernel_projections(one_block(a)).projections[0]
             assert np.abs(p - p.T).max() < 1e-10
             assert np.abs(p @ p - p).max() < 1e-10
             assert np.abs(a @ p).max() < 1e-10
@@ -97,20 +106,23 @@ class TestProjections:
 
 class TestInitialEstimates:
     def test_identity_block(self):
-        np.testing.assert_allclose(
-            sp.initial_estimate(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
+        x = sp.initial_state(one_block(np.eye(3), [1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(x, [[1, 2, 3]])
 
     def test_zero_block_zero_rhs(self):
-        np.testing.assert_allclose(
-            sp.initial_estimate(np.zeros((1, 3)), [0.0]), np.zeros(3))
+        x = sp.initial_state(one_block(np.zeros((1, 3)), [0.0]))
+        np.testing.assert_allclose(x, np.zeros((1, 3)))
 
     def test_min_norm(self):
-        np.testing.assert_allclose(
-            sp.initial_estimate(np.array([[1.0, 1.0]]), [2.0]), [1.0, 1.0])
+        x = sp.initial_state(one_block([[1.0, 1.0]], [2.0]))
+        np.testing.assert_allclose(x, [[1.0, 1.0]])
 
     def test_inconsistent_block(self):
+        # the stacked system passes its 1e-8 consistency check, but the
+        # block's own residual, 5e-10, is over the 1e-10 an estimate allows
+        system = one_block([[1.0, 0.0], [1.0, 0.0]], [0.0, 1e-9])
         with pytest.raises(InconsistentBlock):
-            sp.initial_estimate(np.array([[1.0, 0.0], [1.0, 0.0]]), [0.0, 1.0])
+            sp.initial_state(system)
 
     def test_inconsistent_system_rejected(self):
         with pytest.raises(InconsistentSystem):

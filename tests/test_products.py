@@ -320,6 +320,42 @@ class TestWindowRateBound:
         assert np.all(rates <= report.bound + 3 * sigma)
 
 
+@st.composite
+def rank_one_sets(draw):
+    """1-3 rank-one 0/1 matrices (every row the same unit vector: alpha is
+    1 and every window scrambles) with normalised i.i.d. weights, and a
+    window length."""
+    n = draw(st.integers(2, 4))
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(cols),
+                                 max_size=len(cols))))
+    fset = sp.FiniteMatrixSet(tuple(np.eye(n)[[c] * n] for c in cols))
+    return sp.IIDModel(weights=raw / raw.sum(), matrix_set=fset), \
+        draw(st.integers(1, 5))
+
+
+@given(rank_one_sets())
+def test_rank_one_probabilities_and_bounds_stay_in_unit_interval(case):
+    # summed window probabilities can round past 1 (1.0000000000000004 for
+    # two copies of [[0, 1], [0, 1]] at weights 0.813/0.187 and h = 3); a
+    # bound read from such a p came out complex
+    model, h = case
+    probs = sequences.window_probability(model, model.matrix_set.patterns(),
+                                         h, matrices._stack_is_scrambling)
+    assert np.all((probs >= 0.0) & (probs <= 1.0))
+    for report in (sp.window_rate_bound(model, h),
+                   sp.find_scrambling_window(model, h)):
+        assert 0.0 <= report.scrambling_prob <= 1.0
+        assert isinstance(report.bound, float) and 0.0 <= report.bound <= 1.0
+
+
+def test_summed_probability_past_one_is_clipped():
+    fset = sp.FiniteMatrixSet(([[0, 1], [0, 1]], [[0, 1], [0, 1]]))
+    model = sp.IIDModel(weights=[0.81304242, 0.18695758], matrix_set=fset)
+    report = sp.window_rate_bound(model, 3)
+    assert report.scrambling_prob == 1.0 and report.bound == 0.0
+
+
 class TestWindowLogRate:
     def test_constant_model_exact(self):
         expected = sp.tau(sp.backward_product([SCRAM] * 3)) ** (1 / 3)

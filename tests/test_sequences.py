@@ -324,17 +324,26 @@ class TestStationary:
         assert diff < 3 * se
 
 
+def entry_floor(*mats) -> float:
+    """The ``min_entry`` of a window-1 rate report on a uniform i.i.d.
+    choice among ``mats``, at least one of which is scrambling."""
+    fset = sp.FiniteMatrixSet(mats)
+    model = sp.IIDModel(weights=np.full(len(mats), 1 / len(mats)),
+                        matrix_set=fset)
+    return sp.window_rate_bound(model, 1).min_entry
+
+
 class TestMinPositiveEntry:
     def test_single(self):
-        fset = sp.FiniteMatrixSet((sp.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]]),))
-        assert sp.min_positive_entry(fset) == 0.5
+        assert entry_floor([[0.5, 0.5], [0.5, 0.5]]) == 0.5
 
     def test_identity(self):
-        fset = sp.FiniteMatrixSet((sp.StochasticMatrix(np.eye(2)),))
-        assert sp.min_positive_entry(fset) == 1.0
+        # every positive entry of the identity and of a rank-one 0/1 matrix
+        # is 1
+        assert entry_floor(np.eye(2), [[0, 1], [0, 1]]) == 1.0
 
     def test_figure_network_weights(self):
         w = uniform_weights(figure_network())
-        fset = sp.FiniteMatrixSet((w,))
-        # the largest in-neighborhood has two members, so the floor is 1/2
-        assert sp.min_positive_entry(fset) == 0.5
+        # the largest in-neighborhood has two members, so the floor is 1/2;
+        # the rank-one partner scrambles, which W never does
+        assert entry_floor(w, np.eye(6)[[0] * 6]) == 0.5
