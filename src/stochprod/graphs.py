@@ -13,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoInNeighbor
+from .errors import DimensionMismatch, InvalidDistribution, NoInNeighbor
 
 __all__ = [
     "DirectedGraph",
@@ -36,6 +36,18 @@ def _is_integer(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``int(value)`` of an integer, numpy's included, of at least ``least``
+    when one is given: every count the package takes passes here.  A float,
+    a string, a boolean or a smaller value raises ``InvalidDistribution``;
+    nothing is truncated or parsed."""
+    if not _is_integer(value):
+        raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidDistribution(f"{name} must be at least {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """A directed graph with vertex set {0, ..., n-1} and an edge set of
@@ -47,7 +59,7 @@ class DirectedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
-        if self.n < 0:
+        if _integer(self.n, "vertex count") < 0:
             raise DimensionMismatch("vertex count must be nonnegative")
         adj = np.zeros((self.n, self.n), dtype=bool)
         for (i, j) in self.edges:

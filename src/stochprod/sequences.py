@@ -28,6 +28,7 @@ from .errors import (
     InvalidDistribution,
     Reducible,
 )
+from .graphs import _integer
 from .matrices import StochasticMatrix
 
 __all__ = [
@@ -50,18 +51,6 @@ START_HORIZON = 128  # marginal steps ``window_starts`` tracks before giving up
 # of a search, takes h - 1; about 1.5 s when every layer holds one state
 WINDOW_LAYERS = 2 * 10**4
 DIST_TOL = 1e-12
-
-
-def _integer(value, name: str, least: int | None = None) -> int:
-    """``int(value)`` of an integer, numpy's included, of at least ``least``
-    when one is given: every count the package takes passes here.  A float,
-    a string, a boolean or a smaller value raises ``InvalidDistribution``;
-    nothing is truncated or parsed."""
-    if not graphs._is_integer(value):
-        raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise InvalidDistribution(f"{name} must be at least {least}")
-    return int(value)
 
 
 def _check_seed(seed: int):

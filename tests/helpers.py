@@ -357,10 +357,27 @@ def expected_lyapunov_per_mode(system, V, x, mode, horizon):
     return float(probs[:, 0] @ values)
 
 
-def certify_contraction_per_mode(system, V, horizon_max, grid=None):
+def grid_images(ops, pts):
+    """Every operator's images of the grid points as ``certify_contraction``
+    makes them: one matmul per operator, read as a (states, points, n)
+    view."""
+    return np.matmul(ops, pts.T).swapaxes(1, 2)
+
+
+def grid_images_einsum(ops, pts):
+    """The same images by one einsum, the kernel the certificate used
+    before: on monomial modes (one nonzero per row) every image entry is
+    one rounded product under either kernel, so the two agree bit for bit;
+    on dense modes the short sums may round differently."""
+    return np.einsum("wij,gj->wgi", ops, pts)
+
+
+def certify_contraction_per_mode(system, V, horizon_max, grid=None,
+                                 images=grid_images):
     """``certify_contraction`` one current mode at a time: each mode
     advances its own continuations and pushes its own operators through the
-    grid, and its expectation is one dot with its weight column."""
+    grid (by ``images``), and its expectation is one dot with its weight
+    column."""
     from stochprod import lyapunov, sequences
     from stochprod.errors import NoCertificate
 
@@ -378,8 +395,8 @@ def certify_contraction_per_mode(system, V, horizon_max, grid=None):
         for mode in modes:
             states[mode] = sequences.advance(law, system.modes, *states[mode])
             _, ops, probs = states[mode]
-            images = np.einsum("wij,gj->wgi", ops, pts)
-            exp_v = probs[:, 0] @ np.asarray(V(images), dtype=float)
+            values = np.asarray(V(images(ops, pts)), dtype=float)
+            exp_v = probs[:, 0] @ values
             beta = max(beta, float((exp_v / vx).max()))
         if horizon == 1:
             supermartingale_ok = beta <= 1.0 + 1e-12

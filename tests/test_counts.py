@@ -7,7 +7,7 @@ import pytest
 
 import stochprod as sp
 from stochprod import agreement, equations, sequences
-from stochprod.errors import InvalidDistribution
+from stochprod.errors import DimensionMismatch, InvalidDistribution
 
 FSET = sp.FiniteMatrixSet(([[0.2, 0.8], [0.5, 0.5]], np.eye(2)))
 IID = sp.IIDModel(weights=[0.5, 0.5], matrix_set=FSET)
@@ -79,7 +79,10 @@ COUNTS = {
                                                     LINEAR), v)),
     "mixed_matrix_norm-block_size": (1, lambda v: sp.mixed_matrix_norm(
         np.eye(4), v)),
+    "directed_graph-n": (0, lambda v: sp.DirectedGraph(v)),
 }
+# counts whose too-small value raises another error than InvalidDistribution
+BELOW_ERRORS = {"directed_graph-n": DimensionMismatch}
 
 
 @pytest.fixture
@@ -97,11 +100,15 @@ def no_work(monkeypatch):
     monkeypatch.setattr(equations, "_step", boom)
 
 
-@pytest.mark.parametrize("least,call", list(COUNTS.values()), ids=list(COUNTS))
+@pytest.mark.parametrize("name", list(COUNTS))
 @pytest.mark.parametrize("value", ["float", "text", "bool", "below"])
-def test_count_refused_before_any_work(no_work, least, call, value):
+def test_count_refused_before_any_work(no_work, name, value):
+    least, call = COUNTS[name]
     v = {"float": 2.5, "text": "5", "bool": True, "below": least - 1}[value]
-    with pytest.raises(InvalidDistribution):
+    error = InvalidDistribution
+    if value == "below":
+        error = BELOW_ERRORS.get(name, InvalidDistribution)
+    with pytest.raises(error):
         call(v)
 
 

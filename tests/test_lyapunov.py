@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import stochprod as sp
@@ -16,6 +16,7 @@ from stochprod.errors import (
 from helpers import (
     certify_contraction_per_mode,
     expected_lyapunov_per_mode,
+    grid_images_einsum,
     mode_start,
     sparse_law,
 )
@@ -44,11 +45,46 @@ def reduce_sup_norm():
     return sp.LyapunovFunction(fn=lambda x: np.abs(x).max(axis=-1), degree=1.0)
 
 
-def search_outcome(search, system, v, horizon_max, grid=None):
+def search_outcome(search, system, v, horizon_max, grid=None, **kwargs):
     try:
-        return search(system, v, horizon_max, grid=grid)
+        return search(system, v, horizon_max, grid=grid, **kwargs)
     except NoCertificate as exc:
         return str(exc)
+
+
+def random_signal(rng, m, variant):
+    """An i.i.d. or Markov-modulated signal on m modes whose laws have some
+    entries zeroed."""
+    if variant == "iid":
+        return sp.IIDModel(weights=sparse_law(rng, m))
+    return sp.MarkovModulatedModel(
+        initial=sparse_law(rng, m),
+        transition=np.array([sparse_law(rng, m) for _ in range(m)]))
+
+
+def benchmark_size_system():
+    """n = 5 damp-and-shift / shift / identity under a chain with dyadic
+    rows: every mode holds the same 3^h continuations, and below T = 5 the
+    worst ratio is exactly 1."""
+    n = 5
+    shift = np.roll(np.eye(n), 1, axis=0)
+    modes = (shift @ np.diag([0.4375] + [1.0] * (n - 1)), shift, np.eye(n))
+    transition = np.array([[6, 5, 5], [3, 10, 3], [4, 4, 8]]) / 16
+    return sp.SwitchedSystem(modes, sp.MarkovModulatedModel(
+        initial=[1, 0, 0], transition=transition))
+
+
+@st.composite
+def monomial_systems(draw):
+    """Modes that are a permutation times a diagonal (some diagonal entries
+    0), n 1-6, 1-4 modes, under an i.i.d. or Markov-modulated signal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    modes = tuple(np.eye(n)[rng.permutation(n)]
+                  @ np.diag(rng.uniform(-1.2, 1.2, n) * (rng.random(n) < 0.9))
+                  for _ in range(m))
+    return sp.SwitchedSystem(modes, random_signal(
+        rng, m, draw(st.sampled_from(["iid", "markov"]))))
 
 
 class TestInfNorm:
@@ -281,13 +317,7 @@ class TestCertify:
         scale = rng.uniform(0.3, 1.2)
         modes = tuple(scale * rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.7)
                       for _ in range(m))
-        if variant == "iid":
-            signal = sp.IIDModel(weights=sparse_law(rng, m))
-        else:
-            signal = sp.MarkovModulatedModel(
-                initial=sparse_law(rng, m),
-                transition=np.array([sparse_law(rng, m) for _ in range(m)]))
-        system = sp.SwitchedSystem(modes, signal)
+        system = sp.SwitchedSystem(modes, random_signal(rng, m, variant))
         grid = sp.SphereGrid(resolution=21, points_per_face=32, seed=seed % 8)
         got = search_outcome(sp.certify_contraction, system, sp.inf_norm(),
                              horizon_max, grid)
@@ -296,18 +326,48 @@ class TestCertify:
         assert got == want
 
     def test_benchmark_size_system_matches_per_mode_search(self):
-        # n = 5 damp-and-shift / shift / identity under a chain with dyadic
-        # rows: every mode holds the same 3^h continuations, and below T = 5
-        # the worst ratio is exactly 1
-        n = 5
-        shift = np.roll(np.eye(n), 1, axis=0)
-        modes = (shift @ np.diag([0.4375] + [1.0] * (n - 1)), shift, np.eye(n))
-        transition = np.array([[6, 5, 5], [3, 10, 3], [4, 4, 8]]) / 16
-        system = sp.SwitchedSystem(modes, sp.MarkovModulatedModel(
-            initial=[1, 0, 0], transition=transition))
+        system = benchmark_size_system()
         cert = sp.certify_contraction(system, sp.inf_norm(), horizon_max=6)
         assert cert.horizon == 5
         assert cert == certify_contraction_per_mode(system, reduce_sup_norm(), 6)
+
+    @given(monomial_systems(), st.integers(1, 3), st.sampled_from([8, 32]))
+    @example(benchmark_size_system(), 6, 256)
+    def test_monomial_modes_match_einsum_images(self, system, horizon_max,
+                                                points_per_face):
+        # one nonzero per row: every image entry is one rounded product
+        # under either kernel, so the certificate is the einsum path's bit
+        # for bit, or the same NoCertificate
+        grid = sp.SphereGrid(resolution=21, points_per_face=points_per_face)
+        got = search_outcome(sp.certify_contraction, system, sp.inf_norm(),
+                             horizon_max, grid)
+        want = search_outcome(certify_contraction_per_mode, system,
+                              reduce_sup_norm(), horizon_max, grid,
+                              images=grid_images_einsum)
+        assert got == want
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 3),
+           st.sampled_from(["iid", "markov"]), st.integers(1, 3))
+    def test_dense_modes_match_einsum_images_to_last_ulps(
+            self, seed, n, m, variant, horizon_max):
+        # Gaussian modes: dgemm may round the short image sums differently
+        # from einsum, which moves alpha in its last ulps only
+        rng = np.random.default_rng(seed)
+        modes = tuple(rng.uniform(0.3, 1.0) * rng.standard_normal((n, n))
+                      / np.sqrt(n) for _ in range(m))
+        system = sp.SwitchedSystem(modes, random_signal(rng, m, variant))
+        grid = sp.SphereGrid(resolution=21, points_per_face=32, seed=seed % 8)
+        got = search_outcome(sp.certify_contraction, system, sp.inf_norm(),
+                             horizon_max, grid)
+        want = search_outcome(certify_contraction_per_mode, system,
+                              reduce_sup_norm(), horizon_max, grid,
+                              images=grid_images_einsum)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert (got.horizon, got.supermartingale_ok) == (
+                want.horizon, want.supermartingale_ok)
+            assert abs(got.alpha - want.alpha) <= 1e-12
 
     @pytest.mark.parametrize("limit, horizon", [(5711, 2), (2447, 1)])
     def test_image_budget(self, damped_system, monkeypatch, limit, horizon):
