@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -77,10 +78,16 @@ class PoissonClocks:
         if not np.all(np.isfinite(r) & (r > 0)):
             raise InvalidDistribution(
                 "Poisson intensities must be positive and finite")
-        if not (np.isfinite(self.delta) and self.delta > 0):
+        d = self.delta  # a real number, not a string, None or a boolean
+        try:
+            d = float(d) if isinstance(d, Real) and not isinstance(d, bool) else 0.0
+        except OverflowError:  # an integer past the float range
+            d = math.inf
+        if not 0 < d < math.inf:
             raise InvalidDistribution("tick width must be positive and finite")
         r.flags.writeable = False
         object.__setattr__(self, "rates", r)
+        object.__setattr__(self, "delta", d)
 
     def activation_probabilities(self):
         return -np.expm1(-self.rates * self.delta)
@@ -200,12 +207,15 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     ticks never enter.  Events are drawn ``EVENT_BLOCK`` at a time, always
     the same shape, so a run of k steps is a prefix of a longer one; each
     block's spreads are reduced at once after its events.  All agents
-    firing at once apply their rows simultaneously, in one
-    ``np.dot(w.take(fired, 0), x)``: the BLAS call of ``w[fired] @ x``
-    without the matmul ufunc's dispatch, so the bits are the same.  Raises
-    ``InvalidDistribution`` when no agent can fire, when ``steps`` is not an
-    integer, is below 0 or over ``EVENT_LIMIT``, or when ``trial`` is not an
-    integer of at least 0.
+    firing at once apply their rows simultaneously, in one ``np.dot`` of
+    their slice of the rows one ``take`` gathers for the next
+    ``EVENT_BLOCK`` firing agents by x: the BLAS call of ``w[fired] @ x``
+    without the matmul ufunc's dispatch, so the bits are the same (one call
+    for several events would not be).  Raises ``InvalidDistribution`` when
+    no agent can fire, when ``steps`` is not an integer, is below 0 or over
+    ``EVENT_LIMIT``, or when ``trial`` is not an integer of at least 0;
+    ``DimensionMismatch`` unless ``x0`` holds one number (not a string or a
+    boolean) per agent, and ``NonFiniteEntry`` when one is NaN or infinite.
     """
     w = matrices.entries_of(W)
     n = w.shape[0]
@@ -219,10 +229,7 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     seed = _trial_seed(clocks.seed, trial)
     if steps > EVENT_LIMIT:
         raise InvalidDistribution(f"steps must be at most {EVENT_LIMIT}")
-    x = np.array(x0, dtype=float)
-    if x.shape != (n,):
-        raise DimensionMismatch("x0 needs one entry per agent")
-    matrices._check_finite(x[:, None])
+    x = matrices._start_vector(x0, n, "agent")
     rng = np.random.default_rng(seed)
     spreads = np.empty(steps + 1)
     spreads[0] = matrices._column_spreads(x[None, :, None])[0]
@@ -232,9 +239,12 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
         # event j's agents are agents[ends[j - 1]:ends[j]]
         agents = np.nonzero(block)[1]
         ends = np.count_nonzero(block, 1).cumsum().tolist()
+        top = 0
         for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
-            fired = agents[lo:hi]
-            x[fired] = np.dot(w.take(fired, 0), x)
+            if hi > top:  # the rows of the next EVENT_BLOCK agents at once
+                base, top = lo, max(hi, lo + EVENT_BLOCK)
+                rows = w.take(agents[base:top], 0)
+            x[agents[lo:hi]] = np.dot(rows[lo - base:hi - base], x)
             states[j] = x
         s = states[:len(block), :, None]  # each state one (n, 1) column
         spreads[start:start + len(block)] = matrices._column_spreads(s)

@@ -44,7 +44,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
-TRACE_CHUNK = 4096  # trace cells converted to Python floats at once
+TRACE_CHUNK = 4096  # trace cells made into texts at once, not the whole trace
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,17 @@ def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, params=params, seed=seed, out_dir=out_dir)
 
 
-def _python_floats(values):
-    """The entries of a float array as Python floats, converted
-    ``TRACE_CHUNK`` at a time: ``csv`` formats a Python float faster than a
-    numpy scalar, and one ``tolist()`` of a long trace would hold every cell
-    as an object at once."""
-    return itertools.chain.from_iterable(
-        values[start:start + TRACE_CHUNK].tolist()
-        for start in range(0, len(values), TRACE_CHUNK))
+def _float_texts(values):
+    """The text ``csv`` writes for each entry of a float array, ``repr`` of
+    its Python float, made once per run of equal bits (0.0 and -0.0 differ)
+    within each ``TRACE_CHUNK`` cells: spread traces are piecewise constant."""
+    for start in range(0, len(values), TRACE_CHUNK):
+        chunk = values[start:start + TRACE_CHUNK]
+        bits = chunk.view(np.uint64)
+        heads = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
+        counts = np.diff(heads, append=chunk.size).tolist()
+        yield from itertools.chain.from_iterable(map(
+            itertools.repeat, map(repr, chunk[heads].tolist()), counts))
 
 
 def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
@@ -180,7 +183,7 @@ def _run_certify(config: ExperimentConfig):
         tol=_field(p, "tol", _number, 1e-8))
     qs = np.quantile(report.history, [0.1, 0.5, 0.9], axis=0)
     means = report.history.mean(axis=0)
-    rows = zip(range(means.size), *map(_python_floats, (means, *qs)))
+    rows = zip(range(means.size), *map(_float_texts, (means, *qs)))
     summary = {
         "certificate": {"T": cert.horizon, "alpha": cert.alpha,
                         "rate": cert.rate,
@@ -249,7 +252,7 @@ def _run_async(config: ExperimentConfig):
         "converged": bool(trace.spreads[-1] < tol),
         "steps": steps, "tol": tol,
     }
-    rows = enumerate(_python_floats(trace.spreads))
+    rows = enumerate(_float_texts(trace.spreads))
     return summary, ["k", "spread"], rows, EXIT_OK
 
 

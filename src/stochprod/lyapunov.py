@@ -347,10 +347,7 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
     if trials * (steps + 1) > HISTORY_LIMIT:
         raise InvalidDistribution(
             f"trials * (steps + 1) must be at most {HISTORY_LIMIT} history cells")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dimension,):
-        raise DimensionMismatch("x0 needs one entry per state coordinate")
-    matrices._check_finite(x0[:, None])
+    x0 = matrices._start_vector(x0, system.dimension, "state coordinate")
     idx = np.stack([sequences.sample(system.signal, steps, trial=t)
                     for t in range(trials)])
     modes = np.stack(system.modes)

@@ -62,6 +62,28 @@ def _check_finite(a: np.ndarray):
         raise NonFiniteEntry(i, j, float(a[i, j]))
 
 
+def _numbers(a: np.ndarray) -> np.ndarray:
+    """A float copy of an integer or float array; strings, booleans and
+    objects, which would convert silently, raise ``DimensionMismatch``."""
+    if a.dtype.kind not in "iuf":
+        raise DimensionMismatch(f"expected numbers, got an array of {a.dtype}")
+    return np.array(a, dtype=float)
+
+
+def _start_vector(x0, n: int, what: str) -> np.ndarray:
+    """A float copy of a start vector of n finite numbers, one per ``what``;
+    raises ``DimensionMismatch`` or ``NonFiniteEntry`` otherwise."""
+    x = _numbers(np.asarray(x0))
+    if x.shape != (n,):
+        raise DimensionMismatch(f"x0 needs one entry per {what}")
+    # numpy reads the boolean of [1.0, True] as a number
+    if not isinstance(x0, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in x0):
+        raise DimensionMismatch("expected numbers, got a boolean")
+    _check_finite(x[:, None])
+    return x
+
+
 class StochasticMatrix:
     """A validated row-stochastic matrix.
 
@@ -73,11 +95,7 @@ class StochasticMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        a = graphs._square(entries, None)
-        # strings, booleans and objects would convert silently below
-        if a.dtype.kind not in "iuf":
-            raise DimensionMismatch(f"expected numbers, got an array of {a.dtype}")
-        a = np.array(a, dtype=float)
+        a = _numbers(graphs._square(entries, None))
         _check_finite(a)
         neg = np.argwhere(a < 0)
         if len(neg):

@@ -213,6 +213,14 @@ class TestClocks:
         with pytest.raises(InvalidDistribution):
             sp.PoissonClocks(rates=np.array([1.0]), delta=np.nan)
 
+    @pytest.mark.parametrize("delta", ["1", None, True, 10**400],
+                             ids=["text", "none", "bool", "past-float"])
+    def test_poisson_tick_width_must_be_a_number(self, delta):
+        # once a raw TypeError from np.isfinite, or True read as 1.0
+        with pytest.raises(InvalidDistribution,
+                           match="tick width must be positive and finite"):
+            sp.PoissonClocks(rates=np.array([1.0]), delta=delta)
+
     def test_poisson_thinning(self):
         clocks = sp.PoissonClocks(rates=np.array([1.0, 2.0]), delta=0.5)
         np.testing.assert_allclose(clocks.activation_probabilities(),

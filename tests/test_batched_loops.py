@@ -568,26 +568,39 @@ def test_simulate_product_matches_per_step_loop_at_bench_sizes(n, order):
     assert len(got.checkpoints) == (0 if n == 1 else len(cps))
 
 
+# name -> (agents, events): the benchmark's clocks over 50 agents, and at an
+# odd row size, 37, where gathered row slices start at 8-byte offsets;
+# "crowded" fires about 1,089 of 1,100 agents per event, more than
+# EVENT_BLOCK, so each event gathers its own rows
+ASYNC_REPLAY_CASES = {"bernoulli": (50, 2500), "poisson": (50, 2500),
+                      "bernoulli-37": (37, 2500), "poisson-37": (37, 2500),
+                      "crowded": (1100, 3)}
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("clock", ["bernoulli", "poisson"])
+@pytest.mark.parametrize("clock", list(ASYNC_REPLAY_CASES))
 def test_simulate_async_matches_replay_at_bench_size(clock, order):
-    # the benchmark's clocks over 50 agents: Bernoulli rates near 0.3 fire
-    # about 15 agents per event, sparse Poisson ones mostly one (a row of W
-    # times x, BLAS's ddot path)
-    n, steps = 50, 2500
+    # Bernoulli rates near 0.3 fire about 15 of 50 agents per event, sparse
+    # Poisson ones mostly one (a row of W times x, BLAS's ddot path); every
+    # event must match the one-event-at-a-time replay bit for bit
+    n, steps = ASYNC_REPLAY_CASES[clock]
     rng = np.random.default_rng(7)
     w = in_layout(random_stochastic(rng, n, density=0.1), order)
-    if clock == "bernoulli":
+    if clock.startswith("bernoulli"):
         clocks = sp.BernoulliClocks(rates=rng.uniform(0.2, 0.4, n), seed=3)
-    else:
+    elif clock.startswith("poisson"):
         clocks = sp.PoissonClocks(rates=rng.uniform(0.004, 0.012, n), seed=4)
+    else:
+        clocks = sp.BernoulliClocks(rates=np.full(n, 0.99), seed=5)
     x0 = rng.normal(size=n)
     fired = drawn_firing_sets(clocks, steps)
     sizes = fired.sum(1)
-    if clock == "bernoulli":
+    if clock.startswith("bernoulli"):
         assert np.median(sizes) >= 10
-    else:
+    elif clock.startswith("poisson"):
         assert (sizes == 1).mean() > 0.7
+    else:
+        assert (sizes > agreement.EVENT_BLOCK).all()
     trace = sp.simulate_async(w, clocks, x0, steps)
     spreads, x = apply_firing_sets(w, x0, fired)
     assert np.array_equal(trace.spreads, spreads)

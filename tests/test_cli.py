@@ -742,19 +742,40 @@ def float_bits(*values):
     return [int(np.float64(v).view(np.uint64)) for v in values]
 
 
-@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+# bit patterns that differ but may print alike or nearly so: both zeros,
+# NaNs of either sign and of several payloads (quiet and signalling), both
+# infinities, subnormals, the ends of the normal range, and neighbours
+# around repr's switch to exponent notation
+RUN_POOL = float_bits(0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                      2.225073858507201e-308, 2.2250738585072014e-308,
+                      1.7976931348623157e308, 1e-05, 9.999999999999999e-05,
+                      1e16, 9999999999999998.0, 0.5) + [
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF]
+
+
+@given(st.lists(st.one_of(st.sampled_from(RUN_POOL),
+                          st.integers(0, 2**64 - 1)), max_size=40))
 @example(float_bits(0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
                     2.2250738585072014e-308, 1.7976931348623157e308,
                     -1.7976931348623157e308, 1e-05, 9.999999999999999e-05,
                     1e16, 9999999999999998.0, 1e-300, 1e300))
+@example([0] * 9 + [2**63] * 9 + [0x7FF8000000000000] * 4
+         + [0x7FF8000000000001] * 4 + [1] * 8)
 def test_trace_floats_format_like_numpy_scalars(bits):
-    # every float64 bit pattern (subnormals, signed zeros, both ends of the
-    # exponent range, inf and nan), converted 7 cells at a time so that the
-    # lists cross chunk boundaries
+    # mostly runs of a few bit patterns, made 7 cells at a time so that runs
+    # cross chunk boundaries: each text is the one csv writes for the float,
+    # which is how numpy prints it, and the file is the same either way
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "TRACE_CHUNK", 7)
-        got = list(cli._python_floats(values))
-    assert all(type(v) is float for v in got)
-    assert [str(v) for v in got] == [str(np.float64(v)) for v in values]
-    assert [str(float(v)) for v in values] == [str(v) for v in values]
+        got = list(cli._float_texts(values))
+    assert got == [str(np.float64(v)) for v in values]
+    assert [str(float(v)) for v in values] == got
+
+    def csv_file(cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(enumerate(cells))
+        return buf.getvalue()
+
+    assert csv_file(got) == csv_file(values.tolist())

@@ -1,6 +1,7 @@
 """Every count a public function or constructor takes is an integer of at
 least its least value, or ``InvalidDistribution`` is raised before any work:
-no float is truncated, no string parsed, no boolean read as 0 or 1."""
+no float is truncated, no string parsed, no boolean read as 0 or 1.  Every
+start vector holds numbers, or ``DimensionMismatch`` is raised as early."""
 
 import numpy as np
 import pytest
@@ -115,3 +116,22 @@ def test_count_refused_before_any_work(no_work, name, value):
 @pytest.mark.parametrize("least,call", list(COUNTS.values()), ids=list(COUNTS))
 def test_numpy_integer_count_accepted(least, call):
     call(np.int64(least + 1))
+
+
+# name -> call with the start vector set to v
+STARTS = {
+    "simulate_async": lambda v: sp.simulate_async(W, CLOCKS, v, 10),
+    "monte_carlo_decay": lambda v: sp.monte_carlo_decay(
+        SYSTEM, sp.inf_norm(), v, 10, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(STARTS))
+@pytest.mark.parametrize("x0", [[0.0, "a"], ["0", "1"], [True, False],
+                                [1.0, True], [1, np.False_], [None, 1.0]],
+                         ids=["text", "texts", "bools", "float-bool",
+                              "int-bool", "none"])
+def test_start_vector_of_non_numbers_refused_before_any_work(no_work, name,
+                                                             x0):
+    with pytest.raises(DimensionMismatch, match="expected numbers"):
+        STARTS[name](x0)
