@@ -46,14 +46,16 @@ EVENT_LIMIT = 10**7  # update events one ``simulate_async`` run may take
 
 @dataclass(frozen=True)
 class BernoulliClocks:
-    """Each tick, agent i fires independently with probability rates[i]."""
+    """Each tick, agent i fires independently with probability rates[i].
+    Raises ``DimensionMismatch`` when a rate is not a number (a string, None
+    or a boolean), ``InvalidDistribution`` unless each lies in (0, 1]."""
 
     rates: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
         _check_seed(self.seed)
-        r = np.asarray(self.rates, dtype=float)
+        r = matrices._number_vector(self.rates)
         if not np.all((r > 0) & (r <= 1)):
             raise InvalidDistribution("Bernoulli rates must lie in (0, 1]")
         r.flags.writeable = False
@@ -66,7 +68,10 @@ class BernoulliClocks:
 @dataclass(frozen=True)
 class PoissonClocks:
     """Poisson clocks thinned onto a tick grid of width ``delta``: the
-    per-tick firing probability is -expm1(-rate * delta), exact when tiny."""
+    per-tick firing probability is -expm1(-rate * delta), exact when tiny.
+    Raises ``DimensionMismatch`` when a rate is not a number (a string, None
+    or a boolean), ``InvalidDistribution`` unless each is positive and
+    finite."""
 
     rates: np.ndarray
     seed: int = 0
@@ -74,7 +79,7 @@ class PoissonClocks:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        r = np.asarray(self.rates, dtype=float)
+        r = matrices._number_vector(self.rates)
         if not np.all(np.isfinite(r) & (r > 0)):
             raise InvalidDistribution(
                 "Poisson intensities must be positive and finite")

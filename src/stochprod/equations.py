@@ -161,18 +161,25 @@ def _check_self_arcs(graph: DirectedGraph):
 
 
 def _step(x, incoming, degrees, ps, out=None, scratch=None):
-    """``step`` on a graph's prebuilt ``graphs._in_weights`` and the
-    projection stack ``ps``: the one arithmetic path of ``step`` and
+    """``step`` on a graph's float in-adjacency ``incoming``, its in-degrees
+    and the projection stack ``ps``: the one arithmetic path of ``step`` and
     ``run_solver``.
 
-    Writes the new state into ``out`` and the corrections into ``scratch``,
-    (n, m) arrays allocated when not given; ``out`` may be ``x`` itself.
-    Each operation is that of ``x - einsum(ps, degrees * x - incoming @ x)
-    / degrees``, so the bits do not depend on the buffers.
+    ``degrees`` is the (n, 1) column of ``graphs._in_weights`` or that
+    column repeated to x's (n, m) shape, as ``run_solver`` builds it once
+    per run: a multiply or divide of two (n, m) operands skips the cost of
+    broadcasting a column at every step, and elementwise arithmetic rounds
+    each entry alike either way, so both give the same bits.  Writes the new
+    state into ``out`` and the corrections into ``scratch``, (n, m) arrays
+    allocated like x when not given; ``out`` may be ``x`` itself.  Each
+    operation is that of ``x - einsum(ps, degrees * x - incoming @ x) /
+    degrees``, so the bits do not depend on buffers laid out like x (the
+    einsum sums in an order that follows the layout of the corrections).
     """
     buf = np.empty_like(x) if out is None or out is x else out
     np.matmul(incoming, x, out=buf)
-    corrections = np.multiply(degrees, x, out=scratch)
+    corrections = np.multiply(degrees, x, out=np.empty_like(x)
+                              if scratch is None else scratch)
     np.subtract(corrections, buf, out=corrections)
     np.einsum("ijk,ik->ij", ps, corrections, out=buf)
     np.divide(buf, degrees, out=buf)
@@ -191,10 +198,15 @@ def mixed_matrix_norm(q: np.ndarray, block_size: int) -> float:
     """Mixed block norm: spectral norm of each block, collapsed by the
     induced sup norm (max row sum of the block-norm matrix).  Raises
     ``InvalidDistribution`` unless ``block_size`` is an integer of at least
-    1, ``DimensionMismatch`` unless it divides the square q."""
+    1; ``DimensionMismatch`` unless q is a nonempty square array of numbers
+    (not strings or booleans) whose side ``block_size`` divides, and
+    ``NonFiniteEntry`` when an entry of q is NaN or infinite."""
     block_size = sequences._integer(block_size, "block size", 1)
-    q = np.asarray(q, dtype=float)
-    if q.shape[0] != q.shape[1] or q.shape[0] % block_size:
+    q = matrices._numbers(graphlib._square(q, None))
+    matrices._check_finite(q)
+    if not q.size:
+        raise DimensionMismatch("mixed norm of an empty block matrix")
+    if q.shape[0] % block_size:
         raise DimensionMismatch("block matrix shape incompatible with block size")
     n = q.shape[0] // block_size
     blocks = q.reshape(n, block_size, n, block_size).swapaxes(1, 2)
@@ -313,8 +325,12 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     run in blocks of up to ``SOLVER_BLOCK`` (fewer past ``STATE_BYTES`` of
     states): each step writes its state straight into the block's buffer,
     then the block's gaps are reduced at once and the residuals of all its
-    recorded rows are taken at once.  Steps past the stop are computed and
-    discarded, so the report is bit for bit that of a per-step loop.  Each
+    recorded rows are taken at once.  Each candidate graph's in-degrees are
+    repeated to the (n, m) state shape once per run, so a step's multiply
+    and divide take two operands of one shape instead of broadcasting the
+    (n, 1) column every step, with the same bits.  Steps past the stop are
+    computed and discarded, so the report is bit for bit that of a
+    per-step loop.  Each
     block draws its indices from ``gmodel.model.stream(trial)``.  With
     ``norm_windows`` > 0 the first windows that fit in ``max_iters`` steps,
     read from a second stream on the same trial, get their error-transition
@@ -337,9 +353,11 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
             f"no strongly connected window of length {gmodel.window}")
     projections = kernel_projections(system)
     ps = projections.projections
-    weights = [graphlib._in_weights(g) for g in gmodel.graph_set]
     a_full, b_full = system.stacked()
     x = initial_state(system)
+    weights = [(incoming, np.repeat(degrees, system.m, 1))
+               for incoming, degrees in map(graphlib._in_weights,
+                                            gmodel.graph_set)]
     draw = gmodel.model.stream(trial)
 
     def residuals(s):

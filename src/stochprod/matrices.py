@@ -70,16 +70,23 @@ def _numbers(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=float)
 
 
+def _number_vector(v) -> np.ndarray:
+    """``_numbers`` of a vector given as an array or a sequence; a boolean
+    in the sequence raises ``DimensionMismatch`` too, since numpy reads the
+    boolean of [1.0, True] as a number."""
+    x = _numbers(np.asarray(v))
+    if not isinstance(v, np.ndarray) and x.ndim == 1 and any(
+            isinstance(e, (bool, np.bool_)) for e in v):
+        raise DimensionMismatch("expected numbers, got a boolean")
+    return x
+
+
 def _start_vector(x0, n: int, what: str) -> np.ndarray:
     """A float copy of a start vector of n finite numbers, one per ``what``;
     raises ``DimensionMismatch`` or ``NonFiniteEntry`` otherwise."""
-    x = _numbers(np.asarray(x0))
+    x = _number_vector(x0)
     if x.shape != (n,):
         raise DimensionMismatch(f"x0 needs one entry per {what}")
-    # numpy reads the boolean of [1.0, True] as a number
-    if not isinstance(x0, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_)) for v in x0):
-        raise DimensionMismatch("expected numbers, got a boolean")
     _check_finite(x[:, None])
     return x
 

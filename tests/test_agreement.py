@@ -213,6 +213,25 @@ class TestClocks:
         with pytest.raises(InvalidDistribution):
             sp.PoissonClocks(rates=np.array([1.0]), delta=np.nan)
 
+    @pytest.mark.parametrize("kind", [sp.BernoulliClocks, sp.PoissonClocks])
+    @pytest.mark.parametrize("rates", [["0.5", "0.5"], [True, 0.5],
+                                       [0.5, np.True_], [None, 0.5],
+                                       np.array([True, True]), "0.5"],
+                             ids=["texts", "bool", "numpy-bool", "none",
+                                  "bool-array", "text"])
+    def test_rates_must_be_numbers(self, kind, rates):
+        # once parsed as [0.5, 0.5] and [1.0, 0.5]
+        with pytest.raises(DimensionMismatch, match="expected numbers"):
+            kind(rates=rates)
+
+    @pytest.mark.parametrize("kind", [sp.BernoulliClocks, sp.PoissonClocks])
+    def test_rates_are_a_read_only_copy(self, kind):
+        rates = np.array([1, 1])
+        clocks = kind(rates=rates)
+        assert clocks.rates.dtype == float and not clocks.rates.flags.writeable
+        assert rates.flags.writeable
+        assert kind(rates=[1.0, 0.5]).rates.tolist() == [1.0, 0.5]
+
     @pytest.mark.parametrize("delta", ["1", None, True, 10**400],
                              ids=["text", "none", "bool", "past-float"])
     def test_poisson_tick_width_must_be_a_number(self, delta):

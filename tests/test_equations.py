@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import stochprod as sp
 from stochprod import equations
@@ -213,6 +215,60 @@ class TestStep:
             assert fresh.tobytes() == ping.tobytes() == inplace.tobytes()
 
 
+def float_bits(values):
+    return [int(b) for b in np.array(values, dtype=float).view(np.uint64)]
+
+
+# float64 bit patterns: both zeros, a subnormal of each sign, the smallest
+# normal, large values, and (as specials only) infinities and a quiet NaN
+FINITE_BITS = float_bits([0.0, -0.0, 5e-324, -2.225073858507201e-308,
+                          2.2250738585072014e-308, 1e300,
+                          -1.7976931348623157e308, 1 / 3, -7.0])
+SPECIAL_BITS = FINITE_BITS + float_bits([np.inf, -np.inf, np.nan])
+BIT_POOLS = st.lists(st.one_of(st.integers(0, 2**64 - 1),
+                               st.sampled_from(SPECIAL_BITS)),
+                     min_size=1, max_size=12)
+
+
+@given(n=st.integers(1, 6), m=st.integers(1, 6), pool=BIT_POOLS,
+       fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=5, m=20, pool=SPECIAL_BITS, fortran=False, seed=0)
+@example(n=5, m=20, pool=SPECIAL_BITS, fortran=True, seed=1)
+@example(n=10, m=40, pool=FINITE_BITS, fortran=False, seed=2)
+@example(n=10, m=40, pool=FINITE_BITS, fortran=True, seed=3)
+def test_step_bits_do_not_depend_on_the_degree_shape(n, m, pool, fortran,
+                                                     seed):
+    # ``step`` hands ``_step`` the (n, 1) in-degree column and
+    # ``run_solver`` the column repeated to (n, m): both give the same
+    # bytes, with fresh arrays, with buffers laid out like x and in place,
+    # for x of any bit patterns in C or F order; a C-ordered x gives the
+    # bytes of the documented expression
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < 0.5
+    np.fill_diagonal(adj, True)
+    graph = sp.DirectedGraph(n, frozenset(zip(*np.nonzero(adj))))
+    incoming, column = _in_weights(graph)
+    ps = rng.normal(size=(n, m, m))
+    x = rng.choice(np.array(pool, dtype=np.uint64), (n, m)).view(float)
+    if fortran:
+        x = np.asfortranarray(x)
+    with np.errstate(all="ignore"):
+        got = set()
+        for degrees in (column, np.repeat(column, m, 1)):
+            got.add(equations._step(x, incoming, degrees, ps).tobytes())
+            got.add(equations._step(x, incoming, degrees, ps, np.empty_like(x),
+                                    np.empty_like(x)).tobytes())
+            inplace = x.copy(order="K")
+            equations._step(inplace, incoming, degrees, ps, inplace,
+                            np.empty_like(x))
+            got.add(inplace.tobytes())
+        assert len(got) == 1
+        if not fortran:
+            want = x - np.einsum("ijk,ik->ij", ps,
+                                 column * x - incoming @ x) / column
+            assert got == {want.tobytes()}
+
+
 class TestMixedNorm:
     def test_identity(self):
         assert sp.mixed_matrix_norm(np.eye(6), 2) == pytest.approx(1.0)
@@ -231,6 +287,33 @@ class TestMixedNorm:
             norms = [[np.linalg.norm(q[i * m:(i + 1) * m, j * m:(j + 1) * m], 2)
                       for j in range(n)] for i in range(n)]
             assert sp.mixed_matrix_norm(q, m) == np.sum(norms, axis=1).max()
+
+    @pytest.mark.parametrize("q, error, match", [
+        (np.full((2, 2), np.nan), NonFiniteEntry, "not finite"),
+        (np.diag([1.0, np.inf]), NonFiniteEntry, "not finite"),
+        ([[1.0, 2.0], [3.0]], DimensionMismatch, "do not form an array"),
+        (np.zeros((0, 0)), DimensionMismatch, "empty"),
+        (np.eye(2, dtype=bool), DimensionMismatch, "expected numbers"),
+        ([["1", "0"], ["0", "1"]], DimensionMismatch, "expected numbers"),
+        (np.zeros((2, 3)), DimensionMismatch, "square"),
+        (np.zeros(4), DimensionMismatch, "square"),
+    ], ids=["nan", "inf", "ragged", "empty", "bool", "text", "oblong", "flat"])
+    def test_bad_matrix_rejected(self, q, error, match):
+        # once a LinAlgError, raw ValueErrors, or 1.0 for the booleans
+        with pytest.raises(error, match=match):
+            sp.mixed_matrix_norm(q, 1)
+
+    def test_checks_keep_the_bits(self):
+        # integer entries read as floats; a list and an F-ordered array
+        # give the bits of the C-ordered float array
+        rng = np.random.default_rng(3)
+        q = rng.normal(size=(12, 12))
+        want = sp.mixed_matrix_norm(q, 4)
+        for same in (q.tolist(), np.asfortranarray(q)):
+            assert sp.mixed_matrix_norm(same, 4) == want
+        ints = rng.integers(-5, 6, (6, 6))
+        assert sp.mixed_matrix_norm(ints, 3) == sp.mixed_matrix_norm(
+            ints.astype(float), 3)
 
     def test_norm_axioms_and_submultiplicativity(self):
         rng = np.random.default_rng(7)
