@@ -47,8 +47,9 @@ EVENT_LIMIT = 10**7  # update events one ``simulate_async`` run may take
 @dataclass(frozen=True)
 class BernoulliClocks:
     """Each tick, agent i fires independently with probability rates[i].
-    Raises ``DimensionMismatch`` when a rate is not a number (a string, None
-    or a boolean), ``InvalidDistribution`` unless each lies in (0, 1]."""
+    Raises ``DimensionMismatch`` when the rates are ragged or a rate is not
+    a number (a string, None or a boolean), ``InvalidDistribution`` unless
+    each lies in (0, 1]."""
 
     rates: np.ndarray
     seed: int = 0
@@ -69,9 +70,9 @@ class BernoulliClocks:
 class PoissonClocks:
     """Poisson clocks thinned onto a tick grid of width ``delta``: the
     per-tick firing probability is -expm1(-rate * delta), exact when tiny.
-    Raises ``DimensionMismatch`` when a rate is not a number (a string, None
-    or a boolean), ``InvalidDistribution`` unless each is positive and
-    finite."""
+    Raises ``DimensionMismatch`` when the rates are ragged or a rate is not
+    a number (a string, None or a boolean), ``InvalidDistribution`` unless
+    each is positive and finite."""
 
     rates: np.ndarray
     seed: int = 0
@@ -219,8 +220,9 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     for several events would not be).  Raises ``InvalidDistribution`` when
     no agent can fire, when ``steps`` is not an integer, is below 0 or over
     ``EVENT_LIMIT``, or when ``trial`` is not an integer of at least 0;
-    ``DimensionMismatch`` unless ``x0`` holds one number (not a string or a
-    boolean) per agent, and ``NonFiniteEntry`` when one is NaN or infinite.
+    ``DimensionMismatch`` unless ``x0`` holds one number (not a string, a
+    boolean or a list) per agent, and ``NonFiniteEntry`` when one is NaN or
+    infinite.
     """
     w = matrices.entries_of(W)
     n = w.shape[0]

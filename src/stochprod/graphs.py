@@ -83,14 +83,19 @@ class DirectedGraph:
         return np.nonzero(self.adj[:, j])[0].tolist()
 
 
-def _square(a, dtype=bool, ndim=2) -> np.ndarray:
+def _array(a, dtype=None) -> np.ndarray:
     """``a`` as an array of ``dtype`` (None keeps its own); raises
-    ``DimensionMismatch`` unless it is an array (not a ragged nested list)
-    of ``ndim`` axes, the last two of one length."""
+    ``DimensionMismatch`` for a ragged nested list."""
     try:
-        a = np.asarray(a, dtype=dtype)
+        return np.asarray(a, dtype=dtype)
     except ValueError as exc:  # ragged nested lists
         raise DimensionMismatch(f"entries do not form an array: {exc}") from exc
+
+
+def _square(a, dtype=bool, ndim=2) -> np.ndarray:
+    """``_array(a, dtype)``; raises ``DimensionMismatch`` unless it has
+    ``ndim`` axes, the last two of one length."""
+    a = _array(a, dtype)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
     return a

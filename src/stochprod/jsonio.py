@@ -21,6 +21,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import graphs, matrices
 from .errors import ConfigParse
 from .graphs import DirectedGraph
 from .matrices import StochasticMatrix
@@ -115,10 +116,12 @@ def _array(value) -> np.ndarray:
 
 
 def _matrix(rows) -> StochasticMatrix:
-    """Rows past the dtype checks, then refusing booleans among numbers."""
-    matrix = StochasticMatrix(rows)
+    """Rows past the shape and dtype checks of their array, then refusing
+    booleans among numbers, then the checks of ``StochasticMatrix``, which
+    gets the array and so walks no leaves again."""
+    entries = matrices._numbers(graphs._square(rows, None))
     _check_leaves(rows)
-    return matrix
+    return StochasticMatrix(entries)
 
 
 def _edge(value) -> tuple:

@@ -49,11 +49,12 @@ HISTORY_LIMIT = 10**7  # V history cells, trials * (steps + 1), of one run
 # image cells, states * grid points * n summed over the horizons of one
 # certificate search (at most 400 MB of float64 images in all, one horizon's
 # held at a time); each horizon is charged at least HORIZON_CELLS, so a
-# search whose layers never grow still ends.  A horizon's fixed cost, 35 us,
-# would buy about 12,000 cells at the 350 cells/us of the benchmark's 3-mode
-# 5x5 search (2 vCPU Xeon, one BLAS thread)
+# search whose layers never grow still ends.  That floor is a horizon's fixed
+# cost, 37-42 us in a one-state search of 1 or 2 dimensions, in cells at the
+# 300-335 cells/us of the benchmark's 3-mode 5x5 search (2 vCPU Xeon, one
+# BLAS thread): a search that never grows stops after 4,167 horizons
 IMAGE_LIMIT = 5 * 10**7
-HORIZON_CELLS = 2000
+HORIZON_CELLS = 12000
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -70,15 +71,25 @@ def _numbers(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=float)
 
 
-def _number_vector(v) -> np.ndarray:
-    """``_numbers`` of a vector given as an array or a sequence; a boolean
-    in the sequence raises ``DimensionMismatch`` too, since numpy reads the
-    boolean of [1.0, True] as a number."""
-    x = _numbers(np.asarray(v))
-    if not isinstance(v, np.ndarray) and x.ndim == 1 and any(
-            isinstance(e, (bool, np.bool_)) for e in v):
-        raise DimensionMismatch("expected numbers, got a boolean")
+def _number_leaves(v, a: np.ndarray) -> np.ndarray:
+    """``_numbers(a)`` of the array ``a`` read from ``v``; when ``v`` is a
+    sequence, nested or not, a boolean among its leaves raises
+    ``DimensionMismatch`` too, since numpy reads the boolean of [1.0, True]
+    as a number."""
+    x = _numbers(a)
+    if not isinstance(v, np.ndarray):
+        leaves = [v]
+        for _ in range(x.ndim):
+            leaves = list(chain.from_iterable(leaves))
+        if any(isinstance(e, (bool, np.bool_)) for e in leaves):
+            raise DimensionMismatch("expected numbers, got a boolean")
     return x
+
+
+def _number_vector(v) -> np.ndarray:
+    """``_number_leaves`` of a vector given as an array or a sequence; a
+    ragged sequence raises ``DimensionMismatch``."""
+    return _number_leaves(v, graphs._array(v))
 
 
 def _start_vector(x0, n: int, what: str) -> np.ndarray:
@@ -102,7 +113,7 @@ class StochasticMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        a = _numbers(graphs._square(entries, None))
+        a = _number_leaves(entries, graphs._square(entries, None))
         _check_finite(a)
         neg = np.argwhere(a < 0)
         if len(neg):

@@ -39,7 +39,10 @@ __all__ = [
 TAU_FLOOR = 1e-300
 STEP_LIMIT = 10**7  # steps one ``simulate_product`` run may take
 # bytes of reduced factors one ``simulate_product`` chunk stacks: a larger
-# chunk makes fewer Python-level calls but holds larger temporary stacks
+# chunk makes fewer Python-level calls but holds larger temporary stacks.
+# A batch of chunks is reduced together, as many as keep its block-table
+# entries and its tail factors each within one chunk's length, so within
+# these bytes too (3 chunks of 145 factors at 16 states, 2 of 34 at 32)
 CHUNK_BYTES = 2**18
 
 
@@ -95,15 +98,19 @@ def default_checkpoints(steps: int) -> tuple:
 
 
 def _tree_product(stack: np.ndarray) -> np.ndarray:
-    """Backward product ``stack[-1] ... stack[1] stack[0]`` as a pairwise
-    tree: each level multiplies neighbours with one stacked ``np.matmul``,
-    the later factor on the left, and carries an odd leftover up."""
-    while stack.shape[0] > 1:
-        even = stack.shape[0] & ~1
-        pairs = np.matmul(stack[1:even:2], stack[0:even:2])
-        stack = (pairs if even == stack.shape[0]
-                 else np.concatenate([pairs, stack[even:]]))
-    return stack[0]
+    """Backward products ``stack[..., -1, :, :] ... stack[..., 0, :, :]``
+    of a ``(..., E, r, r)`` stack, one per leading index, as pairwise trees
+    along axis -3: each level multiplies neighbours with one stacked
+    ``np.matmul``, the later factor on the left, and carries an odd
+    leftover up.  Every leading index gets the same pairs, and so the same
+    ``dgemm`` calls, as its own stack would."""
+    while stack.shape[-3] > 1:
+        even = stack.shape[-3] & ~1
+        pairs = np.matmul(stack[..., 1:even:2, :, :],
+                          stack[..., 0:even:2, :, :])
+        stack = (pairs if even == stack.shape[-3] else
+                 np.concatenate([pairs, stack[..., even:, :, :]], axis=-3))
+    return stack[..., 0, :, :]
 
 
 def _block_table(hats: np.ndarray, chunk: int, steps: int):
@@ -123,17 +130,22 @@ def _block_table(hats: np.ndarray, chunk: int, steps: int):
 
 
 def _chunk_product(hats, table, depth, idx) -> np.ndarray:
-    """``_tree_product(hats[idx])`` with its lower ``depth`` levels read
-    from ``_block_table``: below that level every element but the last is
-    an aligned block, and the last is the tree of the tail past the last
-    full block."""
-    full = (len(idx) >> depth) << depth
-    codes = idx[:full]
-    for level in range(depth):
-        codes = codes[1::2] * len(hats) ** (1 << level) + codes[0::2]
-    stack = table[codes]
-    if full < len(idx):
-        stack = np.concatenate([stack, _tree_product(hats[idx[full:]])[None]])
+    """The ``B`` chunk products ``_tree_product(hats[idx[b]])`` of a
+    ``(B, length)`` index array, with their lower ``depth`` levels read from
+    ``_block_table``: below that level every element but the last is an
+    aligned block, whose code is its indices as base-k digits, and the last
+    is the tree of the tail past the last full block.  The B trees are
+    reduced together, one stacked ``np.matmul`` per level."""
+    rows, length = idx.shape
+    full = (length >> depth) << depth
+    # rows shorter than a block hold none: their empty codes need no
+    # 2**depth digits, which a one-matrix set's deep table would make huge
+    width = min(1 << depth, length)
+    stack = table[idx[:, :full].reshape(rows, full >> depth, width)
+                  @ len(hats) ** np.arange(width)]
+    if full < length:
+        stack = np.concatenate(
+            [stack, _tree_product(hats[idx[:, full:]])[:, None]], axis=1)
     return _tree_product(stack)
 
 
@@ -150,18 +162,25 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     near 1e-14.  Tau and the spread are read from the rows of ``[D; 0]``.
     Each checkpoint segment is multiplied in chunks of at most
     ``CHUNK_BYTES`` of reduced factors, each reduced by ``_tree_product``
-    and then applied to D with one ``np.dot``; no chunk crosses a checkpoint,
-    and each segment is one draw of ``model.stream(trial)``, so no index
-    past the stopping checkpoint is drawn.  A chunk's aligned blocks of
-    ``2**L`` factors are read from a table of every block's product, built
-    once per run (``_block_table``): for k matrices, L is the deepest level
-    with k^(2^L) at most the chunk length and at most ``steps >> L``, so
-    the table holds no more than ``CHUNK_BYTES`` and no more products than
-    the run has blocks.  The products, and so the bits, are those of the
-    chunk's tree.  Raises ``InvalidDistribution`` when ``steps`` is not an
-    integer, is below 1 or over ``STEP_LIMIT``, a checkpoint is not an
-    integer, or ``trial`` is not an integer of at least 0, before any index
-    is drawn; checkpoints outside 1..steps are dropped.
+    and then applied to D with one ``np.dot``, in order; no chunk crosses a
+    checkpoint, and each segment is one draw of ``model.stream(trial)``, so
+    no index past the stopping checkpoint is drawn.  A chunk's aligned
+    blocks of ``2**L`` factors are read from a table of every block's
+    product, built once per run (``_block_table``): for k matrices, L is
+    the deepest level with k^(2^L) at most the chunk length and at most
+    ``steps >> L``, so the table holds no more than ``CHUNK_BYTES`` and no
+    more products than the run has blocks.  A segment's whole chunks are
+    reduced in batches of ``B = max(1, chunk // max(entries, tail))`` by
+    ``_chunk_product``, where ``entries`` is one chunk's stack of table
+    entries (and its tail's product) and ``tail`` its factors past the last
+    block, so no batch stacks more than one chunk's length; its last
+    partial chunk is a batch of one.  The benchmark's 3-matrix runs batch 3
+    chunks at 16 states and 2 at 32.  The products, and so the bits, are
+    those of each chunk's tree.  Raises ``InvalidDistribution`` when
+    ``steps`` is not an integer, is below 1 or over ``STEP_LIMIT``, a
+    checkpoint is not an integer, or ``trial`` is not an integer of at
+    least 0, before any index is drawn; checkpoints outside 1..steps are
+    dropped.
     """
     fset = model._require_set()
     steps = sequences._integer(steps, "steps", 1)
@@ -178,14 +197,24 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     n = fset.dimension
     chunk = max(1, CHUNK_BYTES // max(hats[0].nbytes, 1))
     table, depth = _block_table(hats, chunk, steps)
+    # a batch of chunks stacks no more table entries, nor tail factors,
+    # than one chunk has factors
+    full = (chunk >> depth) << depth
+    batch = max(1, chunk // max((full >> depth) + (full < chunk),
+                                chunk - full))
     d = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
     recorded_k, taus, spreads = [], [], []
     done = 0
     for k in checkpoints:
         idx = draw(k - done)
-        for lo in range(0, k - done, chunk):
-            d = np.dot(_chunk_product(hats, table, depth,
-                                      idx[lo:lo + chunk]), d)
+        whole = len(idx) - len(idx) % chunk
+        batches = [idx[lo:min(lo + batch * chunk, whole)].reshape(-1, chunk)
+                   for lo in range(0, whole, batch * chunk)]
+        if whole < len(idx):
+            batches.append(idx[None, whole:])
+        for chunks in batches:
+            for product in _chunk_product(hats, table, depth, chunks):
+                d = np.dot(product, d)
         done = k
         rows = np.vstack([d, np.zeros((1, n))])
         t = matrices.row_diameter(rows)

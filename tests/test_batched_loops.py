@@ -505,6 +505,10 @@ def test_simulate_product_matches_per_step_loop(seed, m, n, steps, trial,
 # 2 symbols at the shipped cap: blocks of 8 (L = 3), and the first
 # checkpoint segments, 1, 2 and 4 steps long, are shorter than a block
 @example(0, 2, 2, 5000, 1, "markov", False, products.CHUNK_BYTES)
+# 3 symbols at 16 states, the benchmark's shape, at the shipped cap: chunks
+# of 145 factors (L = 2) go 3 to a batch, so the last segment, 704 steps,
+# is a batch of 3 chunks, a partial batch of 1 and a partial chunk of 124
+@example(0, 3, 16, 4800, 0, "iid", False, products.CHUNK_BYTES)
 @settings(max_examples=50)
 def test_simulate_product_reads_block_tables_exactly(seed, m, n, steps, trial,
                                                      variant, custom, cap):

@@ -135,3 +135,20 @@ def test_start_vector_of_non_numbers_refused_before_any_work(no_work, name,
                                                              x0):
     with pytest.raises(DimensionMismatch, match="expected numbers"):
         STARTS[name](x0)
+
+
+# name -> call with a vector argument set to v
+VECTORS = {
+    **STARTS,
+    "bernoulli-rates": lambda v: sp.BernoulliClocks(rates=v),
+    "poisson-rates": lambda v: sp.PoissonClocks(rates=v),
+}
+
+
+@pytest.mark.parametrize("name", list(VECTORS))
+@pytest.mark.parametrize("v", [[[0.5], 0.5], [[0.5, 0.5], [0.5]]],
+                         ids=["list-and-number", "ragged-rows"])
+def test_ragged_vector_refused_before_any_work(no_work, name, v):
+    # once numpy's bare ValueError, "setting an array element with a sequence"
+    with pytest.raises(DimensionMismatch, match="do not form an array"):
+        VECTORS[name](v)

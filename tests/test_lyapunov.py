@@ -372,7 +372,9 @@ class TestCertify:
     @pytest.mark.parametrize("limit, horizon", [(5711, 2), (2447, 1)])
     def test_image_budget(self, damped_system, monkeypatch, limit, horizon):
         # 408 grid points in 2-D; 3 states at horizon 1 (2,448 cells) and 4
-        # at horizon 2 (3,264 more, 5,712 in all), where the search certifies
+        # at horizon 2 (3,264 more, 5,712 in all), where the search certifies;
+        # with the floor below both, each horizon is charged its own cells
+        monkeypatch.setattr(lyapunov, "HORIZON_CELLS", 2000)
         image_calls = []
 
         def counted(x):

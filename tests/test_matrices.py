@@ -102,6 +102,16 @@ class TestValidation:
         with pytest.raises(DimensionMismatch, match="do not form an array"):
             fn([[1.0], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0], [True, 0.0]], [[1, 0], [np.True_, 0]],
+        [np.array([1.0, 0.0]), np.array([True, False])]],
+        ids=["float-bool", "int-numpy-bool", "bool-row-array"])
+    def test_boolean_among_numbers_rejected(self, rows):
+        # numpy reads these booleans as numbers, so the dtype check never
+        # saw them: [[1.0, 0.0], [True, 0.0]] was accepted as [[1, 0], [1, 0]]
+        with pytest.raises(DimensionMismatch, match="got a boolean"):
+            sp.StochasticMatrix(rows)
+
     def test_immutable(self):
         m = sp.StochasticMatrix(np.eye(2))
         with pytest.raises(ValueError):

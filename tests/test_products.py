@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stochprod as sp
@@ -217,6 +217,58 @@ class TestBlockTable:
             code = int(block @ k ** np.arange(width))
             assert np.array_equal(table[code],
                                   products._tree_product(hats[block]))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6),
+           st.integers(1, 300), st.integers(1, 4), st.integers(0, 6),
+           st.integers(0, 15))
+    @settings(max_examples=80)
+    def test_chunk_batch_matches_its_rows(self, seed, k, n, chunk, rows,
+                                          blocks, tail):
+        # each row of a (B, length) batch, with or without a tail past its
+        # last full block, is the product of its own call and of the plain
+        # tree, bit for bit; one matrix deepens the table to L = 10
+        rng = np.random.default_rng(seed)
+        hats = rng.uniform(-1, 1, (k, n - 1, n - 1)) / max(n - 1, 1)
+        table, depth = products._block_table(hats, chunk, 2**10)
+        length = (blocks << depth) + tail % (1 << depth)
+        assume(length > 0)
+        idx = rng.integers(k, size=(rows, length))
+        got = products._chunk_product(hats, table, depth, idx)
+        assert got.shape == (rows, n - 1, n - 1)
+        alone = [products._chunk_product(hats, table, depth, row[None])[0]
+                 for row in idx]
+        assert np.array_equal(got, np.stack(alone))
+        tree = [products._tree_product(hats[row]) for row in idx]
+        assert np.array_equal(got, np.stack(tree))
+
+    @pytest.mark.parametrize("k,n,factors,steps", [
+        (1, 3, 1, 1000), (1, 3, 3, 1000), (3, 16, None, 2000)],
+        ids=["one-matrix-chunk-1", "one-matrix-chunk-3", "3-symbols-n16"])
+    def test_batches_stack_at_most_one_chunk(self, monkeypatch, k, n,
+                                             factors, steps):
+        # one matrix deepens its table with the run (L = 9 here), not with
+        # the chunk, so a batch of 2^L chunks would stack 2^L tails; at 16
+        # states, 3 chunks of 36 blocks and a tail stack 111 of 145 entries
+        if factors is not None:
+            monkeypatch.setattr(products, "CHUNK_BYTES",
+                                factors * (n - 1) ** 2 * 8)
+        tree, table = products._tree_product, products._block_table
+        stacked, built = [], []
+        monkeypatch.setattr(products, "_tree_product", lambda stack: (
+            stacked.append(int(np.prod(stack.shape[:-2]))) or tree(stack)))
+        monkeypatch.setattr(products, "_block_table", lambda *args: (
+            built.append(table(*args)) or built[-1]))
+        rng = np.random.default_rng(n)
+        fset = sp.FiniteMatrixSet(tuple(
+            sp.StochasticMatrix(0.9 * np.eye(n) + 0.1 * random_stochastic(
+                rng, n).entries) for _ in range(k)))
+        model = sp.IIDModel(weights=np.full(k, 1 / k), matrix_set=fset)
+        trace = sp.simulate_product(model, steps)
+        assert trace.checkpoints[-1] == steps
+        [(_, depth)] = built
+        assert depth >= (2 if k > 1 else 4)
+        chunk = products.CHUNK_BYTES // ((n - 1) ** 2 * 8)
+        assert stacked and max(stacked) <= chunk
 
     @pytest.mark.parametrize("k,n,steps", [(40, 32, 500), (3, 4, 1)],
                              ids=["40-symbols-n32", "one-step"])
