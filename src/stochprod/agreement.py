@@ -13,20 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
+from . import _checks, matrices
 from . import graphs as graphlib
-from . import matrices
 from .errors import (
     DimensionMismatch,
     InvalidDistribution,
     NotReachable,
+    StochprodError,
 )
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, _vertex
 from .matrices import StochasticMatrix
-from .sequences import _check_seed, _integer, _trial_seed
+from .sequences import _trial_seed
 
 __all__ = [
     "BernoulliClocks",
@@ -55,11 +55,10 @@ class BernoulliClocks:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        r = matrices._number_vector(self.rates)
+        _checks.seed(self.seed)
+        r = _checks.reals(self.rates, finite=False)
         if not np.all((r > 0) & (r <= 1)):
             raise InvalidDistribution("Bernoulli rates must lie in (0, 1]")
-        r.flags.writeable = False
         object.__setattr__(self, "rates", r)
 
     def activation_probabilities(self):
@@ -79,19 +78,17 @@ class PoissonClocks:
     delta: float = 1.0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        r = matrices._number_vector(self.rates)
+        _checks.seed(self.seed)
+        r = _checks.reals(self.rates, finite=False)
         if not np.all(np.isfinite(r) & (r > 0)):
             raise InvalidDistribution(
                 "Poisson intensities must be positive and finite")
-        d = self.delta  # a real number, not a string, None or a boolean
-        try:
-            d = float(d) if isinstance(d, Real) and not isinstance(d, bool) else 0.0
-        except OverflowError:  # an integer past the float range
-            d = math.inf
-        if not 0 < d < math.inf:
+        try:  # a finite real number, not a string, None or a boolean
+            d = float(_checks.reals(self.delta, 0, "a number"))
+        except StochprodError:
+            d = 0.0
+        if not d > 0:
             raise InvalidDistribution("tick width must be positive and finite")
-        r.flags.writeable = False
         object.__setattr__(self, "rates", r)
         object.__setattr__(self, "delta", d)
 
@@ -123,13 +120,6 @@ class HierarchicalPartition:
         return sum(len(level) for level in self.levels)
 
 
-def _check_vertex(v, n: int, what: str):
-    """Raise ``DimensionMismatch`` unless v is an integer in 0..n-1."""
-    if not (graphlib._is_integer(v) and 0 <= v < n):
-        raise DimensionMismatch(f"{what} {v!r} is not a vertex of a "
-                                f"{n}-vertex graph")
-
-
 def hierarchical_partition(graph: DirectedGraph, root: int) -> HierarchicalPartition:
     """Partition the vertices by BFS distance from ``root``.
 
@@ -137,9 +127,9 @@ def hierarchical_partition(graph: DirectedGraph, root: int) -> HierarchicalParti
     spanning tree deterministic.  Raises ``DimensionMismatch`` when the root
     is not a vertex, ``NotReachable`` when it does not reach some vertex.
     """
-    _check_vertex(root, graph.n, "root")
+    root = _vertex(root, graph.n, "root")
     adj = graph.adj
-    dist = graphlib.bfs_levels(adj, int(root))
+    dist = graphlib.bfs_levels(adj, root)
     missing = np.nonzero(dist < 0)[0]
     if missing.size:
         raise NotReachable(int(missing[0]))
@@ -151,7 +141,7 @@ def hierarchical_partition(graph: DirectedGraph, root: int) -> HierarchicalParti
         for v in levels[r]:
             candidates = [u for u in levels[r - 1] if adj[u, v]]
             parent[v] = min(candidates)
-    return HierarchicalPartition(root=int(root), levels=levels, parent=parent)
+    return HierarchicalPartition(root=root, levels=levels, parent=parent)
 
 
 def hierarchical_sequence(partition: HierarchicalPartition) -> tuple:
@@ -170,7 +160,7 @@ def hierarchical_product(W, seq) -> StochasticMatrix:
     n = w.shape[0]
     updates = []
     for a in seq:
-        _check_vertex(a, n, "agent")
+        a = _vertex(a, n, "agent")
         update = np.eye(n)
         update[a] = w[a]
         updates.append(StochasticMatrix(update))
@@ -232,11 +222,13 @@ def simulate_async(W, clocks: BernoulliClocks | PoissonClocks, x0, steps: int,
     if not np.any(probs > 0):
         raise InvalidDistribution(
             "no agent can fire: every activation probability is 0")
-    steps = _integer(steps, "steps", 0)
+    steps = _checks.count(steps, "steps", 0)
     seed = _trial_seed(clocks.seed, trial)
     if steps > EVENT_LIMIT:
         raise InvalidDistribution(f"steps must be at most {EVENT_LIMIT}")
-    x = matrices._start_vector(x0, n, "agent")
+    x = np.array(_checks.reals(x0, 1, "a vector x0"))
+    if x.size != n:
+        raise DimensionMismatch("x0 needs one entry per agent")
     rng = np.random.default_rng(seed)
     spreads = np.empty(steps + 1)
     spreads[0] = matrices._column_spreads(x[None, :, None])[0]

@@ -29,8 +29,9 @@ import numpy as np
 
 from . import __version__, jsonio
 from . import agreement, equations, graphs, lyapunov, matrices, products
+from ._checks import reals
 from .errors import ConfigParse, InsufficientData, StochprodError
-from .jsonio import _array, _boolean, _field, _integer, _list, _number, _string
+from .jsonio import _boolean, _field, _integer, _list, _number, _string
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -169,14 +170,14 @@ def _run_classify(config: ExperimentConfig):
 def _run_certify(config: ExperimentConfig):
     p = config.params
     system = lyapunov.SwitchedSystem(
-        modes=tuple(_field(p, "modes", _list(_array))),
+        modes=tuple(_field(p, "modes", _list(reals))),
         signal=_field(p, "signal", jsonio.model_from_json))
     v = lyapunov.inf_norm()
     grid = lyapunov.SphereGrid(
         resolution=_field(p, "grid_resolution", _integer, 101), seed=config.seed)
     cert = lyapunov.certify_contraction(
         system, v, horizon_max=_field(p, "horizon_max", _integer, 8), grid=grid)
-    x0 = _field(p, "x0", _array, np.ones(system.dimension))
+    x0 = _field(p, "x0", reals, np.ones(system.dimension))
     report = lyapunov.monte_carlo_decay(
         system, v, x0, steps=_field(p, "steps", _integer, 50),
         trials=_field(p, "trials", _integer, 100),
@@ -234,7 +235,7 @@ def _run_async(config: ExperimentConfig):
         raise ConfigParse("async config needs a 'matrix' or a 'graph'")
     n = w.n
     rates = _field(p, "rates", lambda r: np.full(n, _number(r)) if np.isscalar(r)
-                   else _array(r), np.full(n, 0.5))
+                   else reals(r), np.full(n, 0.5))
     clock_kind = _field(p, "clock", _string, "bernoulli")
     if clock_kind == "bernoulli":
         clocks = agreement.BernoulliClocks(rates=rates, seed=config.seed)
@@ -243,7 +244,7 @@ def _run_async(config: ExperimentConfig):
                                          delta=_field(p, "delta", _number, 1.0))
     else:
         raise ConfigParse(f"unknown clock kind {clock_kind!r}")
-    x0 = _field(p, "x0", _array, np.arange(n) / max(n - 1, 1))
+    x0 = _field(p, "x0", reals, np.arange(n) / max(n - 1, 1))
     steps = _field(p, "steps", _integer, 5000)
     tol = _field(p, "tol", _number, 1e-8)
     trace = agreement.simulate_async(w, clocks, x0, steps=steps)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks, matrices, sequences
 from . import graphs as graphlib
-from . import matrices, sequences
 from .errors import (
     DimensionMismatch,
     InconsistentBlock,
@@ -67,18 +67,13 @@ class PartitionedLinearSystem:
         cleaned = []
         m = None
         for a, b in self.blocks:
-            a = np.array(a, dtype=float)
-            b = np.array(b, dtype=float).reshape(-1)
+            a, b = _checks.reals(a), _checks.reals(b).reshape(-1)
             if a.ndim != 2 or a.shape[0] != b.size:
                 raise DimensionMismatch("block shapes must match their right sides")
-            matrices._check_finite(a)
-            matrices._check_finite(b[:, None])
             if m is None:
                 m = a.shape[1]
             elif a.shape[1] != m:
                 raise DimensionMismatch("all blocks must share the unknown count")
-            a.flags.writeable = False
-            b.flags.writeable = False
             cleaned.append((a, b))
         if not cleaned:
             raise DimensionMismatch("a partitioned system needs at least one block")
@@ -110,13 +105,11 @@ class ProjectionSet:
     projections: np.ndarray
 
     def __post_init__(self):
-        # np.array copies, so the caller's array stays writeable
-        ps = np.array(graphlib._square(self.projections, float, 3))
+        ps = _checks.square(self.projections, float, 3, finite=False)
         if not np.abs(ps - ps.swapaxes(1, 2)).max() <= 1e-10:
             raise InvalidDistribution("projection is not symmetric")
         if not np.abs(ps @ ps - ps).max() <= 1e-10:
             raise InvalidDistribution("projection is not idempotent")
-        ps.flags.writeable = False
         object.__setattr__(self, "projections", ps)
 
 
@@ -135,7 +128,7 @@ def kernel_projections(system: PartitionedLinearSystem) -> ProjectionSet:
             v = vt[:np.count_nonzero(s > RANK_CUTOFF * s[0])]
             p -= v.T @ v
         ps.append(p)
-    ps = ProjectionSet(tuple(ps))
+    ps = ProjectionSet(np.stack(ps))
     for (a, _), p in zip(system.blocks, ps.projections):
         if a.size and np.abs(a @ p).max() > 1e-10:
             raise InvalidDistribution("projection does not annihilate its block")
@@ -201,9 +194,8 @@ def mixed_matrix_norm(q: np.ndarray, block_size: int) -> float:
     1; ``DimensionMismatch`` unless q is a nonempty square array of numbers
     (not strings or booleans) whose side ``block_size`` divides, and
     ``NonFiniteEntry`` when an entry of q is NaN or infinite."""
-    block_size = sequences._integer(block_size, "block size", 1)
-    q = matrices._numbers(graphlib._square(q, None))
-    matrices._check_finite(q)
+    block_size = _checks.count(block_size, "block size", 1)
+    q = _checks.square(q, float)
     if not q.size:
         raise DimensionMismatch("mixed norm of an empty block matrix")
     if q.shape[0] % block_size:
@@ -270,7 +262,7 @@ class GraphSequenceModel:
             _check_self_arcs(g)
         if self.model.num_symbols > len(gs):
             raise DimensionMismatch("model indexes more graphs than provided")
-        sequences._integer(self.window, "window length", 1)
+        _checks.count(self.window, "window length", 1)
         object.__setattr__(self, "graph_set", gs)
 
     @property
@@ -342,9 +334,9 @@ def run_solver(system: PartitionedLinearSystem, gmodel: GraphSequenceModel,
     """
     if gmodel.n != system.n:
         raise DimensionMismatch("one graph vertex per agent")
-    max_iters = sequences._integer(max_iters, "max_iters", 0)
-    record_every = sequences._integer(record_every, "record_every", 1)
-    norm_windows = sequences._integer(norm_windows, "norm_windows", 0)
+    max_iters = _checks.count(max_iters, "max_iters", 0)
+    record_every = _checks.count(record_every, "record_every", 1)
+    norm_windows = _checks.count(norm_windows, "norm_windows", 0)
     sequences._trial_seed(gmodel.model.seed, trial)
     if max_iters > ITER_LIMIT:
         raise InvalidDistribution(f"max_iters must be at most {ITER_LIMIT}")

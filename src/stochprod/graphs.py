@@ -9,10 +9,10 @@ edges, and a *root* is a vertex whose value can influence every other vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
+from . import _checks
 from .errors import DimensionMismatch, InvalidDistribution, NoInNeighbor
 
 __all__ = [
@@ -31,21 +31,14 @@ __all__ = [
 _STACK_SLICE = 2**10
 
 
-def _is_integer(v) -> bool:
-    """An integer, numpy's included, but not a boolean."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
-def _integer(value, name: str, least: int | None = None) -> int:
-    """``int(value)`` of an integer, numpy's included, of at least ``least``
-    when one is given: every count the package takes passes here.  A float,
-    a string, a boolean or a smaller value raises ``InvalidDistribution``;
-    nothing is truncated or parsed."""
-    if not _is_integer(value):
-        raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise InvalidDistribution(f"{name} must be at least {least}")
-    return int(value)
+def _vertex(v, n: int, what: str) -> int:
+    """``int(v)`` of an integer in 0..n-1, else ``DimensionMismatch``."""
+    try:
+        if _checks.count(v, what, 0) < n:
+            return int(v)
+    except InvalidDistribution:
+        pass
+    raise DimensionMismatch(f"{what} {v!r} is not a vertex of a {n}-vertex graph")
 
 
 @dataclass(frozen=True)
@@ -59,17 +52,12 @@ class DirectedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
-        if _integer(self.n, "vertex count") < 0:
+        if _checks.count(self.n, "vertex count") < 0:
             raise DimensionMismatch("vertex count must be nonnegative")
         adj = np.zeros((self.n, self.n), dtype=bool)
         for (i, j) in self.edges:
-            if not (_is_integer(i) and _is_integer(j)):
-                raise DimensionMismatch(f"edge ({i!r}, {j!r}) has a vertex "
-                                        "that is not an integer")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise DimensionMismatch(
-                    f"edge ({i}, {j}) outside vertex range 0..{self.n - 1}")
-            adj[i, j] = True
+            adj[_vertex(i, self.n, "edge endpoint"),
+                _vertex(j, self.n, "edge endpoint")] = True
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
 
@@ -81,24 +69,6 @@ class DirectedGraph:
 
     def in_neighbors(self, j: int) -> list:
         return np.nonzero(self.adj[:, j])[0].tolist()
-
-
-def _array(a, dtype=None) -> np.ndarray:
-    """``a`` as an array of ``dtype`` (None keeps its own); raises
-    ``DimensionMismatch`` for a ragged nested list."""
-    try:
-        return np.asarray(a, dtype=dtype)
-    except ValueError as exc:  # ragged nested lists
-        raise DimensionMismatch(f"entries do not form an array: {exc}") from exc
-
-
-def _square(a, dtype=bool, ndim=2) -> np.ndarray:
-    """``_array(a, dtype)``; raises ``DimensionMismatch`` unless it has
-    ``ndim`` axes, the last two of one length."""
-    a = _array(a, dtype)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected a square array, got shape {a.shape}")
-    return a
 
 
 def _in_weights(graph: DirectedGraph):
@@ -127,7 +97,7 @@ def strongly_connected_components(adj: np.ndarray):
     stack in place of recursion; components are labelled in the order they
     complete, which is a reverse topological order of the condensation.
     """
-    adj = _square(adj)
+    adj = _checks.square(adj)
     n = adj.shape[0]
     succ = [row.nonzero()[0].tolist() for row in adj]
     index = [-1] * n      # discovery order
@@ -205,7 +175,7 @@ def closed_components(adj: np.ndarray):
     per-vertex labeling.  A component is closed when every edge from one of
     its vertices stays inside it.
     """
-    adj = _square(adj)
+    adj = _checks.square(adj)
     count, labels = strongly_connected_components(adj)
     leaves = np.zeros(count, dtype=bool)
     ii, jj = np.nonzero(adj)
@@ -219,7 +189,7 @@ def bfs_levels(adj: np.ndarray, root: int) -> np.ndarray:
 
     Each level is one boolean frontier: the unlevelled vertices that some
     frontier vertex has an edge to."""
-    adj = _square(adj)
+    adj = _checks.square(adj)
     level = np.full(adj.shape[0], -1, dtype=int)
     frontier = np.zeros(adj.shape[0], dtype=bool)
     frontier[root] = True
@@ -239,7 +209,7 @@ def component_period(adj: np.ndarray, vertices) -> int:
     vertex without a self-loop has no cycles; its period is defined as 1.
     """
     vertices = sorted(vertices)
-    sub = _square(adj)[np.ix_(vertices, vertices)]
+    sub = _checks.square(adj)[np.ix_(vertices, vertices)]
     level = bfs_levels(sub, 0)
     ii, jj = np.nonzero(sub)
     return int(np.gcd.reduce(level[ii] + 1 - level[jj])) or 1

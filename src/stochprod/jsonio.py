@@ -11,18 +11,19 @@ Schemas:
 * system   ``{"blocks": [{"A": [[...], ...], "b": [...]}, ...]}``
 
 Every field is read by ``_field``, which turns a value its converter
-rejects into a ``ConfigParse`` naming the field.
+rejects into a ``ConfigParse`` naming the field.  Numbers and nested lists
+of them are read by ``_checks.reals``, whose ``DimensionMismatch`` (text, a
+boolean, null, ragged lists) ``_field`` reports with the field's name; its
+``NonFiniteEntry`` for a number past the float range (``1e400``) and the
+library's own refusals pass through unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 
-import numpy as np
-
-from . import graphs, matrices
-from .errors import ConfigParse
+from ._checks import reals
+from .errors import ConfigParse, DimensionMismatch
 from .graphs import DirectedGraph
 from .matrices import StochasticMatrix
 from .sequences import (
@@ -54,6 +55,8 @@ def _field(params, key: str, convert, default=_REQUIRED):
         return convert(value)
     except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigParse(f"config field {key!r}: bad value {value!r}") from exc
+    except DimensionMismatch as exc:  # not numbers, or not of their shape
+        raise ConfigParse(f"config field {key!r}: bad value {value!r}: {exc}") from exc
 
 
 def _integer(value) -> int:
@@ -96,45 +99,17 @@ def _list(convert):
     return read
 
 
-def _check_leaves(value):
-    """Refuse nested lists with a leaf that is not an int or a float (a
-    boolean, a string, null) or with numbers and lists at one depth."""
-    level = [value]
-    while level:
-        kinds = set(map(type, level))
-        if kinds <= {int, float}:
-            return
-        if kinds != {list}:
-            raise ValueError(f"{value!r} holds a value that is not a number")
-        level = list(chain.from_iterable(level))
-
-
-def _array(value) -> np.ndarray:
-    """Float array of a JSON number or nested lists of numbers."""
-    _check_leaves(value)
-    return np.asarray(value, dtype=float)
-
-
-def _matrix(rows) -> StochasticMatrix:
-    """Rows past the shape and dtype checks of their array, then refusing
-    booleans among numbers, then the checks of ``StochasticMatrix``, which
-    gets the array and so walks no leaves again."""
-    entries = matrices._numbers(graphs._square(rows, None))
-    _check_leaves(rows)
-    return StochasticMatrix(entries)
-
-
 def _edge(value) -> tuple:
     i, j = value
     return _integer(i), _integer(j)
 
 
 def _block(obj) -> tuple:
-    return _field(obj, "A", _array), _field(obj, "b", _array)
+    return _field(obj, "A", reals), _field(obj, "b", reals)
 
 
 def matrix_from_json(obj) -> StochasticMatrix:
-    m = _field(obj, "rows", _matrix)
+    m = _field(obj, "rows", StochasticMatrix)
     if _field(obj, "n", _integer, m.n) != m.n:
         raise ConfigParse(f"matrix declares n={obj['n']} but has {m.n} rows")
     return m
@@ -151,10 +126,10 @@ def model_from_json(obj) -> SequenceModel:
     common = {"seed": _field(obj, "seed", _integer, 0),
               "matrix_set": FiniteMatrixSet(tuple(mats)) if mats else None}
     if variant == "iid":
-        return IIDModel(weights=_field(obj, "weights", _array), **common)
+        return IIDModel(weights=_field(obj, "weights", reals), **common)
     if variant == "markov":
-        return MarkovModulatedModel(initial=_field(obj, "initial", _array),
-                                    transition=_field(obj, "transition", _array),
+        return MarkovModulatedModel(initial=_field(obj, "initial", reals),
+                                    transition=_field(obj, "transition", reals),
                                     **common)
     if variant == "scripted":
         return ScriptedModel(indices=tuple(_field(obj, "indices", _list(_integer))),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graphs, matrices, sequences
+from . import _checks, sequences
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -65,15 +65,12 @@ class SwitchedSystem:
     signal: SequenceModel
 
     def __post_init__(self):
-        mats = tuple(np.array(a, dtype=float) for a in self.modes)
+        mats = tuple(map(_checks.reals, self.modes))
         if not mats:
             raise DimensionMismatch("a switched system needs at least one mode")
         n = mats[0].shape[0] if mats[0].ndim == 2 else None
-        for a in mats:
-            if a.ndim != 2 or a.shape != (n, n):
-                raise DimensionMismatch("modes must be square and share dimensions")
-            matrices._check_finite(a)
-            a.flags.writeable = False
+        if any(a.shape != (n, n) for a in mats):
+            raise DimensionMismatch("modes must be square and share dimensions")
         if self.signal.num_symbols > len(mats):
             raise DimensionMismatch(
                 f"signal uses {self.signal.num_symbols} symbols but there are "
@@ -145,11 +142,11 @@ class SphereGrid:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = (sequences._integer(self.resolution, "grid resolution"),
-                 sequences._integer(self.points_per_face, "points per face"))
+        sizes = (_checks.count(self.resolution, "grid resolution"),
+                 _checks.count(self.points_per_face, "points per face"))
         if min(sizes) < 1:
             raise InvalidDistribution("grid sizes must be at least 1")
-        sequences._check_seed(self.seed)
+        _checks.seed(self.seed)
 
     def points(self, n: int) -> np.ndarray:
         if n < 1:
@@ -208,14 +205,18 @@ def expected_lyapunov(system: SwitchedSystem, V: LyapunovFunction, x,
     positive-probability mode continuations, read from the certificate's
     enumeration (``_continuation_layers``) started at ``mode`` alone.
     Raises ``InvalidDistribution`` for a mode that is not one of the
-    signal's symbols or a horizon that is not an integer of at least 1."""
-    if not (graphs._is_integer(mode)
-            and 0 <= mode < system.signal.num_symbols):
+    signal's symbols or a horizon that is not an integer of at least 1,
+    ``DimensionMismatch`` unless x holds one number per state coordinate,
+    and ``NonFiniteEntry`` for a NaN or infinite one."""
+    if not 0 <= _checks.count(mode, "mode") < system.signal.num_symbols:
         raise InvalidDistribution(f"mode {mode!r} is outside the signal's symbols")
-    horizon = sequences._integer(horizon, "horizon", 1)
+    horizon = _checks.count(horizon, "horizon", 1)
+    x = _checks.reals(x, 1, "a vector x")
+    if x.size != system.dimension:
+        raise DimensionMismatch("x needs one entry per state coordinate")
     for ops, weights, _ in _continuation_layers(system, horizon, [mode]):
         pass
-    values = np.asarray(V(ops @ np.asarray(x, dtype=float)), dtype=float)
+    values = np.asarray(V(ops @ x), dtype=float)
     # a strided weight column can round the dot differently
     return float(np.ascontiguousarray(weights[:, 0]) @ values)
 
@@ -265,7 +266,7 @@ def certify_contraction(system: SwitchedSystem, V: LyapunovFunction,
     each horizon charged at least ``HORIZON_CELLS``, would pass
     ``IMAGE_LIMIT``.
     """
-    horizon_max = sequences._integer(horizon_max, "horizon_max", 1)
+    horizon_max = _checks.count(horizon_max, "horizon_max", 1)
     if V.degree is None:
         raise InvalidDistribution(
             "grid certification needs a positively homogeneous function")
@@ -343,12 +344,14 @@ def monte_carlo_decay(system: SwitchedSystem, V: LyapunovFunction, x0,
     integers of at least 1, or when the history, ``trials * (steps + 1)``
     cells, is over ``HISTORY_LIMIT``.
     """
-    steps = sequences._integer(steps, "steps", 1)
-    trials = sequences._integer(trials, "trials", 1)
+    steps = _checks.count(steps, "steps", 1)
+    trials = _checks.count(trials, "trials", 1)
     if trials * (steps + 1) > HISTORY_LIMIT:
         raise InvalidDistribution(
             f"trials * (steps + 1) must be at most {HISTORY_LIMIT} history cells")
-    x0 = matrices._start_vector(x0, system.dimension, "state coordinate")
+    x0 = _checks.reals(x0, 1, "a vector x0")
+    if x0.size != system.dimension:
+        raise DimensionMismatch("x0 needs one entry per state coordinate")
     idx = np.stack([sequences.sample(system.signal, steps, trial=t)
                     for t in range(trials)])
     modes = np.stack(system.modes)

@@ -21,16 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 
 import numpy as np
 
-from . import graphs
+from . import _checks, graphs
 from .errors import (
     DimensionMismatch,
     EmptySequence,
     NegativeEntry,
-    NonFiniteEntry,
     RowSumViolation,
 )
 
@@ -56,52 +54,6 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 
 
-def _check_finite(a: np.ndarray):
-    finite = np.isfinite(a)
-    if not finite.all():
-        i, j = map(int, np.argwhere(~finite)[0])
-        raise NonFiniteEntry(i, j, float(a[i, j]))
-
-
-def _numbers(a: np.ndarray) -> np.ndarray:
-    """A float copy of an integer or float array; strings, booleans and
-    objects, which would convert silently, raise ``DimensionMismatch``."""
-    if a.dtype.kind not in "iuf":
-        raise DimensionMismatch(f"expected numbers, got an array of {a.dtype}")
-    return np.array(a, dtype=float)
-
-
-def _number_leaves(v, a: np.ndarray) -> np.ndarray:
-    """``_numbers(a)`` of the array ``a`` read from ``v``; when ``v`` is a
-    sequence, nested or not, a boolean among its leaves raises
-    ``DimensionMismatch`` too, since numpy reads the boolean of [1.0, True]
-    as a number."""
-    x = _numbers(a)
-    if not isinstance(v, np.ndarray):
-        leaves = [v]
-        for _ in range(x.ndim):
-            leaves = list(chain.from_iterable(leaves))
-        if any(isinstance(e, (bool, np.bool_)) for e in leaves):
-            raise DimensionMismatch("expected numbers, got a boolean")
-    return x
-
-
-def _number_vector(v) -> np.ndarray:
-    """``_number_leaves`` of a vector given as an array or a sequence; a
-    ragged sequence raises ``DimensionMismatch``."""
-    return _number_leaves(v, graphs._array(v))
-
-
-def _start_vector(x0, n: int, what: str) -> np.ndarray:
-    """A float copy of a start vector of n finite numbers, one per ``what``;
-    raises ``DimensionMismatch`` or ``NonFiniteEntry`` otherwise."""
-    x = _number_vector(x0)
-    if x.shape != (n,):
-        raise DimensionMismatch(f"x0 needs one entry per {what}")
-    _check_finite(x[:, None])
-    return x
-
-
 class StochasticMatrix:
     """A validated row-stochastic matrix.
 
@@ -113,8 +65,7 @@ class StochasticMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        a = _number_leaves(entries, graphs._square(entries, None))
-        _check_finite(a)
+        a = _checks.square(entries, float)
         neg = np.argwhere(a < 0)
         if len(neg):
             i, j = map(int, neg[0])
@@ -123,7 +74,6 @@ class StochasticMatrix:
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if len(bad):
             raise RowSumViolation(int(bad[0]), float(sums[bad[0]]))
-        a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
     def __setattr__(self, name, value):
@@ -151,22 +101,26 @@ class StochasticMatrix:
 
 
 def entries_of(matrix) -> np.ndarray:
-    """Raw entry array of a StochasticMatrix or any array-like; raises
-    ``DimensionMismatch`` unless it is a square 2-D array, then
-    ``NonFiniteEntry`` on a NaN or infinite entry."""
-    a = graphs._square(getattr(matrix, "entries", matrix), float)
-    _check_finite(a)
-    return a
+    """Entry array of a StochasticMatrix, checked when it was made, or of an
+    array-like: ``DimensionMismatch`` unless it is a square 2-D array of
+    numbers, then ``NonFiniteEntry`` on a NaN or infinite entry."""
+    if isinstance(matrix, StochasticMatrix):
+        return matrix.entries
+    return _checks.square(matrix, float)
 
 
 def graph_of(matrix) -> graphs.DirectedGraph:
     """Graph of a weight matrix: edge (i, j) present when W[j, i] > 0."""
-    return graphs.DirectedGraph.from_adjacency(entries_of(matrix).T > 0)
+    return graphs.DirectedGraph.from_adjacency(pattern_of(matrix).T)
 
 
 def pattern_of(matrix) -> np.ndarray:
-    """Strict positivity mask of a matrix or array-like."""
-    return entries_of(matrix) > 0
+    """Strict positivity mask of a matrix or array-like; a square boolean
+    mask is its own."""
+    if isinstance(matrix, StochasticMatrix):
+        return matrix.pattern()
+    mask = _checks.square(matrix, None)
+    return mask if mask.dtype == bool else entries_of(matrix) > 0
 
 
 @dataclass(frozen=True)
@@ -229,7 +183,7 @@ def _column_spreads(stack: np.ndarray) -> np.ndarray:
 
 def spread(x) -> float:
     """Max component minus min component of a nonempty vector."""
-    x = np.asarray(x, dtype=float)
+    x = _checks.reals(x)
     if x.size == 0:
         raise EmptySequence("spread of an empty vector")
     return float(_column_spreads(x.reshape(1, -1, 1))[0])

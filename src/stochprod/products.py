@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import matrices, sequences
+from . import _checks, matrices, sequences
 from .errors import (
     InsufficientData,
     InvalidDistribution,
@@ -87,7 +87,7 @@ class RateReport:
 def default_checkpoints(steps: int) -> tuple:
     """Powers of two below ``steps``, plus ``steps``; raises
     ``InvalidDistribution`` unless ``steps`` is an integer of at least 1."""
-    steps = sequences._integer(steps, "steps", 1)
+    steps = _checks.count(steps, "steps", 1)
     ks = []
     k = 1
     while k < steps:
@@ -183,13 +183,13 @@ def simulate_product(model: SequenceModel, steps: int, checkpoints=None,
     dropped.
     """
     fset = model._require_set()
-    steps = sequences._integer(steps, "steps", 1)
+    steps = _checks.count(steps, "steps", 1)
     seed = sequences._trial_seed(model.seed, trial)
     if steps > STEP_LIMIT:
         raise InvalidDistribution(f"steps must be at most {STEP_LIMIT}")
     if checkpoints is None:
         checkpoints = default_checkpoints(steps)
-    checkpoints = [sequences._integer(c, "checkpoint") for c in checkpoints]
+    checkpoints = [_checks.count(c, "checkpoint") for c in checkpoints]
     checkpoints = sorted({c for c in checkpoints if 1 <= c <= steps})
     draw = model.stream(trial)
     a = np.asarray(fset.entry_arrays())
@@ -273,7 +273,7 @@ def find_scrambling_window(model: SequenceModel, h_max: int = 8) -> RateReport:
     20,001 fits), ``NoScramblingWindow`` when no length up to h_max does,
     and ``InvalidDistribution`` when h_max is not an integer or is below 1.
     """
-    h_max = sequences._integer(h_max, "window length bound", 1)
+    h_max = _checks.count(h_max, "window length bound", 1)
     fset = model._require_set()
     starts = sequences.window_starts(model)
     walk = sequences._window_walk(model, fset.patterns())

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs
+from . import _checks, graphs
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
     InvalidDistribution,
     Reducible,
 )
-from .graphs import _integer
 from .matrices import StochasticMatrix
 
 __all__ = [
@@ -50,20 +49,12 @@ START_HORIZON = 128  # marginal steps ``window_starts`` tracks before giving up
 # enumeration layers one window walk may run: length h, alone or at the end
 # of a search, takes h - 1; about 1.5 s when every layer holds one state
 WINDOW_LAYERS = 2 * 10**4
-DIST_TOL = 1e-12
-
-
-def _check_seed(seed: int):
-    """Seeds are nonnegative integers: numpy's generators refuse negative
-    ones."""
-    if _integer(seed, "seed") < 0:
-        raise InvalidDistribution(f"seed must be nonnegative, got {seed}")
 
 
 def _trial_seed(seed: int, trial: int) -> int:
     """Stream-split rule: Monte Carlo trial t runs on ``seed ^ t``; raises
     ``InvalidDistribution`` unless the trial is an integer of at least 0."""
-    return _integer(seed, "seed") ^ _integer(trial, "trial", 0)
+    return _checks.count(seed, "seed") ^ _checks.count(trial, "trial", 0)
 
 
 @dataclass(frozen=True)
@@ -100,20 +91,6 @@ class FiniteMatrixSet:
 
     def patterns(self) -> list:
         return [m.pattern() for m in self.matrices]
-
-
-def _check_distribution(vec, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidDistribution(f"{what} must be a nonempty vector")
-    if not np.isfinite(v).all():
-        raise InvalidDistribution(f"{what} has a non-finite entry")
-    if np.any(v < 0):
-        raise InvalidDistribution(f"{what} has a negative entry")
-    if abs(v.sum() - 1.0) > DIST_TOL:
-        raise InvalidDistribution(f"{what} sums to {v.sum()}, expected 1")
-    v.flags.writeable = False
-    return v
 
 
 class SequenceModel:
@@ -163,8 +140,9 @@ class IIDModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        object.__setattr__(self, "weights", _check_distribution(self.weights, "weights"))
+        _checks.seed(self.seed)
+        weights = _checks.distribution(self.weights, "weights")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def num_symbols(self) -> int:
@@ -195,14 +173,13 @@ class MarkovModulatedModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        v = _check_distribution(self.initial, "initial distribution")
-        t = np.asarray(self.transition, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] != v.size:
-            raise InvalidDistribution("transition matrix shape mismatch")
-        for i in range(t.shape[0]):
-            _check_distribution(t[i], f"transition row {i}")
-        t.flags.writeable = False
+        _checks.seed(self.seed)
+        v = _checks.distribution(self.initial, "initial distribution")
+        t = _checks.square(self.transition, float, finite=False)
+        if len(t) != v.size:
+            raise DimensionMismatch("transition matrix shape mismatch")
+        for i, row in enumerate(t):
+            _checks.distribution(row, f"transition row {i}")
         object.__setattr__(self, "initial", v)
         object.__setattr__(self, "transition", t)
 
@@ -240,7 +217,7 @@ class MarkovModulatedModel(SequenceModel):
     def marginal(self, k: int) -> np.ndarray:
         """Law of the index at position k+1 (k steps after the initial)."""
         v = self.initial.copy()
-        for _ in range(_integer(k, "position", 0)):
+        for _ in range(_checks.count(k, "position", 0)):
             v = v @ self.transition
         return v
 
@@ -263,8 +240,8 @@ class ScriptedModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        idx = tuple(_integer(i, "script index", 0) for i in self.indices)
+        _checks.seed(self.seed)
+        idx = tuple(_checks.count(i, "script index", 0) for i in self.indices)
         if not idx:
             raise InvalidDistribution("a script needs at least one index")
         object.__setattr__(self, "indices", idx)
@@ -292,7 +269,7 @@ def sample(model: SequenceModel, length: int, trial: int = 0) -> np.ndarray:
     ``sample(model, L)[:k]`` equals ``sample(model, k)`` for k <= L.
     Raises ``InvalidDistribution`` unless ``length`` is an integer of at
     least 1 and ``trial`` one of at least 0."""
-    length = _integer(length, "length", 1)
+    length = _checks.count(length, "length", 1)
     _trial_seed(model.seed, trial)
     idx = np.asarray(model.stream(trial)(length), dtype=np.int64)
     idx.flags.writeable = False
@@ -334,7 +311,7 @@ def advance(law, factors, last, prods, weights):
 def _check_window(h: int, layers: str = "of"):
     """``h`` as an int; refuses a window length that is not an integer, is
     below 1 or passes ``WINDOW_LAYERS``."""
-    h = _integer(h, "window length", 1)
+    h = _checks.count(h, "window length", 1)
     if h - 1 > WINDOW_LAYERS:
         raise EnumerationTooLarge(
             f"{h - 1} enumeration layers {layers} window length {h} "
@@ -401,12 +378,12 @@ def window_probability(model: SequenceModel, patterns, h: int, test,
     (either not an integer), ``EnumerationTooLarge`` before the first layer
     past ``WINDOW_LAYERS``."""
     h = _check_window(h)
-    patterns = graphs._square(patterns, bool, 3)
+    patterns = _checks.square(patterns, bool, 3)
     if len(patterns) < model.num_symbols:
         raise DimensionMismatch(f"{len(patterns)} patterns for "
                                 f"{model.num_symbols} symbols")
     starts = window_starts(model) if starts is None else starts
-    starts = [_integer(s, "window start", 0) for s in starts]
+    starts = [_checks.count(s, "window start", 0) for s in starts]
     prods, weights = _window_words(model, patterns, h)
     return _passing(model, starts, weights, test(prods))
 

@@ -1,14 +1,16 @@
 """Every count a public function or constructor takes is an integer of at
 least its least value, or ``InvalidDistribution`` is raised before any work:
 no float is truncated, no string parsed, no boolean read as 0 or 1.  Every
-start vector holds numbers, or ``DimensionMismatch`` is raised as early."""
+start vector holds numbers, or ``DimensionMismatch`` is raised as early, and
+so does every real array, or ``NonFiniteEntry`` for a NaN in it."""
 
 import numpy as np
 import pytest
 
 import stochprod as sp
 from stochprod import agreement, equations, sequences
-from stochprod.errors import DimensionMismatch, InvalidDistribution
+from stochprod.errors import (DimensionMismatch, InvalidDistribution,
+                              NonFiniteEntry)
 
 FSET = sp.FiniteMatrixSet(([[0.2, 0.8], [0.5, 0.5]], np.eye(2)))
 IID = sp.IIDModel(weights=[0.5, 0.5], matrix_set=FSET)
@@ -152,3 +154,63 @@ def test_ragged_vector_refused_before_any_work(no_work, name, v):
     # once numpy's bare ValueError, "setting an array element with a sequence"
     with pytest.raises(DimensionMismatch, match="do not form an array"):
         VECTORS[name](v)
+
+
+IID_SIGNAL = sp.IIDModel(weights=[1.0])
+TEXT_ROWS = [["0.5", "0.5"], ["0.5", "0.5"]]
+BOOL_ROWS = [[True, False], [False, True]]
+RAGGED_ROWS = [[0.5], [0.5, 0.5]]
+
+
+def _modes(mode):
+    return sp.SwitchedSystem(modes=(mode,), signal=IID_SIGNAL)
+
+
+def _block(a, b=(1.0, 1.0)):
+    return sp.PartitionedLinearSystem(blocks=((a, list(b)),))
+
+
+def _x(x):
+    return sp.expected_lyapunov(SYSTEM, sp.inf_norm(), x, 0, 1)
+
+
+# name -> (call, error): every real array the library takes holds numbers
+# in a full array of its shape, finite; each row was accepted, answered
+# with nan, or escaped as a raw numpy ValueError
+REFUSED = {
+    "iid-weights-text": (lambda: sp.IIDModel(weights=["0.5", "0.5"]),
+                         DimensionMismatch),
+    "iid-weights-bools": (lambda: sp.IIDModel(weights=[True, False]),
+                          DimensionMismatch),
+    "iid-weights-ragged": (lambda: sp.IIDModel(weights=[[0.5], [0.5, 0]]),
+                           DimensionMismatch),
+    "markov-transition-text": (lambda: sp.MarkovModulatedModel(
+        initial=[1.0, 0.0], transition=TEXT_ROWS), DimensionMismatch),
+    "markov-transition-bools": (lambda: sp.MarkovModulatedModel(
+        initial=[1.0, 0.0], transition=BOOL_ROWS), DimensionMismatch),
+    "markov-transition-ragged": (lambda: sp.MarkovModulatedModel(
+        initial=[1.0, 0.0], transition=RAGGED_ROWS), DimensionMismatch),
+    "switched-mode-text": (lambda: _modes(TEXT_ROWS), DimensionMismatch),
+    "switched-mode-bools": (lambda: _modes(BOOL_ROWS), DimensionMismatch),
+    "switched-mode-ragged": (lambda: _modes(RAGGED_ROWS), DimensionMismatch),
+    "system-block-text": (lambda: _block(TEXT_ROWS), DimensionMismatch),
+    "system-block-bools": (lambda: _block(BOOL_ROWS), DimensionMismatch),
+    "system-block-ragged": (lambda: _block(RAGGED_ROWS), DimensionMismatch),
+    "system-rhs-text": (lambda: _block(np.eye(2), ["1", "1"]),
+                        DimensionMismatch),
+    "tau-text": (lambda: sp.tau(TEXT_ROWS), DimensionMismatch),
+    "tau-bool-eye": (lambda: sp.tau(np.eye(2, dtype=bool)), DimensionMismatch),
+    "expected_lyapunov-x-text": (lambda: _x(["1", "1"]), DimensionMismatch),
+    "expected_lyapunov-x-length": (lambda: _x([1.0, 1.0, 1.0]),
+                                   DimensionMismatch),
+    "expected_lyapunov-x-nan": (lambda: _x([np.nan, 1.0]), NonFiniteEntry),
+    "spread-text": (lambda: sp.spread(["1", "2"]), DimensionMismatch),
+    "spread-nan": (lambda: sp.spread([np.nan, 1.0]), NonFiniteEntry),
+}
+
+
+@pytest.mark.parametrize("call,error", list(REFUSED.values()),
+                         ids=list(REFUSED))
+def test_real_array_refused_with_a_typed_error(call, error):
+    with pytest.raises(error):
+        call()

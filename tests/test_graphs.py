@@ -68,8 +68,9 @@ class TestConstruction:
                                       (1.0, 2)])
     def test_vertex_must_be_an_integer(self, edge):
         # a float is no index, and True would index every row of the
-        # adjacency, setting a whole column for one edge
-        with pytest.raises(DimensionMismatch, match="not an integer"):
+        # adjacency, setting a whole column for one edge; the check is the
+        # one agreement's roots and agents pass
+        with pytest.raises(DimensionMismatch, match="is not a vertex"):
             sp.DirectedGraph(3, {edge})
 
     def test_numpy_integer_vertices(self):

@@ -120,6 +120,22 @@ class TestValidation:
             m.entries = np.eye(2)
 
 
+class TestCheckedOnce:
+    def test_stochastic_matrix_is_not_checked_again(self, monkeypatch):
+        # its read-only entries were checked when it was made; only the new
+        # product of backward_product is checked
+        m = sp.StochasticMatrix([[0.5, 0.5], [0.25, 0.75]])
+        calls = []
+        reals = matrices._checks.reals
+        monkeypatch.setattr(matrices._checks, "reals",
+                            lambda *a, **k: calls.append(a) or reals(*a, **k))
+        sp.tau(m), sp.classify(m), matrices.pattern_of(m), sp.graph_of(m)
+        sp.is_scrambling(m), sp.scrambling_index(m)
+        assert calls == []
+        sp.backward_product([m, m])
+        assert len(calls) == 1
+
+
 class TestTau:
     def test_identical_rows_give_zero(self):
         m = sp.StochasticMatrix([[0.3, 0.7], [0.3, 0.7]])

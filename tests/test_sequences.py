@@ -37,6 +37,18 @@ class TestModels:
         with pytest.raises(InvalidDistribution):
             sp.IIDModel(weights=[np.nan, 1.0])
 
+    def test_callers_arrays_stay_writeable(self):
+        # the models keep read-only copies; once np.asarray handed back the
+        # caller's float64 array and the model froze it
+        w, p, t = np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.full((2, 2), 0.5)
+        iid = sp.IIDModel(weights=w)
+        markov = sp.MarkovModulatedModel(initial=p, transition=t)
+        assert w.flags.writeable and p.flags.writeable and t.flags.writeable
+        for kept in (iid.weights, markov.initial, markov.transition):
+            assert not kept.flags.writeable
+        w[0] = 0.0
+        assert iid.weights.tolist() == [0.5, 0.5]
+
     def test_transition_rows_checked(self):
         with pytest.raises(InvalidDistribution):
             sp.MarkovModulatedModel(initial=[1, 0], transition=[[0.5, 0.4], [0, 1]])
