@@ -1,6 +1,7 @@
 """The checks every value passes where the package takes it in.
 
-A count is an integer, numpy's included, but not a boolean.  A real array
+A count is an integer, numpy's included, but not a boolean.  A sequence of
+items is iterable, and each item has its expected length.  A real array
 holds integer and float numbers only, in a full array, and is finite.  A
 distribution is a nonempty vector of nonnegative reals summing to 1.  A seed
 is a count of at least 0.  This module imports only the package's exception
@@ -61,6 +62,20 @@ def reals(value, ndim=None, what="", finite=True) -> np.ndarray:
         raise NonFiniteEntry(i, j, float(rows[i, j]))
     x.flags.writeable = False
     return x
+
+
+def items(value, what: str, width: int | None = None) -> tuple:
+    """``tuple(value)``, each item made a tuple of ``width`` entries when
+    ``width`` is given; ``DimensionMismatch`` for a value that is not
+    iterable or an item of another length (``what`` names the items)."""
+    try:
+        out = tuple(value) if width is None else tuple(map(tuple, value))
+    except TypeError as exc:  # not iterable, or an item that is not
+        raise DimensionMismatch(f"expected a sequence of {what}, got {value!r}") from exc
+    bad = [item for item in out if len(item) != width] if width else []
+    if bad:
+        raise DimensionMismatch(f"expected {what} of {width} entries, got {bad[0]!r}")
+    return out
 
 
 def square(value, dtype=bool, ndim=2, finite=True) -> np.ndarray:

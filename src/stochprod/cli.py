@@ -2,11 +2,11 @@
 
 ``stochprod run <kind> --config cfg.json [--seed N] [--out DIR] [--trials N]
 [--steps N] [--tol X]`` loads a JSON experiment description, applies the flag
-overrides (a flag the kind does not read is a config error, see
-``KIND_FLAGS``), dispatches to the library, and writes ``summary.json`` plus
-``trace.csv`` into the output directory.  Outputs embed the seed, a hash of
-the effective configuration, and the package version; identical (config,
-seed) pairs produce byte-identical files.
+overrides, reads the fields its kind declares in ``FIELDS`` (a config key or
+flag that no field names is refused), dispatches to the library, and writes
+``summary.json`` plus ``trace.csv`` into the output directory.  Outputs embed
+the seed, a hash of the effective configuration, and the package version;
+identical (config, seed) pairs produce byte-identical files.
 
 Exit codes: 0 success, 2 validation/config error or an output that cannot
 be written, 3 budget exhausted without convergence (product and lineq kinds).
@@ -31,15 +31,21 @@ from . import __version__, jsonio
 from . import agreement, equations, graphs, lyapunov, matrices, products
 from ._checks import reals
 from .errors import ConfigParse, InsufficientData, StochprodError
-from .jsonio import _boolean, _field, _integer, _list, _number, _string
+from .jsonio import _boolean, _field, _integer, _late, _list, _number, _string
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
-# the override flags each kind reads besides --seed and --out (lineq reads
-# ``max_iters``, not ``steps``)
-KIND_FLAGS = {"certify": ("trials", "steps", "tol"), "product": ("steps", "tol"),
-              "async": ("steps", "tol"), "lineq": ("tol",), "classify": ()}
-KINDS = tuple(KIND_FLAGS)
+FIELDS, _RUNNERS = {}, {}
+
+
+def _kind(name: str, **fields):
+    """Register the decorated runner of kind ``name``, which reads the config
+    ``fields`` besides seed and out and fills in a default of None itself."""
+    def register(runner):
+        FIELDS[name], _RUNNERS[name] = fields, runner
+        return runner
+    return register
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -70,10 +76,12 @@ def _refuse_constant(name: str):
 
 
 def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
-    if kind not in KINDS:
-        raise ConfigParse(f"unknown experiment kind {kind!r}; choose from {KINDS}")
-    for key, value in overrides.items():
-        if value is not None and key not in ("seed", "out") + KIND_FLAGS[kind]:
+    if kind not in FIELDS:
+        raise ConfigParse(f"unknown experiment kind {kind!r}; "
+                          f"choose from {tuple(FIELDS)}")
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    for key in overrides:
+        if key not in ("seed", "out", *FIELDS[kind]):
             raise ConfigParse(f"{kind} does not read --{key}")
     try:
         with open(path) as fh:
@@ -84,9 +92,7 @@ def load_config(kind: str, path: str, overrides: dict) -> ExperimentConfig:
         raise ConfigParse(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(params, dict):
         raise ConfigParse(f"{path}: top-level config must be an object")
-    for key, value in overrides.items():
-        if value is not None:
-            params[key] = value
+    params.update(overrides)
     params["seed"] = seed = _field(params, "seed", _integer, 0)
     out_dir = _field(params, "out", _string, "out")
     params.pop("out", None)
@@ -142,46 +148,40 @@ def _write_outputs(config: ExperimentConfig, summary: dict, header, rows):
                 os.remove(path + ".tmp")
 
 
-def _run_classify(config: ExperimentConfig):
-    p = config.params
-    mats = _field(p, "matrices", _list(jsonio.matrix_from_json))
+@_kind("classify", matrices=(_list(_late("matrix_from_json")),),
+       labels=(_list(lambda label: label), None))  # any JSON values, echoed
+def _run_classify(config: ExperimentConfig, f: dict):
+    mats = f["matrices"]
     if not mats:
         raise ConfigParse("classify needs a nonempty 'matrices' list")
-    # labels are echoed to the outputs as they are, so any JSON values do
-    labels = _field(p, "labels", _list(lambda label: label),
-                    [f"M{i}" for i in range(len(mats))])
+    labels = f["labels"]
+    if labels is None:
+        labels = [f"M{i}" for i in range(len(mats))]
     if len(labels) != len(mats):
         raise ConfigParse("'labels' must be a list with one label per matrix")
     per_matrix = []
-    rows = []
     for label, m in zip(labels, mats):
         cls = matrices.classify(m)
-        t = matrices.tau(m)
-        per_matrix.append({
-            "label": label, "tau": t, "scrambling": cls.is_scrambling,
-            "sia": cls.is_sia, "markov": cls.is_markov, "period": cls.period,
-        })
-        rows.append([label, t, cls.is_scrambling, cls.is_sia,
-                     cls.is_markov, cls.period])
-    header = ["label", "tau", "scrambling", "sia", "markov", "period"]
-    return {"matrices": per_matrix}, header, rows, EXIT_OK
+        per_matrix.append({"label": label, "tau": matrices.tau(m),
+                           "scrambling": cls.is_scrambling, "sia": cls.is_sia,
+                           "markov": cls.is_markov, "period": cls.period})
+    rows = [list(row.values()) for row in per_matrix]  # columns in key order
+    return {"matrices": per_matrix}, list(per_matrix[0]), rows, EXIT_OK
 
 
-def _run_certify(config: ExperimentConfig):
-    p = config.params
-    system = lyapunov.SwitchedSystem(
-        modes=tuple(_field(p, "modes", _list(reals))),
-        signal=_field(p, "signal", jsonio.model_from_json))
+@_kind("certify", modes=(_list(reals),), signal=(_late("model_from_json"),),
+       grid_resolution=(_integer, 101), horizon_max=(_integer, 8),
+       x0=(reals, None), steps=(_integer, 50), trials=(_integer, 100),
+       tol=(_number, 1e-8))
+def _run_certify(config: ExperimentConfig, f: dict):
+    system = lyapunov.SwitchedSystem(modes=f["modes"], signal=f["signal"])
     v = lyapunov.inf_norm()
-    grid = lyapunov.SphereGrid(
-        resolution=_field(p, "grid_resolution", _integer, 101), seed=config.seed)
-    cert = lyapunov.certify_contraction(
-        system, v, horizon_max=_field(p, "horizon_max", _integer, 8), grid=grid)
-    x0 = _field(p, "x0", reals, np.ones(system.dimension))
-    report = lyapunov.monte_carlo_decay(
-        system, v, x0, steps=_field(p, "steps", _integer, 50),
-        trials=_field(p, "trials", _integer, 100),
-        tol=_field(p, "tol", _number, 1e-8))
+    grid = lyapunov.SphereGrid(resolution=f["grid_resolution"], seed=config.seed)
+    cert = lyapunov.certify_contraction(system, v, horizon_max=f["horizon_max"],
+                                        grid=grid)
+    x0 = np.ones(system.dimension) if f["x0"] is None else f["x0"]
+    report = lyapunov.monte_carlo_decay(system, v, x0, steps=f["steps"],
+                                        trials=f["trials"], tol=f["tol"])
     qs = np.quantile(report.history, [0.1, 0.5, 0.9], axis=0)
     means = report.history.mean(axis=0)
     rows = zip(range(means.size), *map(_float_texts, (means, *qs)))
@@ -197,81 +197,77 @@ def _run_certify(config: ExperimentConfig):
     return summary, ["k", "mean_V", "q10", "q50", "q90"], rows, EXIT_OK
 
 
-def _run_product(config: ExperimentConfig):
-    p = config.params
-    model = _field(p, "model", jsonio.model_from_json)
-    steps = _field(p, "steps", _integer, 10000)
-    tol = _field(p, "tol", _number, 1e-8)
-    if "window" in p:
-        report = products.window_rate_bound(model, _field(p, "window", _integer))
+@_kind("product", model=(_late("model_from_json"),), steps=(_integer, 10000),
+       tol=(_number, 1e-8), window=(_integer, None), window_max=(_integer, 8))
+def _run_product(config: ExperimentConfig, f: dict):
+    if f["window"] is None:
+        report = products.find_scrambling_window(f["model"], f["window_max"])
+    elif "window_max" in config.params:
+        raise ConfigParse("config holds both 'window' and 'window_max'; give one")
     else:
-        report = products.find_scrambling_window(
-            model, _field(p, "window_max", _integer, 8))
-    trace = products.simulate_product(model, steps=steps)
+        report = products.window_rate_bound(f["model"], f["window"])
+    trace = products.simulate_product(f["model"], steps=f["steps"])
     with contextlib.suppress(InsufficientData):
         report = report.with_empirical(products.fit_empirical_rate(trace))
     final_tau = trace.taus[-1] if trace.taus else 0.0
     stopped_early = not trace.checkpoints or trace.checkpoints[-1] < trace.steps
-    converged = stopped_early or final_tau < tol
+    converged = stopped_early or final_tau < f["tol"]
     rows = zip(trace.checkpoints, trace.taus, trace.spreads)
     summary = {
         "p": report.scrambling_prob, "alpha": report.min_entry,
         "h": report.window_len, "bound": report.bound,
         "empirical_rate": report.empirical_rate,
-        "final_tau": final_tau, "converged": converged, "steps": steps,
+        "final_tau": final_tau, "converged": converged, "steps": f["steps"],
     }
     return (summary, ["k", "tau", "spread"], rows,
             EXIT_OK if converged else EXIT_NO_CONVERGENCE)
 
 
-def _run_async(config: ExperimentConfig):
-    p = config.params
-    if "matrix" in p:
-        w = _field(p, "matrix", jsonio.matrix_from_json)
-    elif "graph" in p:
-        g = _field(p, "graph", jsonio.graph_from_json)
-        w = matrices.StochasticMatrix(graphs.averaging_weights(g))
-    else:
-        raise ConfigParse("async config needs a 'matrix' or a 'graph'")
-    n = w.n
-    rates = _field(p, "rates", lambda r: np.full(n, _number(r)) if np.isscalar(r)
-                   else reals(r), np.full(n, 0.5))
-    clock_kind = _field(p, "clock", _string, "bernoulli")
-    if clock_kind == "bernoulli":
-        clocks = agreement.BernoulliClocks(rates=rates, seed=config.seed)
-    elif clock_kind == "poisson":
+@_kind("async", matrix=(_late("matrix_from_json"), None),
+       graph=(_late("graph_from_json"), None),
+       rates=(lambda r: _number(r) if np.isscalar(r) else reals(r), 0.5),
+       clock=(_string, "bernoulli"), delta=(_number, 1.0), x0=(reals, None),
+       steps=(_integer, 5000), tol=(_number, 1e-8))
+def _run_async(config: ExperimentConfig, f: dict):
+    if (f["matrix"] is None) == (f["graph"] is None):
+        raise ConfigParse("async config needs one of 'matrix' and 'graph'")
+    w = (f["matrix"] if f["graph"] is None
+         else matrices.StochasticMatrix(graphs.averaging_weights(f["graph"])))
+    rates = np.full(w.n, f["rates"]) if np.isscalar(f["rates"]) else f["rates"]
+    if f["clock"] == "poisson":
         clocks = agreement.PoissonClocks(rates=rates, seed=config.seed,
-                                         delta=_field(p, "delta", _number, 1.0))
+                                         delta=f["delta"])
+    elif f["clock"] != "bernoulli":
+        raise ConfigParse(f"unknown clock kind {f['clock']!r}")
+    elif "delta" in config.params:
+        raise ConfigParse("'delta' is read only with 'clock': 'poisson'")
     else:
-        raise ConfigParse(f"unknown clock kind {clock_kind!r}")
-    x0 = _field(p, "x0", reals, np.arange(n) / max(n - 1, 1))
-    steps = _field(p, "steps", _integer, 5000)
-    tol = _field(p, "tol", _number, 1e-8)
-    trace = agreement.simulate_async(w, clocks, x0, steps=steps)
+        clocks = agreement.BernoulliClocks(rates=rates, seed=config.seed)
+    x0 = np.arange(w.n) / max(w.n - 1, 1) if f["x0"] is None else f["x0"]
+    trace = agreement.simulate_async(w, clocks, x0, steps=f["steps"])
     summary = {
         "final_spread": float(trace.spreads[-1]),
-        "converged": bool(trace.spreads[-1] < tol),
-        "steps": steps, "tol": tol,
+        "converged": bool(trace.spreads[-1] < f["tol"]),
+        "steps": f["steps"], "tol": f["tol"],
     }
     rows = enumerate(_float_texts(trace.spreads))
     return summary, ["k", "spread"], rows, EXIT_OK
 
 
-def _run_lineq(config: ExperimentConfig):
-    p = config.params
-    system = equations.PartitionedLinearSystem(
-        blocks=tuple(_field(p, "system", jsonio.system_blocks_from_json)))
+@_kind("lineq", system=(_late("system_blocks_from_json"),),
+       graphs=(_list(_late("graph_from_json")),),
+       graph_model=(_late("model_from_json"),), window=(_integer, 1),
+       max_iters=(_integer, 100000), tol=(_number, 1e-8),
+       check_connectivity=(_boolean, True), record_every=(_integer, 1),
+       norm_windows=(_integer, 0))
+def _run_lineq(config: ExperimentConfig, f: dict):
+    system = equations.PartitionedLinearSystem(blocks=f["system"])
     gmodel = equations.GraphSequenceModel(
-        graph_set=tuple(_field(p, "graphs", _list(jsonio.graph_from_json))),
-        model=_field(p, "graph_model", jsonio.model_from_json),
-        window=_field(p, "window", _integer, 1))
+        graph_set=f["graphs"], model=f["graph_model"], window=f["window"])
     report = equations.run_solver(
-        system, gmodel,
-        max_iters=_field(p, "max_iters", _integer, 100000),
-        tol=_field(p, "tol", _number, 1e-8),
-        check_connectivity=_field(p, "check_connectivity", _boolean, True),
-        record_every=_field(p, "record_every", _integer, 1),
-        norm_windows=_field(p, "norm_windows", _integer, 0))
+        system, gmodel, max_iters=f["max_iters"], tol=f["tol"],
+        check_connectivity=f["check_connectivity"],
+        record_every=f["record_every"], norm_windows=f["norm_windows"])
     summary = {
         "converged": report.converged, "iterations": report.iterations,
         "disagreement": report.disagreement, "residual": report.residual,
@@ -284,18 +280,11 @@ def _run_lineq(config: ExperimentConfig):
             EXIT_OK if report.converged else EXIT_NO_CONVERGENCE)
 
 
-_RUNNERS = {
-    "classify": _run_classify,
-    "certify": _run_certify,
-    "product": _run_product,
-    "async": _run_async,
-    "lineq": _run_lineq,
-}
-
-
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment and write its artifacts; returns the exit code."""
-    summary, header, rows, code = _RUNNERS[config.kind](config)
+    params = {key: value for key, value in config.params.items() if key != "seed"}
+    fields = jsonio._fields(params, FIELDS[config.kind], config.kind)
+    summary, header, rows, code = _RUNNERS[config.kind](config, fields)
     _write_outputs(config, summary, header, rows)
     return code
 
@@ -308,7 +297,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Experiments on random products of stochastic matrices")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one experiment from a JSON config")
-    runp.add_argument("kind", choices=KINDS)
+    runp.add_argument("kind", choices=tuple(FIELDS))
     runp.add_argument("--config", required=True)
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--out", default=None)
@@ -319,12 +308,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-
-    overrides = {"seed": args.seed, "out": args.out, "trials": args.trials,
-                 "steps": args.steps, "tol": args.tol}
+    args = vars(_parser().parse_args(argv))
+    del args["command"]  # the flags left are the overrides
     try:
-        config = load_config(args.kind, args.config, overrides)
+        config = load_config(args.pop("kind"), args.pop("config"), args)
         return run(config)
     except StochprodError as exc:
         print(f"error: {exc}", file=sys.stderr)

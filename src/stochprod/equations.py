@@ -66,7 +66,7 @@ class PartitionedLinearSystem:
     def __post_init__(self):
         cleaned = []
         m = None
-        for a, b in self.blocks:
+        for a, b in _checks.items(self.blocks, "blocks (A, b)", 2):
             a, b = _checks.reals(a), _checks.reals(b).reshape(-1)
             if a.ndim != 2 or a.shape[0] != b.size:
                 raise DimensionMismatch("block shapes must match their right sides")
@@ -252,7 +252,7 @@ class GraphSequenceModel:
     window: int = 1
 
     def __post_init__(self):
-        gs = tuple(self.graph_set)
+        gs = _checks.items(self.graph_set, "graphs")
         if not gs:
             raise DimensionMismatch("need at least one candidate graph")
         n = gs[0].n

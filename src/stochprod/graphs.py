@@ -51,7 +51,8 @@ class DirectedGraph:
     adj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+        object.__setattr__(self, "edges",
+                           frozenset(_checks.items(self.edges, "edges (i, j)", 2)))
         if _checks.count(self.n, "vertex count") < 0:
             raise DimensionMismatch("vertex count must be nonnegative")
         adj = np.zeros((self.n, self.n), dtype=bool)

@@ -1,21 +1,15 @@
 """Reading the domain objects of an experiment config from parsed JSON.
 
-Schemas:
-
-* matrix   ``{"n": int, "rows": [[...], ...]}``
-* graph    ``{"n": int, "edges": [[i, j], ...]}``  (0-based vertices)
-* model    ``{"variant": "iid" | "markov" | "scripted", "seed": int,
-             "set": [matrix, ...]?, "weights": [...]? ,
-             "initial": [...]?, "transition": [[...], ...]?,
-             "indices": [...]?}``
-* system   ``{"blocks": [{"A": [[...], ...], "b": [...]}, ...]}``
-
-Every field is read by ``_field``, which turns a value its converter
-rejects into a ``ConfigParse`` naming the field.  Numbers and nested lists
-of them are read by ``_checks.reals``, whose ``DimensionMismatch`` (text, a
-boolean, null, ragged lists) ``_field`` reports with the field's name; its
-``NonFiniteEntry`` for a number past the float range (``1e400``) and the
-library's own refusals pass through unchanged.
+Each object declares its fields once, in a table ``{key: (convert,) |
+(convert, default)}``: ``_MATRIX``, ``_GRAPH``, ``_SYSTEM``, ``_BLOCK`` and one
+per model variant in ``_MODELS`` here, one per experiment kind in
+``cli.FIELDS``.  ``_fields`` refuses a key its table does not name, then reads
+every field by ``_field``, which turns a value its converter rejects into a
+``ConfigParse`` naming the field.  Numbers and nested lists of them are read
+by ``_checks.reals``, whose ``DimensionMismatch`` (text, a boolean, null,
+ragged lists) ``_field`` reports with the field's name; its ``NonFiniteEntry``
+for a number past the float range (``1e400``) and the library's own refusals
+pass through unchanged.
 """
 
 from __future__ import annotations
@@ -104,38 +98,56 @@ def _edge(value) -> tuple:
     return _integer(i), _integer(j)
 
 
-def _block(obj) -> tuple:
-    return _field(obj, "A", reals), _field(obj, "b", reals)
+def _fields(obj, table: dict, what: str) -> dict:
+    """Each field of ``table`` read from ``obj`` by ``_field``, in the table's
+    order, after a ``ConfigParse`` for any key of ``obj`` it does not name."""
+    unknown = sorted(obj.keys() - table.keys()) if isinstance(obj, dict) else []
+    if unknown:
+        raise ConfigParse(f"{what} does not read {unknown}")
+    return {key: _field(obj, key, *spec) for key, spec in table.items()}
+
+
+def _late(name: str):
+    """Converter calling this module's ``name`` when it runs, so a wrapper
+    put in its place after the tables are built (a tracer) sees the call."""
+    return lambda value: globals()[name](value)
+
+
+_MATRIX = {"rows": (StochasticMatrix,), "n": (_integer, None)}
+_GRAPH = {"n": (_integer,), "edges": (_list(_edge),)}
+_BLOCK = {"A": (reals,), "b": (reals,)}
+_SYSTEM = {"blocks": (_list(  # each block read as its (A, b) pair
+    lambda block: tuple(_fields(block, _BLOCK, "block").values())),)}
+_MODEL = {"variant": (_string,), "set": (_list(_late("matrix_from_json")), []),
+          "seed": (_integer, 0)}
+_MODELS = {"iid": (IIDModel, {**_MODEL, "weights": (reals,)}),
+           "markov": (MarkovModulatedModel,
+                      {**_MODEL, "initial": (reals,), "transition": (reals,)}),
+           "scripted": (ScriptedModel, {**_MODEL, "indices": (_list(_integer),)})}
 
 
 def matrix_from_json(obj) -> StochasticMatrix:
-    m = _field(obj, "rows", StochasticMatrix)
-    if _field(obj, "n", _integer, m.n) != m.n:
+    fields = _fields(obj, _MATRIX, "matrix")
+    m = fields["rows"]
+    if fields["n"] not in (None, m.n):
         raise ConfigParse(f"matrix declares n={obj['n']} but has {m.n} rows")
     return m
 
 
 def graph_from_json(obj) -> DirectedGraph:
-    return DirectedGraph(_field(obj, "n", _integer),
-                         frozenset(_field(obj, "edges", _list(_edge))))
+    return DirectedGraph(**_fields(obj, _GRAPH, "graph"))
 
 
 def model_from_json(obj) -> SequenceModel:
     variant = _field(obj, "variant", _string)
-    mats = _field(obj, "set", _list(matrix_from_json), [])
-    common = {"seed": _field(obj, "seed", _integer, 0),
-              "matrix_set": FiniteMatrixSet(tuple(mats)) if mats else None}
-    if variant == "iid":
-        return IIDModel(weights=_field(obj, "weights", reals), **common)
-    if variant == "markov":
-        return MarkovModulatedModel(initial=_field(obj, "initial", reals),
-                                    transition=_field(obj, "transition", reals),
-                                    **common)
-    if variant == "scripted":
-        return ScriptedModel(indices=tuple(_field(obj, "indices", _list(_integer))),
-                             **common)
-    raise ConfigParse(f"unknown model variant {variant!r}")
+    if variant not in _MODELS:
+        raise ConfigParse(f"unknown model variant {variant!r}")
+    model, table = _MODELS[variant]
+    fields = _fields(obj, table, f"{variant} model")
+    del fields["variant"]
+    mats = fields.pop("set")
+    return model(matrix_set=FiniteMatrixSet(mats) if mats else None, **fields)
 
 
 def system_blocks_from_json(obj) -> list:
-    return _field(obj, "blocks", _list(_block))
+    return _fields(obj, _SYSTEM, "system")["blocks"]

@@ -65,7 +65,7 @@ class SwitchedSystem:
     signal: SequenceModel
 
     def __post_init__(self):
-        mats = tuple(map(_checks.reals, self.modes))
+        mats = tuple(map(_checks.reals, _checks.items(self.modes, "modes")))
         if not mats:
             raise DimensionMismatch("a switched system needs at least one mode")
         n = mats[0].shape[0] if mats[0].ndim == 2 else None

@@ -67,13 +67,14 @@ class FiniteMatrixSet:
     def __post_init__(self):
         mats = tuple(
             m if isinstance(m, StochasticMatrix) else StochasticMatrix(m)
-            for m in self.matrices)
+            for m in _checks.items(self.matrices, "matrices"))
         if not mats:
             raise DimensionMismatch("a matrix set needs at least one matrix")
         n = mats[0].n
         if any(m.n != n for m in mats):
             raise DimensionMismatch("all matrices in a set must share dimensions")
-        labels = tuple(self.labels) or tuple(f"M{i}" for i in range(len(mats)))
+        labels = (_checks.items(self.labels, "labels")
+                  or tuple(f"M{i}" for i in range(len(mats))))
         if len(labels) != len(mats):
             raise DimensionMismatch("one label per matrix")
         object.__setattr__(self, "matrices", mats)
@@ -241,7 +242,8 @@ class ScriptedModel(SequenceModel):
 
     def __post_init__(self):
         _checks.seed(self.seed)
-        idx = tuple(_checks.count(i, "script index", 0) for i in self.indices)
+        idx = tuple(_checks.count(i, "script index", 0)
+                    for i in _checks.items(self.indices, "script indices"))
         if not idx:
             raise InvalidDistribution("a script needs at least one index")
         object.__setattr__(self, "indices", idx)

@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -389,6 +391,11 @@ TINY_CONFIGS = {
               "max_iters": 50},
 }
 FLAG_VALUES = {"--trials": "3", "--steps": "4", "--tol": "1e-6"}
+# the override flags each kind reads, those its field table names (lineq
+# reads max_iters, not steps)
+FLAGS_READ = {"classify": (), "certify": ("--trials", "--steps", "--tol"),
+              "product": ("--steps", "--tol"), "async": ("--steps", "--tol"),
+              "lineq": ("--tol",)}
 
 
 @pytest.mark.parametrize("kind", sorted(TINY_CONFIGS))
@@ -397,7 +404,7 @@ def test_override_flags_follow_the_kind_table(tmp_path, capsys, kind, flag):
     cfg = write(tmp_path / "c.json", TINY_CONFIGS[kind])
     code = run_cli(kind, cfg, tmp_path / "o", flag, FLAG_VALUES[flag])
     err = capsys.readouterr().err
-    if flag[2:] in cli.KIND_FLAGS[kind]:
+    if flag in FLAGS_READ[kind]:
         assert code in (0, 3)
     else:
         assert code == 2
@@ -579,6 +586,15 @@ BAD_FIELDS = {
                              "expected an object with field 'variant', got 5"),
     "lineq-graph-edge-triple": ("lineq", {"graphs": [{"n": 2, "edges": [
         [0, 0, 1]]}]}, "'edges': bad value [[0, 0, 1]]"),
+    # keys of an exclusive pair, once read one and ignored the other
+    "product-window-and-window_max": ("product", {"window": 2, "window_max": 3},
+                                      "both 'window' and 'window_max'"),
+    "async-matrix-and-graph": ("async", {"graph": {"n": 2, "edges": [
+        [0, 0], [1, 1]]}}, "one of 'matrix' and 'graph'"),
+    "async-delta-default-clock": ("async", {"delta": 2.0},
+                                  "'delta' is read only with 'clock': 'poisson'"),
+    "async-delta-bernoulli": ("async", {"clock": "bernoulli", "delta": 2.0},
+                              "'delta' is read only with 'clock': 'poisson'"),
 }
 
 
@@ -591,6 +607,98 @@ def test_bad_field_values_are_validation_errors(tmp_path, capfd, kind, fields,
     err = capfd.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+# id -> (kind, config or None for the kind's tiny one, path to the object
+# given a key that no field names, what the message calls that object)
+UNKNOWN_KEYS = {
+    "classify": ("classify", None, (), "classify"),
+    "classify-matrix": ("classify", None, ("matrices", 0), "matrix"),
+    "certify": ("certify", None, (), "certify"),
+    "certify-iid-signal": ("certify", None, ("signal",), "iid model"),
+    "certify-markov-signal": ("certify", {**TINY_CONFIGS["certify"],
+                                          "signal": MARKOV_SIGNAL},
+                              ("signal",), "markov model"),
+    "product": ("product", None, (), "product"),
+    "product-model": ("product", None, ("model",), "iid model"),
+    "product-set-matrix": ("product", None, ("model", "set", 0), "matrix"),
+    "product-scripted-model": ("product", {**TINY_CONFIGS["product"], "model": {
+        "variant": "scripted", "indices": [0],
+        "set": [{"n": 2, "rows": SCRAM}]}}, ("model",), "scripted model"),
+    "async": ("async", None, (), "async"),
+    "async-matrix": ("async", None, ("matrix",), "matrix"),
+    "async-graph": ("async", {"graph": {"n": 2, "edges": [[0, 1], [1, 0]]}},
+                    ("graph",), "graph"),
+    "lineq": ("lineq", None, (), "lineq"),
+    "lineq-system": ("lineq", None, ("system",), "system"),
+    "lineq-block": ("lineq", None, ("system", "blocks", 1), "block"),
+    "lineq-graph": ("lineq", None, ("graphs", 0), "graph"),
+    "lineq-graph_model": ("lineq", None, ("graph_model",), "iid model"),
+}
+
+
+@pytest.mark.parametrize("kind,config,path,what", list(UNKNOWN_KEYS.values()),
+                         ids=list(UNKNOWN_KEYS))
+def test_unknown_key_is_refused(tmp_path, capfd, kind, config, path, what):
+    config = json.loads(json.dumps(config or TINY_CONFIGS[kind]))  # a copy
+    obj = config
+    for step in path:
+        obj = obj[step]
+    obj["stray"] = 1
+    assert run_cli(kind, write(tmp_path / "c.json", config), tmp_path / "o") == 2
+    err = capfd.readouterr().err
+    assert err == f"error: {what} does not read ['stray']\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_misspelled_keys_are_refused(tmp_path, capfd):
+    # a typo once ran the defaults (10,000 steps, h = 1) and exited 0
+    with open(os.path.join(DATA, "readme_product", "config.json")) as fh:
+        config = json.load(fh)
+    config["stpes"] = config.pop("steps")
+    config["windoww"] = 3
+    cfg = write(tmp_path / "c.json", config)
+    assert run_cli("product", cfg, tmp_path / "o") == 2
+    assert "product does not read ['stpes', 'windoww']" in capfd.readouterr().err
+    config["steps"] = config.pop("stpes")
+    del config["windoww"]
+    config["model"]["wieghts"] = config["model"].pop("weights")
+    assert run_cli("product", write(tmp_path / "c.json", config),
+                   tmp_path / "o") == 2
+    assert "iid model does not read ['wieghts']" in capfd.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _table_rows(text, heading):
+    """The cells of each body row of the markdown table headed ``heading``."""
+    lines = text[text.index(heading):].splitlines()
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in itertools.takewhile(lambda line: line.startswith("|"),
+                                            lines[2:])]
+
+
+def _backticked(cell):
+    return set(re.findall(r"`(\w+)`", cell))
+
+
+def test_readme_tables_list_every_field():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    kinds = {row[0]: _backticked(row[1]) for row in _table_rows(
+        text, "| kind     | config fields")}
+    assert kinds == {kind: set(fields) for kind, fields in cli.FIELDS.items()}
+    objects = {row[0]: _backticked(row[1]) for row in _table_rows(
+        text, "| object         | fields")}
+    assert objects == {
+        "matrix": set(jsonio._MATRIX), "graph": set(jsonio._GRAPH),
+        "system": set(jsonio._SYSTEM), "block": set(jsonio._BLOCK),
+        **{f"{variant} model": set(table)
+           for variant, (_, table) in jsonio._MODELS.items()}}
+    flags = _table_rows(text, "| kind     | `--trials`")
+    assert {row[0] for row in flags} == set(cli.FIELDS)
+    for kind, *cells in flags:
+        for flag, cell in zip(("trials", "steps", "tol"), cells):
+            assert cell.startswith("yes") == (flag in cli.FIELDS[kind]), (kind, flag)
 
 
 def test_integral_floats_read_as_integers(tmp_path):

@@ -175,8 +175,9 @@ def _x(x):
 
 
 # name -> (call, error): every real array the library takes holds numbers
-# in a full array of its shape, finite; each row was accepted, answered
-# with nan, or escaped as a raw numpy ValueError
+# in a full array of its shape, finite, and every sequence it takes is
+# iterable, of items of their length; each row was accepted, answered with
+# nan, or escaped as a raw Python or numpy error
 REFUSED = {
     "iid-weights-text": (lambda: sp.IIDModel(weights=["0.5", "0.5"]),
                          DimensionMismatch),
@@ -206,6 +207,26 @@ REFUSED = {
     "expected_lyapunov-x-nan": (lambda: _x([np.nan, 1.0]), NonFiniteEntry),
     "spread-text": (lambda: sp.spread(["1", "2"]), DimensionMismatch),
     "spread-nan": (lambda: sp.spread([np.nan, 1.0]), NonFiniteEntry),
+    # container arguments: each row once let a raw TypeError or ValueError out
+    "system-blocks-number": (lambda: sp.PartitionedLinearSystem(blocks=5),
+                             DimensionMismatch),
+    "system-block-without-rhs": (lambda: sp.PartitionedLinearSystem(
+        blocks=((np.eye(2),),)), DimensionMismatch),
+    "graph-edges-number": (lambda: sp.DirectedGraph(2, 5), DimensionMismatch),
+    "graph-edge-number": (lambda: sp.DirectedGraph(2, [5]), DimensionMismatch),
+    "graph-edge-triple": (lambda: sp.DirectedGraph(2, [(0, 1, 1)]),
+                          DimensionMismatch),
+    "matrix-set-number": (lambda: sp.FiniteMatrixSet(5), DimensionMismatch),
+    "matrix-set-labels-number": (lambda: sp.FiniteMatrixSet([np.eye(2)],
+                                                            labels=5),
+                                 DimensionMismatch),
+    "switched-modes-number": (lambda: sp.SwitchedSystem(modes=5,
+                                                        signal=IID_SIGNAL),
+                              DimensionMismatch),
+    "graph-model-graphs-number": (lambda: sp.GraphSequenceModel(
+        graph_set=5, model=IID_SIGNAL), DimensionMismatch),
+    "scripted-indices-number": (lambda: sp.ScriptedModel(indices=5),
+                                DimensionMismatch),
 }
 
 
