@@ -1,7 +1,8 @@
 """The checks every value passes where the package takes it in.
 
 A count is an integer, numpy's included, but not a boolean.  A sequence of
-items is iterable, and each item has its expected length.  A real array
+items is iterable, and each item has its expected length.  An object
+argument is an instance of its expected class.  A real array
 holds integer and float numbers only, in a full array, and is finite.  A
 distribution is a nonempty vector of nonnegative reals summing to 1.  A seed
 is a count of at least 0.  This module imports only the package's exception
@@ -76,6 +77,14 @@ def items(value, what: str, width: int | None = None) -> tuple:
     if bad:
         raise DimensionMismatch(f"expected {what} of {width} entries, got {bad[0]!r}")
     return out
+
+
+def instance(value, kind, what: str):
+    """``value`` when it is an instance of ``kind`` (a class or a tuple of
+    them), else ``DimensionMismatch`` naming ``what`` was expected."""
+    if not isinstance(value, kind):
+        raise DimensionMismatch(f"expected {what}, got {value!r}")
+    return value
 
 
 def square(value, dtype=bool, ndim=2, finite=True) -> np.ndarray:

@@ -252,7 +252,9 @@ class GraphSequenceModel:
     window: int = 1
 
     def __post_init__(self):
-        gs = _checks.items(self.graph_set, "graphs")
+        gs = tuple(_checks.instance(g, DirectedGraph, "a DirectedGraph in graph_set")
+                   for g in _checks.items(self.graph_set, "graphs"))
+        _checks.instance(self.model, SequenceModel, "a SequenceModel as model")
         if not gs:
             raise DimensionMismatch("need at least one candidate graph")
         n = gs[0].n

@@ -19,6 +19,9 @@ then be checked against.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +74,7 @@ class SwitchedSystem:
         n = mats[0].shape[0] if mats[0].ndim == 2 else None
         if any(a.shape != (n, n) for a in mats):
             raise DimensionMismatch("modes must be square and share dimensions")
+        _checks.instance(self.signal, SequenceModel, "a SequenceModel as signal")
         if self.signal.num_symbols > len(mats):
             raise DimensionMismatch(
                 f"signal uses {self.signal.num_symbols} symbols but there are "
@@ -127,14 +131,88 @@ def _check_function(V: LyapunovFunction, n: int, probes: np.ndarray):
         raise InvalidDistribution(f"{V.name} is negative on a probe point")
 
 
+_SOBOL_BITS = 30  # bits of each Sobol coordinate, so at most 2**30 points
+
+
+@functools.lru_cache(maxsize=8)  # a few dimensions, at most 2.5 MB each
+def _sobol_directions(d: int) -> np.ndarray:
+    """The (d, _SOBOL_BITS) uint32 direction numbers of scipy's Sobol engine
+    before scrambling: rows 0..d-1 of its Joe-Kuo table (primitive
+    polynomials ``poly``, initial numbers ``vinit``), extended by the
+    Bratley-Fox recurrence and left-aligned to _SOBOL_BITS bits.  The table
+    file is read from scipy's package directory without importing scipy;
+    ``DimensionMismatch`` when d passes its rows."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("the Sobol grid reads scipy's direction numbers")
+    path = os.path.join(spec.submodule_search_locations[0], "stats",
+                        "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        poly = table["poly"]
+        if d > poly.size:
+            raise DimensionMismatch(
+                f"Sobol points have at most {poly.size} coordinates, not {d}")
+        poly, init = poly[:d], table["vinit"][:d]
+    deg = np.frexp(poly)[1] - 1  # polynomial degrees, 0 for the first row
+    width = init.shape[1]
+    v = np.ones((d, _SOBOL_BITS), np.int64)
+    v[:, :width] = np.where(np.arange(width) < deg[:, None], init, 1)
+    for j in range(1, _SOBOL_BITS):
+        # v_j = v_{j-m} ^ sum over k < m of a_k 2^(k+1) v_{j-k-1}, a_k bit
+        # m-1-k of poly; rows with j < m keep their initial number
+        new = v[np.arange(d), np.maximum(j - deg, 0)]
+        for k in range(min(j, width)):
+            a = (poly >> np.maximum(deg - 1 - k, 0)) & (k < deg) & 1
+            new ^= a * (v[:, j - k - 1] << (k + 1))
+        v[:, j] = np.where(j < deg, v[:, j], new)
+    v = (v << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))).astype(np.uint32)
+    v.flags.writeable = False
+    return v
+
+
+def _sobol(d: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of scipy's ``qmc.Sobol(d, scramble=True,
+    seed=seed)``, bit for bit, as one (count, d) float64 array, on numpy
+    alone: the same direction numbers under the same Matousek LMS and
+    digital-shift scramble, drawn from ``default_rng(seed)``.  Raises
+    ``InvalidDistribution`` past 2**_SOBOL_BITS points and
+    ``DimensionMismatch`` past the table's rows, before any point."""
+    if count > 1 << _SOBOL_BITS:
+        raise InvalidDistribution(
+            f"a Sobol sequence holds at most 2**{_SOBOL_BITS} points, not {count}")
+    v = _sobol_directions(d)
+    rng = np.random.default_rng(seed)
+    bits = _SOBOL_BITS
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32)
+    lms = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    lms[:, range(bits), range(bits)] = 1
+    # each direction number as an MSB-first bit vector times its
+    # dimension's lower-triangular matrix over GF(2)
+    msb = bits - 1 - np.arange(bits)
+    scrambled = ((v[:, :, None] >> msb) & 1) @ lms.swapaxes(1, 2)
+    directions = ((scrambled & 1) << msb).sum(axis=2).T.astype(np.uint32)
+    pts = np.empty((count, d), np.uint32)
+    pts[0] = (shift << np.arange(bits, dtype=np.uint32)).sum(axis=1)  # LSB first
+    # Gray-code order: point 2^b + i is point 2^b - 1 - i xor direction b
+    size = 1
+    for direction in directions[:(count - 1).bit_length()]:
+        tail = min(size, count - size)
+        np.bitwise_xor(pts[size - 1::-1][:tail], direction,
+                       out=pts[size:size + tail])
+        size *= 2
+    return pts * 2.0 ** -_SOBOL_BITS
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Sampling of the unit sup-norm sphere used for the worst-case search.
 
     In dimension 2 each face carries an even grid with the endpoints (the
     breakpoints of piecewise-linear data live there); in higher dimensions
-    faces are filled with a seeded Sobol set.  The signed unit vectors are
-    always included.
+    the 2n faces, in the order (axis, sign +1 then -1), take consecutive
+    runs of ``points_per_face`` points of one seeded scrambled Sobol
+    sequence in n - 1 dimensions (scipy's ``qmc.Sobol``, drawn by
+    ``_sobol``).  The signed unit vectors are always included.
     """
 
     resolution: int = 101
@@ -151,31 +229,22 @@ class SphereGrid:
     def points(self, n: int) -> np.ndarray:
         if n < 1:
             raise DimensionMismatch("dimension must be positive")
-        vertices = np.concatenate([np.eye(n), -np.eye(n)], axis=0)
         if n == 1:
-            return vertices
-        faces = []
+            return np.array([[1.0], [-1.0]])
         if n == 2:
-            t = np.linspace(-1.0, 1.0, self.resolution)
-            for axis in range(2):
-                for sign in (1.0, -1.0):
-                    pts = np.empty((t.size, 2))
-                    pts[:, axis] = sign
-                    pts[:, 1 - axis] = t
-                    faces.append(pts)
-        else:
-            # the package's only scipy use; the cube-vertex grid (ROADMAP 1) drops it
-            from scipy.stats import qmc
-            sob = qmc.Sobol(d=n - 1, scramble=True, seed=self.seed)
-            for axis in range(n):
-                for sign in (1.0, -1.0):
-                    free = 2.0 * sob.random(self.points_per_face) - 1.0
-                    pts = np.empty((self.points_per_face, n))
-                    pts[:, axis] = sign
-                    other = [c for c in range(n) if c != axis]
-                    pts[:, other] = free
-                    faces.append(pts)
-        return np.concatenate([vertices] + faces, axis=0)
+            free = np.tile(np.linspace(-1.0, 1.0, self.resolution), 4)[:, None]
+        else:  # _sobol refuses before any array of n columns exists
+            free = _sobol(n - 1, 2 * n * self.points_per_face, self.seed)
+            free = 2.0 * free - 1.0
+        pts = np.empty((2 * n + len(free), n))
+        pts[:2 * n] = np.concatenate([np.eye(n), -np.eye(n)])
+        faces = pts[2 * n:].reshape(n, 2, -1, n)
+        free = free.reshape(n, 2, -1, n - 1)
+        for axis in range(n):
+            faces[axis, :, :, axis] = [[1.0], [-1.0]]
+            faces[axis, :, :, :axis] = free[axis, :, :, :axis]
+            faces[axis, :, :, axis + 1:] = free[axis, :, :, axis:]
+        return pts
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,12 @@ class SequenceModel:
     def step_distribution(self, prev: int) -> np.ndarray:
         raise NotImplementedError
 
+    def _check_fields(self):
+        """The seed and the optional matrix set of every model variant."""
+        _checks.seed(self.seed)
+        _checks.instance(self.matrix_set, (FiniteMatrixSet, type(None)),
+                         "a FiniteMatrixSet or None as matrix_set")
+
     def _require_set(self) -> FiniteMatrixSet:
         if self.matrix_set is None:
             raise InvalidDistribution("this model carries no matrix set")
@@ -141,7 +147,7 @@ class IIDModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
-        _checks.seed(self.seed)
+        self._check_fields()
         weights = _checks.distribution(self.weights, "weights")
         object.__setattr__(self, "weights", weights)
 
@@ -174,7 +180,7 @@ class MarkovModulatedModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
-        _checks.seed(self.seed)
+        self._check_fields()
         v = _checks.distribution(self.initial, "initial distribution")
         t = _checks.square(self.transition, float, finite=False)
         if len(t) != v.size:
@@ -241,7 +247,7 @@ class ScriptedModel(SequenceModel):
     matrix_set: FiniteMatrixSet | None = None
 
     def __post_init__(self):
-        _checks.seed(self.seed)
+        self._check_fields()
         idx = tuple(_checks.count(i, "script index", 0)
                     for i in _checks.items(self.indices, "script indices"))
         if not idx:

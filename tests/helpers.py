@@ -408,6 +408,35 @@ def certify_contraction_per_mode(system, V, horizon_max, grid=None,
     raise NoCertificate(int(horizon_max))
 
 
+def scipy_sobol(d, points_per_face, seed):
+    """``2 (d + 1) points_per_face`` points of scipy's scrambled Sobol
+    engine, drawn a face at a time as the sphere grid once drew them (a
+    count that is not a power of 2 makes scipy warn)."""
+    import warnings
+    from scipy.stats import qmc
+
+    engine = qmc.Sobol(d, scramble=True, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.concatenate([engine.random(points_per_face)
+                               for _ in range(2 * (d + 1))])
+
+
+def sphere_grid_per_face(n, points_per_face, seed):
+    """The sphere grid of dimension n >= 3 built face by face: the signed
+    unit vectors, then each (axis, sign) face with its run of Sobol points
+    in the other coordinates."""
+    free = 2.0 * scipy_sobol(n - 1, points_per_face, seed) - 1.0
+    faces = [np.eye(n), -np.eye(n)]
+    for f, (axis, sign) in enumerate(itertools.product(range(n), (1.0, -1.0))):
+        pts = np.empty((points_per_face, n))
+        pts[:, axis] = sign
+        pts[:, [c for c in range(n) if c != axis]] = \
+            free[f * points_per_face:(f + 1) * points_per_face]
+        faces.append(pts)
+    return np.concatenate(faces)
+
+
 def apply_firing_sets(W, x0, fired):
     """Spreads and final state of the events ``fired`` (one boolean row per
     event) applied in order to ``x0``, one row at a time."""

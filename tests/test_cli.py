@@ -711,16 +711,26 @@ def test_integral_floats_read_as_integers(tmp_path):
     assert summary["results"]["h"] == 1
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only import-time dependency; scipy is imported only by
-    # the certificate grid of dimension 3 and up
-    probe = ("import sys, stochprod, stochprod.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def test_import_loads_no_scipy(tmp_path):
+    # numpy is the only dependency a run imports: a 3-D certificate's Sobol
+    # grid reads scipy's direction-number file without importing scipy
+    cfg = write(tmp_path / "c.json", {
+        "modes": [np.diag([0.5, 0.6, 0.8]).tolist()],
+        "signal": {"variant": "iid", "weights": [1.0]},
+        "horizon_max": 2, "steps": 3, "trials": 2})
+    argv = ["run", "certify", "--config", cfg, "--out", str(tmp_path / "o")]
+    probe = ("import sys, stochprod, stochprod.cli\n"
+             "def loaded():\n"
+             "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+             "print(loaded())\n"
+             f"print(stochprod.cli.main({argv!r}), loaded())\n")
     src = os.path.dirname(os.path.dirname(sp.__file__))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
+    summary, _ = read_outputs(tmp_path / "o")
+    assert summary["results"]["certificate"]["T"] == 1
 
 
 def test_check_connectivity_reads_a_json_boolean(tmp_path, capsys):

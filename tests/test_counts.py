@@ -227,6 +227,19 @@ REFUSED = {
         graph_set=5, model=IID_SIGNAL), DimensionMismatch),
     "scripted-indices-number": (lambda: sp.ScriptedModel(indices=5),
                                 DimensionMismatch),
+    # object arguments: each row once let an AttributeError out or was accepted
+    "graph-model-graph-number": (lambda: sp.GraphSequenceModel(
+        graph_set=[5], model=IID_SIGNAL), DimensionMismatch),
+    "graph-model-model-number": (lambda: sp.GraphSequenceModel(
+        graph_set=(COMPLETE,), model=5), DimensionMismatch),
+    "switched-signal-number": (lambda: sp.SwitchedSystem(
+        modes=(np.eye(2),), signal=5), DimensionMismatch),
+    "iid-matrix-set-number": (lambda: sp.IIDModel(weights=[1.0], matrix_set=5),
+                              DimensionMismatch),
+    "markov-matrix-set-number": (lambda: sp.MarkovModulatedModel(
+        initial=[1.0], transition=[[1.0]], matrix_set=5), DimensionMismatch),
+    "scripted-matrix-set-list": (lambda: sp.ScriptedModel(
+        (0,), matrix_set=[np.eye(2)]), DimensionMismatch),
 }
 
 

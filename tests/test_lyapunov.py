@@ -18,7 +18,9 @@ from helpers import (
     expected_lyapunov_per_mode,
     grid_images_einsum,
     mode_start,
+    scipy_sobol,
     sparse_law,
+    sphere_grid_per_face,
 )
 
 # three diagonal modes driven by a two-phase modulating chain: mode 0 damps
@@ -462,6 +464,46 @@ class TestCertify:
                                       grid=sp.SphereGrid(points_per_face=64))
         assert cert.horizon == 1
         assert cert.alpha == pytest.approx(0.75, abs=1e-12)
+
+
+class TestSobolGrid:
+    """``lyapunov._sobol`` redraws scipy's scrambled Sobol points on numpy
+    alone; scipy's engine is the oracle, compared bit for bit."""
+
+    @given(d=st.integers(2, 12), seed=st.integers(0, 2**64 - 1),
+           ppf=st.integers(1, 300))
+    @example(d=4, seed=0, ppf=256)  # the benchmark's 5-D grid
+    @example(d=310, seed=1, ppf=2)  # a dimension at the image budget's cap
+    @example(d=3, seed=2**40 + 3, ppf=3)
+    def test_matches_scipy_sobol(self, d, seed, ppf):
+        got = lyapunov._sobol(d, 2 * (d + 1) * ppf, seed)
+        want = scipy_sobol(d, ppf, seed)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n,ppf,seed", [(3, 1, 0), (5, 256, 7), (9, 5, 2**40)])
+    def test_grid_matches_face_by_face_draws(self, n, ppf, seed):
+        got = sp.SphereGrid(points_per_face=ppf, seed=seed).points(n)
+        want = sphere_grid_per_face(n, ppf, seed)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_direction_numbers_match_scipy(self):
+        # every row of the table, so every polynomial degree up to 18
+        from scipy.stats._sobol import _MAXDIM, _initialize_v
+
+        want = np.zeros((_MAXDIM, lyapunov._SOBOL_BITS), np.uint32)
+        _initialize_v(want, dim=_MAXDIM, bits=lyapunov._SOBOL_BITS)
+        np.testing.assert_array_equal(lyapunov._sobol_directions(_MAXDIM), want)
+
+    def test_dimension_past_the_table_refused(self):
+        with pytest.raises(DimensionMismatch, match="at most 21201 coordinates"):
+            lyapunov._sobol(21202, 2, 0)
+
+    def test_points_past_2_to_the_30_refused(self):
+        # 3 * 2**30 points of 2 coordinates would take 48 GiB: refused first
+        grid = sp.SphereGrid(points_per_face=2**29)
+        with pytest.raises(InvalidDistribution, match=r"at most 2\*\*30 points"):
+            grid.points(3)
 
 
 class TestMonteCarlo:
